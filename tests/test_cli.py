@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -8,6 +9,8 @@ import qstatic.cli as cli
 from qstatic.cli import load_config, main
 from qstatic.errors import InternalConsistencyError
 from qstatic.report_schema import REPORT_SCHEMA
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture
@@ -413,3 +416,14 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "trace_payoffs", forged_failure)
         assert main(["simulate", "--config", bos_config, "--rounds", "10"]) == 1
         assert "internal error" in capsys.readouterr().err
+
+
+def test_cli_outputs_match_golden(capsys, monkeypatch):
+    """Byte-exact stdout and exit code of every case in cli_golden.json,
+    written by tests/data/make_cli_golden.py."""
+    golden = json.loads((DATA / "cli_golden.json").read_text())
+    monkeypatch.chdir(DATA)
+    for case in golden:
+        code = main(case["argv"])
+        out = capsys.readouterr().out
+        assert (code, out) == (case["exit"], case["stdout"]), " ".join(case["argv"])
