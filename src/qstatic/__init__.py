@@ -30,7 +30,6 @@ from .game_core import (
     EliminationStep,
     GamePayoffs,
     MixProbabilities,
-    StrategyLabel,
     bos_bimatrix,
     eliminate_strictly_dominated,
     expected_payoffs,
@@ -46,7 +45,6 @@ from .quantum_core import (
     StateVector,
     apply_local_unitaries,
     bilinear_payoff_coefficients,
-    flip_operator,
     mixed_final_density,
     payoff_operators,
     payoffs_factorizable,
@@ -79,7 +77,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationReport",
     "StateVector",
-    "StrategyLabel",
     "UniqueSolutionReport",
     "apply_local_unitaries",
     "bilinear_payoff_coefficients",
@@ -90,7 +87,6 @@ __all__ = [
     "enumerate_bilinear_nash",
     "expected_payoffs",
     "factorizable_equilibria",
-    "flip_operator",
     "mixed_final_density",
     "payoff_operators",
     "payoffs_factorizable",

@@ -40,6 +40,7 @@ from .errors import ConstraintViolation, InternalConsistencyError
 from .game_core import (
     BilinearPayoff,
     Bimatrix,
+    EliminationStep,
     GamePayoffs,
     bos_bimatrix,
     eliminate_strictly_dominated,
@@ -87,7 +88,23 @@ def _fail(path: str, where: str, message: str) -> ConfigError:
 def _as_number(path: str, where: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(path, where, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise _fail(path, where, f"expected a finite number, got {number!r}")
+    return number
+
+
+def _as_table(path: str, where: str, value: Any) -> list[list[float]]:
+    rows_ok = isinstance(value, list) and all(isinstance(row, list) for row in value)
+    if not rows_ok or len({len(row) for row in value}) > 1:
+        raise _fail(path, where, "expected a list of equal-length rows of numbers")
+    return [
+        [_as_number(path, f"{where}[{i}][{j}]", x) for j, x in enumerate(row)]
+        for i, row in enumerate(value)
+    ]
 
 
 def _load_payoffs(
@@ -105,8 +122,8 @@ def _load_payoffs(
         return params, bos_bimatrix(params)
     if keys == {"payoff_a", "payoff_b"}:
         return None, Bimatrix(
-            np.asarray(raw["payoff_a"], dtype=float),
-            np.asarray(raw["payoff_b"], dtype=float),
+            np.array(_as_table(path, "payoffs.payoff_a", raw["payoff_a"])),
+            np.array(_as_table(path, "payoffs.payoff_b", raw["payoff_b"])),
         )
     raise _fail(
         path,
@@ -251,73 +268,33 @@ def _require_params(cfg: LoadedConfig, command: str) -> GamePayoffs:
 
 
 # ---------------------------------------------------------------------------
-# exact fraction display for the closed-form equilibria
-
-
-def _integer_params(params: GamePayoffs) -> tuple[int, int, int] | None:
-    vals = (params.alpha, params.beta, params.gamma)
-    if all(float(v).is_integer() for v in vals):
-        return tuple(int(v) for v in vals)  # type: ignore[return-value]
-    return None
+# exact fractions: the closed forms re-run on Fraction inputs
 
 
 def _simple_fraction(x: float, max_denominator: int = 10**6) -> Fraction | None:
     """Shortest fraction that rounds back to exactly this float, if small."""
-    if not math.isfinite(x):
-        return None
     frac = Fraction(x).limit_denominator(max_denominator)
     return frac if float(frac) == x else None
 
 
-ExactRow = tuple[Fraction, Fraction, Fraction, Fraction]
-
-
-def _classical_exact_rows(params: GamePayoffs) -> list[ExactRow] | None:
-    ints = _integer_params(params)
-    if ints is None:
+def _exact_equilibria(
+    params: GamePayoffs, family: EntangledFamilyState | None = None
+) -> Sequence[NashPoint] | None:
+    """The closed-form equilibria in exact arithmetic, when the inputs are
+    exact: integer payoff parameters and, for the family, an a2 that is a
+    simple fraction. Without ``family`` these are the classical ones."""
+    values = (params.alpha, params.beta, params.gamma)
+    if not all(v.is_integer() for v in values):
         return None
-    ia, ib, ig = ints
-    spread = ia + ib - 2 * ig
-    shared = Fraction(ia * ib - ig * ig, spread)
-    return [
-        (Fraction(1), Fraction(1), Fraction(ia), Fraction(ib)),
-        (Fraction(0), Fraction(0), Fraction(ib), Fraction(ia)),
-        (Fraction(ia - ig, spread), Fraction(ib - ig, spread), shared, shared),
-    ]
-
-
-def _entangled_exact_rows(
-    params: GamePayoffs, family: EntangledFamilyState
-) -> list[ExactRow] | None:
-    ints = _integer_params(params)
+    exact = GamePayoffs(*(Fraction(v) for v in values))
+    if family is None:
+        return classical_mixed_equilibria(exact)
     a2 = _simple_fraction(family.a2)
-    if ints is None or a2 is None:
-        return None
-    ia, ib, ig = ints
-    b2 = 1 - a2
-    spread = ia + ib - 2 * ig
-    keep_a = ia * a2 + ib * b2
-    keep_b = ib * a2 + ia * b2
-    p_star = ((ia - ig) * a2 + (ib - ig) * b2) / spread
-    q_star = ((ia - ig) * b2 + (ib - ig) * a2) / spread
-    shared = (ia * ib + (ia - ib) ** 2 * a2 * b2 - ig * ig) / spread
-    return [
-        (Fraction(1), Fraction(1), keep_a, keep_b),
-        (Fraction(0), Fraction(0), keep_b, keep_a),
-        (p_star, q_star, shared, shared),
-    ]
+    return None if a2 is None else entangled_equilibria(exact, EntangledFamilyState(a2))
 
 
 # ---------------------------------------------------------------------------
-# report assembly
-
-
-@dataclass
-class Report:
-    payload: dict
-    csv_header: list[str]
-    csv_rows: list[list]
-    table: str
+# report payload
 
 
 def _amp_pairs(state: StateVector) -> list[list[float]]:
@@ -346,42 +323,30 @@ def _state_json(cfg: LoadedConfig) -> dict:
     }
 
 
-def _eq_row(
-    point: NashPoint,
-    exact: ExactRow | None = None,
-    final_state: StateVector | None = None,
-) -> dict:
-    row = {
-        "kind": point.kind.value,
-        "p": point.p_star,
-        "q": point.q_star,
-        "payoff_a": point.payoff_a,
-        "payoff_b": point.payoff_b,
-        "p_exact": str(exact[0]) if exact else None,
-        "q_exact": str(exact[1]) if exact else None,
-        "payoff_a_exact": str(exact[2]) if exact else None,
-        "payoff_b_exact": str(exact[3]) if exact else None,
-    }
-    if final_state is not None:
-        row["final_state"] = _amp_pairs(final_state)
-    return row
+#: Report key of each equilibrium value, and the NashPoint field it reads.
+EQ_FIELDS = {
+    "p": "p_star", "q": "q_star", "payoff_a": "payoff_a", "payoff_b": "payoff_b"
+}
+EQ_CSV_HEADER = ["kind", *EQ_FIELDS, *(f"{key}_exact" for key in EQ_FIELDS)]
 
 
-EQ_CSV_HEADER = [
-    "kind",
-    "p",
-    "q",
-    "payoff_a",
-    "payoff_b",
-    "p_exact",
-    "q_exact",
-    "payoff_a_exact",
-    "payoff_b_exact",
-]
-
-
-def _eq_csv_rows(rows: list[dict]) -> list[list]:
-    return [[row[key] for key in EQ_CSV_HEADER] for row in rows]
+def _eq_rows(
+    points: Sequence[NashPoint],
+    exact: Sequence[NashPoint] | None = None,
+    final_states: Sequence[StateVector] | None = None,
+) -> list[dict]:
+    """Equilibrium rows; ``exact`` holds the same points in Fractions."""
+    rows = []
+    for i, point in enumerate(points):
+        row = {"kind": point.kind.value}
+        row.update({key: getattr(point, field) for key, field in EQ_FIELDS.items()})
+        for key, field in EQ_FIELDS.items():
+            value = getattr(exact[i], field) if exact else None
+            row[f"{key}_exact"] = None if value is None else str(Fraction(value))
+        if final_states:
+            row["final_state"] = _amp_pairs(final_states[i])
+        rows.append(row)
+    return rows
 
 
 def _ranking_json(
@@ -426,119 +391,40 @@ def _unique_json(report: UniqueSolutionReport | None) -> dict | None:
 
 
 # ---------------------------------------------------------------------------
-# formatting helpers
+# commands: each returns the report payload
 
 
-def _fnum(x: float) -> str:
-    return f"{x:.6g}"
-
-
-def _cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return _fnum(value)
-    return str(value)
-
-
-def _table_block(header: list[str], rows: list[list]) -> list[str]:
-    cells = [header] + [[_cell(v) for v in row] for row in rows]
-    widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
-    return ["  ".join(r[i].ljust(widths[i]) for i in range(len(header))).rstrip()
-            for r in cells]
-
-
-def _value_with_exact(value: float, exact: str | None) -> str:
-    return f"{_fnum(value)} ({exact})" if exact else _fnum(value)
-
-
-def _eq_table_lines(rows: list[dict]) -> list[str]:
-    header = ["kind", "p", "q", "payoff A", "payoff B"]
-    body = [
-        [
-            row["kind"],
-            _value_with_exact(row["p"], row["p_exact"]),
-            _value_with_exact(row["q"], row["q_exact"]),
-            _value_with_exact(row["payoff_a"], row["payoff_a_exact"]),
-            _value_with_exact(row["payoff_b"], row["payoff_b_exact"]),
-        ]
-        for row in rows
-    ]
-    return _table_block(header, body)
-
-
-def _state_table_line(state: StateVector) -> str:
-    terms = []
-    for amp, label in zip(state.amplitudes, BASIS_LABELS):
-        if abs(amp) <= 1e-12:
-            continue
-        if abs(amp.imag) <= 1e-12:
-            coeff = _fnum(amp.real)
-        else:
-            coeff = f"({_fnum(amp.real)}{amp.imag:+.6g}i)"
-        terms.append(f"{coeff}|{label}>")
-    return " + ".join(terms) if terms else "0"
-
-
-def _game_table_lines(cfg: LoadedConfig) -> list[str]:
-    if cfg.params is not None:
-        p = cfg.params
-        return [f"game: alpha={_fnum(p.alpha)} beta={_fnum(p.beta)} gamma={_fnum(p.gamma)}"]
-    lines = ["game: explicit bimatrix"]
-    for i in range(cfg.game.shape[0]):
-        row = "  ".join(
-            f"({_fnum(cfg.game.payoff_a[i, j])},{_fnum(cfg.game.payoff_b[i, j])})"
-            for j in range(cfg.game.shape[1])
-        )
-        lines.append(f"  {cfg.labels_a[i]}: {row}")
-    return lines
-
-
-def _ranking_table_lines(ranking: EquilibriumRanking) -> list[str]:
-    lines = ["ranking (best first):"]
-    for rank, point in enumerate(ranking.ordered, start=1):
-        lines.append(
-            f"  {rank}. ({_fnum(point.p_star)}, {_fnum(point.q_star)})"
-            f"  payoffs A={_fnum(point.payoff_a)} B={_fnum(point.payoff_b)}"
-            f"  [{point.kind.value}]"
-        )
-    return lines
-
-
-# ---------------------------------------------------------------------------
-# commands
-
-
-def cmd_classical(cfg: LoadedConfig, args: argparse.Namespace) -> Report:
+def cmd_classical(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
     notices: list[str] = []
     elimination = eliminate_strictly_dominated(cfg.game)
-    pure = pure_nash(cfg.game)
-
+    exact = None
     if cfg.params is not None:
-        points = list(classical_mixed_equilibria(cfg.params))
-        exact_rows = _classical_exact_rows(cfg.params)
+        points: Sequence[NashPoint] = classical_mixed_equilibria(cfg.params)
+        exact = _exact_equilibria(cfg.params)
     elif cfg.game.is_2x2:
-        points = list(
-            enumerate_bilinear_nash(
-                BilinearPayoff.from_payoff_matrix(cfg.game.payoff_a),
-                BilinearPayoff.from_payoff_matrix(cfg.game.payoff_b),
-            )
+        points = enumerate_bilinear_nash(
+            BilinearPayoff.from_payoff_matrix(cfg.game.payoff_a),
+            BilinearPayoff.from_payoff_matrix(cfg.game.payoff_b),
         )
-        exact_rows = None
         notices.append("mixed equilibria computed by generic bilinear enumeration")
     else:
-        points = []
-        exact_rows = None
+        points = ()
         notices.append(
             "mixed-strategy enumeration covers 2x2 games only; "
             "reporting elimination and pure equilibria"
         )
 
-    eq_rows = [
-        _eq_row(point, exact_rows[i] if exact_rows else None)
-        for i, point in enumerate(points)
-    ]
-    payload = {
+    def step_json(step: EliminationStep) -> dict:
+        labels = cfg.labels_a if step.player == 0 else cfg.labels_b
+        return {
+            "player": "A" if step.player == 0 else "B",
+            "removed": step.removed,
+            "removed_label": labels[step.removed],
+            "dominated_by": step.dominated_by,
+            "dominated_by_label": labels[step.dominated_by],
+        }
+
+    return {
         "schema": SCHEMA_VERSION,
         "command": "classical",
         "game": _game_json(cfg),
@@ -546,20 +432,7 @@ def cmd_classical(cfg: LoadedConfig, args: argparse.Namespace) -> Report:
         "elimination": {
             "survivors_a": list(elimination.survivors_a),
             "survivors_b": list(elimination.survivors_b),
-            "steps": [
-                {
-                    "player": "A" if step.player == 0 else "B",
-                    "removed": step.removed,
-                    "removed_label": (cfg.labels_a if step.player == 0 else cfg.labels_b)[
-                        step.removed
-                    ],
-                    "dominated_by": step.dominated_by,
-                    "dominated_by_label": (
-                        cfg.labels_a if step.player == 0 else cfg.labels_b
-                    )[step.dominated_by],
-                }
-                for step in elimination.steps
-            ],
+            "steps": [step_json(step) for step in elimination.steps],
         },
         "pure_equilibria": [
             {
@@ -570,149 +443,56 @@ def cmd_classical(cfg: LoadedConfig, args: argparse.Namespace) -> Report:
                 "payoff_a": float(cfg.game.payoff_a[i, j]),
                 "payoff_b": float(cfg.game.payoff_b[i, j]),
             }
-            for i, j in pure
+            for i, j in pure_nash(cfg.game)
         ],
-        "mixed_equilibria": eq_rows,
+        "mixed_equilibria": _eq_rows(points, exact),
         "notices": notices,
     }
 
-    lines = _game_table_lines(cfg)
-    lines.append("")
-    lines.append("iterated elimination of strictly dominated strategies:")
-    if elimination.steps:
-        for step in payload["elimination"]["steps"]:
-            lines.append(
-                f"  player {step['player']}: {step['removed_label']} removed "
-                f"(strictly dominated by {step['dominated_by_label']})"
-            )
-    else:
-        lines.append("  nothing eliminated")
-    lines.append(
-        "  survivors: A: "
-        + ", ".join(cfg.labels_a[i] for i in elimination.survivors_a)
-        + " | B: "
-        + ", ".join(cfg.labels_b[j] for j in elimination.survivors_b)
-    )
-    lines.append("")
-    lines.append("pure Nash equilibria:")
-    if pure:
-        for i, j in pure:
-            lines.append(
-                f"  ({cfg.labels_a[i]}, {cfg.labels_b[j]})  payoffs "
-                f"A={_fnum(float(cfg.game.payoff_a[i, j]))} "
-                f"B={_fnum(float(cfg.game.payoff_b[i, j]))}"
-            )
-    else:
-        lines.append("  none")
-    lines.append("")
-    lines.append("mixed Nash equilibria:")
-    if eq_rows:
-        lines.extend("  " + line for line in _eq_table_lines(eq_rows))
-    else:
-        lines.append("  not computed")
-    for notice in notices:
-        lines.append(f"note: {notice}")
 
-    return Report(payload, EQ_CSV_HEADER, _eq_csv_rows(eq_rows), "\n".join(lines) + "\n")
-
-
-def cmd_quantum(cfg: LoadedConfig, args: argparse.Namespace) -> Report:
+def cmd_quantum(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
     params = _require_params(cfg, "quantum")
     notices: list[str] = []
     unique: UniqueSolutionReport | None = None
-    final_states: list[StateVector | None]
+    exact = None
+    final_states = None
 
     if args.mode == "factorizable":
         solutions = factorizable_equilibria(params)
-        points = [sol.point for sol in solutions]
+        points: Sequence[NashPoint] = [sol.point for sol in solutions]
         final_states = [sol.final_state for sol in solutions]
-        exact_rows = _classical_exact_rows(params)
+        exact = _exact_equilibria(params)
         notices.append(
             "independent-tactic equilibria do not depend on the configured "
             "initial state; coordinates are squared tactic moduli"
         )
     elif cfg.family is not None:
-        points = list(entangled_equilibria(params, cfg.family))
-        final_states = [None] * len(points)
-        exact_rows = _entangled_exact_rows(params, cfg.family)
+        points = entangled_equilibria(params, cfg.family)
+        exact = _exact_equilibria(params, cfg.family)
         unique = unique_solution(params, cfg.family)
     else:
         pa, pb = payoff_operators(params)
         bp_a, bp_b = bilinear_payoff_coefficients(cfg.state.density_matrix(), pa, pb)
-        points = list(enumerate_bilinear_nash(bp_a, bp_b))
-        final_states = [None] * len(points)
-        exact_rows = None
+        points = enumerate_bilinear_nash(bp_a, bp_b)
         notices.append(
             "initial state is outside the |OO>/|TT> superposition family; "
             "equilibria computed by generic bilinear enumeration"
         )
 
-    ranking = rank_equilibria(points)
-    eq_rows = [
-        _eq_row(
-            point,
-            exact_rows[i] if exact_rows else None,
-            final_states[i] if args.mode == "factorizable" else None,
-        )
-        for i, point in enumerate(points)
-    ]
-    payload = {
+    return {
         "schema": SCHEMA_VERSION,
         "command": "quantum",
         "mode": args.mode,
         "game": _game_json(cfg),
         "initial_state": _state_json(cfg),
-        "equilibria": eq_rows,
-        "ranking": _ranking_json(ranking, points),
+        "equilibria": _eq_rows(points, exact, final_states),
+        "ranking": _ranking_json(rank_equilibria(points), points),
         "unique_solution": _unique_json(unique),
         "notices": notices,
     }
 
-    lines = _game_table_lines(cfg)
-    lines.append(f"mode: {args.mode}")
-    if args.mode != "factorizable":
-        lines.append(f"initial state: {_state_table_line(cfg.state)}")
-    lines.append("")
-    lines.append("equilibria:")
-    lines.extend("  " + line for line in _eq_table_lines(eq_rows))
-    if args.mode == "factorizable":
-        lines.append("")
-        lines.append("final states:")
-        for point, state in zip(points, final_states):
-            lines.append(
-                f"  ({_fnum(point.p_star)}, {_fnum(point.q_star)}): "
-                f"{_state_table_line(state)}"
-            )
-    lines.append("")
-    lines.extend(_ranking_table_lines(ranking))
-    if args.mode == "entangled":
-        lines.append("")
-        if unique is None:
-            lines.append("unique solution: not applicable outside the superposition family")
-        elif unique.merged:
-            pay_a, pay_b = unique.solution_payoffs
-            lines.append(
-                "unique solution: corner equilibria (1,1) and (0,0) merge; "
-                f"payoffs A={_fnum(pay_a)} B={_fnum(pay_b)}"
-            )
-            lines.append(f"  shared final state: {_state_table_line(unique.final_state)}")
-        else:
-            pref_a = unique.preferred_by_a
-            pref_b = unique.preferred_by_b
-            lines.append(
-                "no unique solution: "
-                f"A prefers ({_fnum(pref_a.p_star)}, {_fnum(pref_a.q_star)}), "
-                f"B prefers ({_fnum(pref_b.p_star)}, {_fnum(pref_b.q_star)}); "
-                f"corner payoff differences A={_fnum(unique.payoff_difference_a)} "
-                f"B={_fnum(unique.payoff_difference_b)}"
-            )
-    for notice in notices:
-        lines.append(f"note: {notice}")
 
-    return Report(payload, EQ_CSV_HEADER, _eq_csv_rows(eq_rows), "\n".join(lines) + "\n")
-
-
-def cmd_simulate(cfg: LoadedConfig, args: argparse.Namespace) -> Report:
+def cmd_simulate(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
     params = _require_params(cfg, "simulate")
     try:
         config = SimulationConfig(
@@ -729,7 +509,7 @@ def cmd_simulate(cfg: LoadedConfig, args: argparse.Namespace) -> Report:
     pa, pb = payoff_operators(params)
     analytic = trace_payoffs(pa, pb, mixed_final_density(config.initial, config.mix))
 
-    payload = {
+    return {
         "schema": SCHEMA_VERSION,
         "command": "simulate",
         "game": _game_json(cfg),
@@ -749,77 +529,24 @@ def cmd_simulate(cfg: LoadedConfig, args: argparse.Namespace) -> Report:
         "notices": [],
     }
 
-    header = [
-        "rounds",
-        "seed",
-        "p",
-        "q",
-        "count_oo",
-        "count_ot",
-        "count_to",
-        "count_tt",
-        "mean_payoff_a",
-        "mean_payoff_b",
-        "std_error_a",
-        "std_error_b",
-        "analytic_payoff_a",
-        "analytic_payoff_b",
-    ]
-    row = [
-        args.rounds,
-        args.seed,
-        args.p,
-        args.q,
-        *report.counts,
-        report.mean_payoff_a,
-        report.mean_payoff_b,
-        report.std_error_a,
-        report.std_error_b,
-        analytic[0],
-        analytic[1],
-    ]
 
-    lines = _game_table_lines(cfg)
-    lines.append(f"initial state: {_state_table_line(cfg.state)}")
-    lines.append(
-        f"rounds={args.rounds} seed={args.seed} p={_fnum(args.p)} q={_fnum(args.q)}"
-    )
-    lines.append("")
-    lines.append(
-        "outcome counts: "
-        + "  ".join(f"{label}={c}" for label, c in zip(BASIS_LABELS, report.counts))
-    )
-    lines.append(
-        f"empirical payoffs: A={_fnum(report.mean_payoff_a)} "
-        f"+/- {_fnum(report.std_error_a)}  B={_fnum(report.mean_payoff_b)} "
-        f"+/- {_fnum(report.std_error_b)}"
-    )
-    lines.append(
-        f"analytic payoffs:  A={_fnum(analytic[0])}  B={_fnum(analytic[1])}"
-    )
-
-    return Report(payload, header, [row], "\n".join(lines) + "\n")
-
-
-def cmd_sweep(cfg: LoadedConfig, args: argparse.Namespace) -> Report:
+def cmd_sweep(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
     params = _require_params(cfg, "sweep")
     if args.steps < 2:
         raise ConfigError(f"sweep: steps must be at least 2, got {args.steps}")
     values = np.linspace(0.0, 1.0, args.steps)
     rows: list[dict] = []
-    fixed: dict[str, float] = {}
+    payload = {
+        "schema": SCHEMA_VERSION,
+        "command": "sweep",
+        "game": _game_json(cfg),
+        "parameter": args.param,
+        "steps": args.steps,
+        "rows": rows,
+        "notices": [],
+    }
 
     if args.param == "a2":
-        header = [
-            "a2",
-            "corner_11_payoff_a",
-            "corner_11_payoff_b",
-            "corner_00_payoff_a",
-            "corner_00_payoff_b",
-            "interior_p",
-            "interior_q",
-            "interior_payoff",
-        ]
         for value in values:
             keep, flip, interior = entangled_equilibria(
                 params, EntangledFamilyState(float(value))
@@ -836,46 +563,235 @@ def cmd_sweep(cfg: LoadedConfig, args: argparse.Namespace) -> Report:
                     "interior_payoff": interior.payoff_a,
                 }
             )
+        payload["notices"].append(
+            "a2 sweep analyses the |OO>/|TT> superposition family directly; "
+            "the configured initial state is not used"
+        )
     else:
-        header = ["p", "q", "payoff_a", "payoff_b"]
         rho_in = cfg.state.density_matrix()
         pa, pb = payoff_operators(params)
-        fixed = {"q": args.q} if args.param == "p" else {"p": args.p}
+        payload["fixed"] = {"q": args.q} if args.param == "p" else {"p": args.p}
         for value in values:
             p = float(value) if args.param == "p" else args.p
             q = float(value) if args.param == "q" else args.q
             pay = trace_payoffs(pa, pb, mixed_final_density(rho_in, MixingChoice(p, q)))
             rows.append({"p": p, "q": q, "payoff_a": pay[0], "payoff_b": pay[1]})
+    return payload
 
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "sweep",
-        "game": _game_json(cfg),
-        "parameter": args.param,
-        "steps": args.steps,
-        "rows": rows,
-        "notices": [],
-    }
-    if fixed:
-        payload["fixed"] = fixed
-    if args.param == "a2":
-        payload["notices"].append(
-            "a2 sweep analyses the |OO>/|TT> superposition family directly; "
-            "the configured initial state is not used"
+
+# ---------------------------------------------------------------------------
+# views of the payload: the report's rectangular table and its table text
+
+
+def _rectangle(payload: dict) -> tuple[list[str], list[list]]:
+    """The report's one rectangular table: its equilibria, its sweep rows,
+    or the simulation flattened to a single row."""
+    command = payload["command"]
+    if command == "simulate":
+        rows = [
+            {
+                "rounds": payload["rounds"],
+                "seed": payload["seed"],
+                **payload["mix"],
+                **{f"count_{k.lower()}": n for k, n in payload["counts"].items()},
+                **payload["empirical"],
+                **{f"analytic_{k}": v for k, v in payload["analytic"].items()},
+            }
+        ]
+        header = list(rows[0])
+    elif command == "sweep":
+        rows = payload["rows"]
+        header = list(rows[0])
+    else:
+        rows = payload["mixed_equilibria" if command == "classical" else "equilibria"]
+        header = EQ_CSV_HEADER
+    return header, [[row[key] for key in header] for row in rows]
+
+
+def _fnum(x: float) -> str:
+    return f"{x:.6g}"
+
+
+def _cell(value: Any, spec: str = ".6g") -> str:
+    if value is None:
+        return ""
+    return format(value, spec) if isinstance(value, float) else str(value)
+
+
+def _table_block(header: list[str], rows: list[list]) -> list[str]:
+    cells = [header] + [[_cell(v) for v in row] for row in rows]
+    widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
+    return ["  ".join(r[i].ljust(widths[i]) for i in range(len(header))).rstrip()
+            for r in cells]
+
+
+def _eq_table_lines(rows: list[dict]) -> list[str]:
+    """Equilibrium rows, each value followed by its exact fraction if any."""
+    header = ["kind", "p", "q", "payoff A", "payoff B"]
+    def value(row: dict, key: str) -> str:
+        exact = row[f"{key}_exact"]
+        return f"{_fnum(row[key])} ({exact})" if exact else _fnum(row[key])
+
+    body = [[row["kind"]] + [value(row, key) for key in EQ_FIELDS] for row in rows]
+    return ["  " + line for line in _table_block(header, body)]
+
+
+def _state_table_line(pairs: list[list[float]]) -> str:
+    terms = []
+    for (re, im), label in zip(pairs, BASIS_LABELS):
+        if abs(complex(re, im)) <= 1e-12:
+            continue
+        coeff = _fnum(re) if abs(im) <= 1e-12 else f"({_fnum(re)}{im:+.6g}i)"
+        terms.append(f"{coeff}|{label}>")
+    return " + ".join(terms) if terms else "0"
+
+
+def _point_text(row: dict) -> str:
+    return f"({_fnum(row['p'])}, {_fnum(row['q'])})"
+
+
+def _game_table_lines(payload: dict) -> list[str]:
+    game = payload["game"]
+    if "alpha" in game:
+        return [
+            f"game: alpha={_fnum(game['alpha'])} beta={_fnum(game['beta'])} "
+            f"gamma={_fnum(game['gamma'])}"
+        ]
+    lines = ["game: explicit bimatrix"]
+    for label, row_a, row_b in zip(
+        payload["labels"]["a"], game["payoff_a"], game["payoff_b"]
+    ):
+        cells = "  ".join(f"({_fnum(a)},{_fnum(b)})" for a, b in zip(row_a, row_b))
+        lines.append(f"  {label}: {cells}")
+    return lines
+
+
+def _classical_table(payload: dict) -> list[str]:
+    labels = payload["labels"]
+    elimination = payload["elimination"]
+    lines = _game_table_lines(payload)
+    lines += ["", "iterated elimination of strictly dominated strategies:"]
+    lines += [
+        f"  player {step['player']}: {step['removed_label']} removed "
+        f"(strictly dominated by {step['dominated_by_label']})"
+        for step in elimination["steps"]
+    ] or ["  nothing eliminated"]
+    lines.append(
+        "  survivors: A: "
+        + ", ".join(labels["a"][i] for i in elimination["survivors_a"])
+        + " | B: "
+        + ", ".join(labels["b"][j] for j in elimination["survivors_b"])
+    )
+    lines += ["", "pure Nash equilibria:"]
+    lines += [
+        f"  ({eq['label_a']}, {eq['label_b']})  payoffs "
+        f"A={_fnum(eq['payoff_a'])} B={_fnum(eq['payoff_b'])}"
+        for eq in payload["pure_equilibria"]
+    ] or ["  none"]
+    lines += ["", "mixed Nash equilibria:"]
+    mixed = payload["mixed_equilibria"]
+    lines += _eq_table_lines(mixed) if mixed else ["  not computed"]
+    return lines
+
+
+def _unique_table_lines(unique: dict | None) -> list[str]:
+    if unique is None:
+        return ["unique solution: not applicable outside the superposition family"]
+    if unique["merged"]:
+        return [
+            "unique solution: corner equilibria (1,1) and (0,0) merge; "
+            f"payoffs A={_fnum(unique['payoff_a'])} B={_fnum(unique['payoff_b'])}",
+            f"  shared final state: {_state_table_line(unique['final_state'])}",
+        ]
+
+    def preference(player: str) -> str:
+        corner = unique[f"preferred_by_{player.lower()}"]
+        if corner is None:
+            return f"{player} is indifferent"
+        return f"{player} prefers {_point_text(corner)}"
+
+    return [
+        f"no unique solution: {preference('A')}, {preference('B')}; "
+        f"corner payoff differences A={_fnum(unique['payoff_difference_a'])} "
+        f"B={_fnum(unique['payoff_difference_b'])}"
+    ]
+
+
+def _quantum_table(payload: dict) -> list[str]:
+    mode = payload["mode"]
+    rows = payload["equilibria"]
+    lines = _game_table_lines(payload)
+    lines.append(f"mode: {mode}")
+    if mode != "factorizable":
+        amplitudes = payload["initial_state"]["amplitudes"]
+        lines.append(f"initial state: {_state_table_line(amplitudes)}")
+    lines += ["", "equilibria:"]
+    lines += _eq_table_lines(rows)
+    if mode == "factorizable":
+        lines += ["", "final states:"]
+        lines += [
+            f"  {_point_text(row)}: {_state_table_line(row['final_state'])}"
+            for row in rows
+        ]
+    lines += ["", "ranking (best first):"]
+    for rank, index in enumerate(payload["ranking"]["order"], start=1):
+        row = rows[index]
+        lines.append(
+            f"  {rank}. {_point_text(row)}"
+            f"  payoffs A={_fnum(row['payoff_a'])} B={_fnum(row['payoff_b'])}"
+            f"  [{row['kind']}]"
         )
+    if mode == "entangled":
+        lines.append("")
+        lines += _unique_table_lines(payload["unique_solution"])
+    return lines
 
-    lines = _game_table_lines(cfg)
-    lines.append(f"sweep over {args.param}, {args.steps} steps")
-    if fixed:
-        name, value = next(iter(fixed.items()))
-        lines.append(f"fixed {name}={_fnum(value)}")
+
+def _simulate_table(payload: dict) -> list[str]:
+    mix = payload["mix"]
+    empirical = payload["empirical"]
+    analytic = payload["analytic"]
+    lines = _game_table_lines(payload)
+    lines.append(
+        f"initial state: {_state_table_line(payload['initial_state']['amplitudes'])}"
+    )
+    lines.append(
+        f"rounds={payload['rounds']} seed={payload['seed']} "
+        f"p={_fnum(mix['p'])} q={_fnum(mix['q'])}"
+    )
     lines.append("")
-    lines.extend(_table_block(header, [[row[k] for k in header] for row in rows]))
-    for notice in payload["notices"]:
-        lines.append(f"note: {notice}")
+    lines.append(
+        "outcome counts: "
+        + "  ".join(f"{label}={c}" for label, c in payload["counts"].items())
+    )
+    lines.append(
+        f"empirical payoffs: A={_fnum(empirical['mean_payoff_a'])} "
+        f"+/- {_fnum(empirical['std_error_a'])}  "
+        f"B={_fnum(empirical['mean_payoff_b'])} "
+        f"+/- {_fnum(empirical['std_error_b'])}"
+    )
+    lines.append(
+        f"analytic payoffs:  A={_fnum(analytic['payoff_a'])}  "
+        f"B={_fnum(analytic['payoff_b'])}"
+    )
+    return lines
 
-    return Report(payload, header, [[row[k] for k in header] for row in rows],
-                  "\n".join(lines) + "\n")
+
+def _sweep_table(payload: dict) -> list[str]:
+    lines = _game_table_lines(payload)
+    lines.append(f"sweep over {payload['parameter']}, {payload['steps']} steps")
+    lines += [f"fixed {k}={_fnum(v)}" for k, v in payload.get("fixed", {}).items()]
+    lines.append("")
+    lines += _table_block(*_rectangle(payload))
+    return lines
+
+
+_TABLES = {
+    "classical": _classical_table,
+    "quantum": _quantum_table,
+    "simulate": _simulate_table,
+    "sweep": _sweep_table,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -894,24 +810,20 @@ def _round_floats(obj: Any) -> Any:
     return obj
 
 
-def render(report: Report, fmt: str) -> str:
+def render(payload: dict, fmt: str) -> str:
+    """The report in one format; table and csv are views of the json payload."""
     if fmt == "json":
-        return json.dumps(_round_floats(report.payload), indent=2) + "\n"
+        return json.dumps(_round_floats(payload), indent=2) + "\n"
     if fmt == "csv":
+        header, rows = _rectangle(payload)
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(report.csv_header)
-        for row in report.csv_rows:
-            writer.writerow(
-                [
-                    ""
-                    if value is None
-                    else (f"{value:.12g}" if isinstance(value, float) else value)
-                    for value in row
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows([_cell(value, ".12g") for value in row] for row in rows)
         return buffer.getvalue()
-    return report.table
+    lines = _TABLES[payload["command"]](payload)
+    lines += [f"note: {notice}" for notice in payload["notices"]]
+    return "\n".join(lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -975,12 +887,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        report = _COMMANDS[args.command](cfg, args)
+        payload = _COMMANDS[args.command](cfg, args)
     except (ConfigError, ConstraintViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(render(report, args.format))
+    sys.stdout.write(render(payload, args.format))
     return 0

@@ -92,7 +92,7 @@ class EntangledFamilyState:
 
     @property
     def b2(self) -> float:
-        return 1.0 - self.a2
+        return 1 - self.a2
 
     def state_vector(self) -> StateVector:
         return StateVector.oo_tt(np.sqrt(self.a2), np.sqrt(self.b2))

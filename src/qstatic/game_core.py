@@ -8,6 +8,7 @@ injected on the classical side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +16,6 @@ import numpy as np
 from .errors import ConstraintViolation
 
 __all__ = [
-    "StrategyLabel",
-    "DEFAULT_LABELS",
     "Bimatrix",
     "GamePayoffs",
     "MixProbabilities",
@@ -28,27 +27,6 @@ __all__ = [
     "pure_nash",
     "expected_payoffs",
 ]
-
-
-@dataclass(frozen=True)
-class StrategyLabel:
-    """Display name for one of a player's two canonical strategies."""
-
-    index: int
-    name: str
-
-    def __post_init__(self) -> None:
-        if self.index not in (0, 1):
-            raise ConstraintViolation(
-                f"strategy index must be 0 or 1, got {self.index}"
-            )
-        if not self.name:
-            raise ConstraintViolation("strategy name must be nonempty")
-
-
-#: Canonical names for the two strategies of the coordination game:
-#: index 0 is "O", index 1 is "T".
-DEFAULT_LABELS = (StrategyLabel(0, "O"), StrategyLabel(1, "T"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +83,7 @@ class GamePayoffs:
 
     def __post_init__(self) -> None:
         vals = (self.alpha, self.beta, self.gamma)
-        if not all(np.isfinite(v) for v in vals):
+        if not all(math.isfinite(v) for v in vals):
             raise ConstraintViolation(f"payoff parameters must be finite, got {vals}")
         if not (self.alpha > self.beta > self.gamma):
             raise ConstraintViolation(
@@ -116,7 +94,7 @@ class GamePayoffs:
     @property
     def spread(self) -> float:
         """alpha + beta - 2*gamma, the denominator of every closed form."""
-        return self.alpha + self.beta - 2.0 * self.gamma
+        return self.alpha + self.beta - 2 * self.gamma
 
 
 def _check_unit_interval(name: str, value: float) -> None:

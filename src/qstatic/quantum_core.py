@@ -31,7 +31,6 @@ __all__ = [
     "apply_local_unitaries",
     "projection_probabilities",
     "payoffs_factorizable",
-    "flip_operator",
     "mixed_final_density",
     "payoff_operators",
     "trace_payoffs",
@@ -41,6 +40,8 @@ __all__ = [
 #: Canonical ordering of the joint basis; row player's symbol first.
 BASIS_LABELS = ("OO", "OT", "TO", "TT")
 
+# The validators test ``not gap <= TOL`` rather than ``gap > TOL`` so that a
+# NaN anywhere in the input fails the check instead of slipping past it.
 STATE_NORM_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -48,8 +49,6 @@ TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 #: A trace payoff with a larger imaginary part indicates an internal bug.
 IMAG_PART_TOL = 1e-9
-
-_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def _flip_index(row_flips: bool, col_flips: bool) -> np.ndarray:
@@ -86,7 +85,7 @@ class StateVector:
                 f"a joint state needs exactly 4 amplitudes, got shape {amps.shape}"
             )
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > STATE_NORM_TOL:
+        if not abs(norm_sq - 1.0) <= STATE_NORM_TOL:
             raise ConstraintViolation(
                 f"state vector is not normalized: sum of squared moduli = {norm_sq!r}"
             )
@@ -135,28 +134,24 @@ class DensityMatrix:
         # m - m^H on the flat view; the gather keeps both operands contiguous.
         flat = m.ravel()
         hermitian_gap = float(np.abs(flat - flat[_TRANSPOSE].conj()).max())
-        if hermitian_gap > HERMITIAN_TOL:
+        if not hermitian_gap <= HERMITIAN_TOL:
             raise ConstraintViolation(
                 f"density matrix is not Hermitian (max asymmetry {hermitian_gap:.3e})"
             )
         # The trace, summed pairwise in the order numpy's add.reduce uses.
         d0, d1, d2, d3 = flat[::5].tolist()
         trace_gap = abs((d0 + d1) + (d2 + d3) - 1.0)
-        if trace_gap > TRACE_TOL:
+        if not trace_gap <= TRACE_TOL:
             raise ConstraintViolation(
                 f"density matrix trace deviates from 1 by {trace_gap:.3e}"
             )
         smallest = float(np.linalg.eigvalsh(m)[0])
-        if smallest < EIGENVALUE_FLOOR:
+        if not smallest >= EIGENVALUE_FLOOR:
             raise ConstraintViolation(
                 f"density matrix has a negative eigenvalue ({smallest:.3e})"
             )
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
-
-    @classmethod
-    def from_state(cls, psi: StateVector) -> DensityMatrix:
-        return psi.density_matrix()
 
     def diagonal_probabilities(self) -> np.ndarray:
         """Real diagonal; these are the joint measurement probabilities."""
@@ -179,7 +174,7 @@ class LocalUnitary:
         a = complex(self.a)
         b = complex(self.b)
         norm = abs(a) ** 2 + abs(b) ** 2
-        if abs(norm - 1.0) > STATE_NORM_TOL:
+        if not abs(norm - 1.0) <= STATE_NORM_TOL:
             raise ConstraintViolation(
                 f"|a|^2 + |b|^2 must be 1 for a local tactic, got {norm!r}"
             )
@@ -219,10 +214,6 @@ class PayoffOperator:
         d_complex = d.astype(complex)
         d_complex.setflags(write=False)
         object.__setattr__(self, "_complex_diagonal", d_complex)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.diagonal.astype(complex))
 
 
 @dataclass(frozen=True)
@@ -291,11 +282,6 @@ def _check_square_modulus(name: str, value: float) -> None:
         raise ConstraintViolation(
             f"{name} is a squared modulus and must lie in [0, 1], got {value}"
         )
-
-
-def flip_operator() -> np.ndarray:
-    """The single-player strategy swap: Hermitian, unitary, its own inverse."""
-    return _FLIP.copy()
 
 
 def mixed_final_density(rho_in: DensityMatrix, mix: MixingChoice) -> DensityMatrix:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 from pathlib import Path
 
@@ -47,6 +48,11 @@ CONFIGS = {
     "complex_out_of_family": {
         "payoffs": {"alpha": 5, "beta": 4, "gamma": -2},
         "initial_state": [[0.5, 0.5], [0.0, 0.5], [0.5, 0.0], [0.0, 0.0]],
+    },
+    # Outside the family, with a ranking that reorders the equilibria.
+    "ranking_reorders": {
+        "payoffs": BOS,
+        "initial_state": [[math.sqrt(w), 0.0] for w in (0.41, 0.16, 0.1, 0.33)],
     },
     "bimatrix_2x2": {
         "payoffs": {"payoff_a": [[3, 0], [5, 1]], "payoff_b": [[3, 5], [0, 1]]},
@@ -91,6 +97,7 @@ RUNS = [
     (["quantum"], "large_scale", ("table", "json")),
     (["quantum"], "complex_in_family", ("table", "json")),
     (["quantum"], "complex_out_of_family", FORMATS),
+    (["quantum"], "ranking_reorders", ("table", "json")),
     (["quantum"], "oo_default", ("table", "csv")),
     (["quantum"], "ot", ("table",)),
     (["quantum"], "to", ("json",)),

@@ -119,6 +119,42 @@ class TestConfigLoading:
         cfg = load_config(path)
         assert cfg.family.a2 == 0.8
 
+    @pytest.mark.parametrize("command", ["classical", "quantum"])
+    def test_nan_amplitude_names_its_field(self, tmp_path, capsys, command):
+        path = write_config(
+            tmp_path,
+            {
+                "payoffs": {"alpha": 3, "beta": 2, "gamma": 1},
+                "initial_state": [[float("nan"), 0], [0, 0], [0, 0], [0, 0]],
+            },
+        )
+        assert main([command, "--config", path]) == 2
+        assert "initial_state[0][0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", [float("inf"), 10**400])
+    def test_non_finite_payoff_names_its_field(self, tmp_path, capsys, alpha):
+        path = write_config(tmp_path, {"payoffs": {"alpha": alpha, "beta": 2, "gamma": 1}})
+        assert main(["classical", "--config", path]) == 2
+        assert "payoffs.alpha: expected a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payoff_a, field",
+        [
+            ([[1, 2], [3]], "payoffs.payoff_a"),
+            ([[1, True], [3, 4]], "payoffs.payoff_a[0][1]"),
+            ([[1, 2], ["3", 4]], "payoffs.payoff_a[1][0]"),
+        ],
+    )
+    def test_bimatrix_entries_validated_per_entry(
+        self, tmp_path, capsys, payoff_a, field
+    ):
+        path = write_config(
+            tmp_path,
+            {"payoffs": {"payoff_a": payoff_a, "payoff_b": [[1, 2], [3, 4]]}},
+        )
+        assert main(["classical", "--config", path]) == 2
+        assert f"{field}:" in capsys.readouterr().err
+
     def test_bad_labels_rejected(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -264,6 +300,25 @@ class TestQuantumCommand:
         doc = run_json(capsys, ["quantum", "--config", path])
         coords = {(row["p"], row["q"]) for row in doc["equilibria"]}
         assert (1.0, 0.0) in coords and (0.0, 1.0) in coords
+
+    def test_tied_corners_without_merge_report_indifference(self, tmp_path, capsys):
+        # Corner payoffs tie exactly in floating point, but the final
+        # densities differ, so the corners do not merge.
+        path = write_config(
+            tmp_path,
+            {
+                "payoffs": {"alpha": 3, "beta": 2.9999999999999996, "gamma": 1},
+                "initial_state": {"a2": 0.3},
+            },
+        )
+        doc = run_json(capsys, ["quantum", "--config", path])
+        unique = doc["unique_solution"]
+        assert unique["merged"] is False
+        assert unique["preferred_by_a"] is None and unique["preferred_by_b"] is None
+        assert len(run_csv(capsys, ["quantum", "--config", path])) == 4
+        assert main(["quantum", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert "no unique solution: A is indifferent, B is indifferent;" in out
 
     def test_bimatrix_payoffs_rejected(self, tmp_path, capsys):
         path = write_config(

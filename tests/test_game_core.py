@@ -10,7 +10,6 @@ from qstatic.game_core import (
     Bimatrix,
     GamePayoffs,
     MixProbabilities,
-    StrategyLabel,
     bos_bimatrix,
     eliminate_strictly_dominated,
     expected_payoffs,
@@ -28,19 +27,6 @@ def affine_expansion(params: GamePayoffs, p: float, q: float) -> tuple[float, fl
     pay_a = p * (q * (a - 2 * g + b) + g - b) + b + q * (g - b)
     pay_b = q * (p * (a - 2 * g + b) + g - a) + a + p * (g - a)
     return pay_a, pay_b
-
-
-class TestStrategyLabel:
-    def test_valid(self):
-        assert StrategyLabel(0, "O").name == "O"
-
-    def test_bad_index(self):
-        with pytest.raises(ConstraintViolation):
-            StrategyLabel(2, "X")
-
-    def test_empty_name(self):
-        with pytest.raises(ConstraintViolation):
-            StrategyLabel(0, "")
 
 
 class TestBosBimatrix:

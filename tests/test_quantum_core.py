@@ -15,7 +15,6 @@ from qstatic.quantum_core import (
     StateVector,
     apply_local_unitaries,
     bilinear_payoff_coefficients,
-    flip_operator,
     mixed_final_density,
     payoff_operators,
     payoffs_factorizable,
@@ -66,6 +65,10 @@ class TestStateVector:
         with pytest.raises(ConstraintViolation):
             StateVector(np.array([1.0, 0.0]))
 
+    def test_rejects_nan_amplitude(self):
+        with pytest.raises(ConstraintViolation):
+            StateVector(np.array([np.nan, 0.0, 0.0, 0.0]))
+
     def test_amplitudes_frozen(self):
         state = StateVector.bell()
         with pytest.raises(ValueError):
@@ -91,6 +94,10 @@ class TestDensityMatrix:
         m = np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)
         with pytest.raises(ConstraintViolation):
             DensityMatrix(m)
+
+    def test_rejects_nan_entry(self):
+        with pytest.raises(ConstraintViolation):
+            DensityMatrix(np.diag([np.nan, 1.0, 0.0, 0.0]))
 
     def test_diagonal_probabilities_sum_to_one(self):
         rng = np.random.default_rng(3)
@@ -123,6 +130,10 @@ class TestLocalUnitaries:
     def test_rejects_denormalized_tactic(self):
         with pytest.raises(ConstraintViolation):
             LocalUnitary(1.0, 0.5)
+
+    def test_rejects_nan_tactic(self):
+        with pytest.raises(ConstraintViolation):
+            LocalUnitary(np.nan, 0.0)
 
     def test_matches_kron_definition_for_complex_tactics(self):
         # Complex b and d on both sides and non-basis states: a transposed,
@@ -199,21 +210,6 @@ class TestFactorizablePayoffs:
             classical = expected_payoffs(game, MixProbabilities(a2, c2))
             assert quantum[0] == pytest.approx(classical[0], abs=1e-12)
             assert quantum[1] == pytest.approx(classical[1], abs=1e-12)
-
-
-class TestFlipOperator:
-    def test_swaps_the_two_strategies(self):
-        c = flip_operator()
-        np.testing.assert_array_equal(c @ [1, 0], [0, 1])
-        np.testing.assert_array_equal(c @ [0, 1], [1, 0])
-
-    def test_is_an_involution(self):
-        c = flip_operator()
-        np.testing.assert_array_equal(c @ c, np.eye(2))
-
-    def test_is_hermitian(self):
-        c = flip_operator()
-        np.testing.assert_array_equal(c, c.conj().T)
 
 
 class TestMixedFinalDensity:
