@@ -54,6 +54,11 @@ CONFIGS = {
         "payoffs": BOS,
         "initial_state": [[math.sqrt(w), 0.0] for w in (0.41, 0.16, 0.1, 0.33)],
     },
+    # Zero and negative levels, and a family state with an exact a2 = 1/3.
+    "zero_negative": {
+        "payoffs": {"alpha": 4, "beta": 0, "gamma": -5},
+        "initial_state": {"a2": 1 / 3},
+    },
     "bimatrix_2x2": {
         "payoffs": {"payoff_a": [[3, 0], [5, 1]], "payoff_b": [[3, 5], [0, 1]]},
         "labels": {"a": ["C", "D"], "b": ["C", "D"]},
@@ -112,6 +117,9 @@ RUNS = [
     (["sweep", *SWEEP_P], "complex_out_of_family", ("table",)),
     (["sweep", *SWEEP_Q], "family_08", ("csv",)),
     (["quantum"], "bimatrix_2x2", ("json",)),  # exit 2: needs {alpha, beta, gamma}
+    (["classical"], "zero_negative", FORMATS),
+    (["quantum", "--mode", "factorizable"], "zero_negative", FORMATS),
+    (["quantum"], "zero_negative", FORMATS),
 ]
 
 
