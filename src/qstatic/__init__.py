@@ -47,7 +47,6 @@ from .quantum_core import (
     bilinear_payoff_coefficients,
     mixed_final_density,
     payoff_operators,
-    payoffs_factorizable,
     projection_probabilities,
     trace_payoffs,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "factorizable_equilibria",
     "mixed_final_density",
     "payoff_operators",
-    "payoffs_factorizable",
     "projection_probabilities",
     "pure_nash",
     "rank_equilibria",

@@ -18,7 +18,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -282,15 +282,16 @@ def _exact_equilibria(
 ) -> Sequence[NashPoint] | None:
     """The closed-form equilibria in exact arithmetic, when the inputs are
     exact: integer payoff parameters and, for the family, an a2 that is a
-    simple fraction. Without ``family`` these are the classical ones."""
+    simple fraction. Without ``family`` these are the classical ones, the
+    family's a2 = 1 member."""
     values = (params.alpha, params.beta, params.gamma)
     if not all(v.is_integer() for v in values):
         return None
+    a2 = _simple_fraction(family.a2) if family is not None else 1
+    if a2 is None:
+        return None
     exact = GamePayoffs(*(Fraction(v) for v in values))
-    if family is None:
-        return classical_mixed_equilibria(exact)
-    a2 = _simple_fraction(family.a2)
-    return None if a2 is None else entangled_equilibria(exact, EntangledFamilyState(a2))
+    return entangled_equilibria(exact, EntangledFamilyState(a2))
 
 
 # ---------------------------------------------------------------------------
@@ -353,18 +354,7 @@ def _ranking_json(
     ranking: EquilibriumRanking, original: Sequence[NashPoint]
 ) -> dict:
     order = [list(original).index(point) for point in ranking.ordered]
-    return {
-        "order": order,
-        "gaps": [
-            {
-                "better": gap.better,
-                "worse": gap.worse,
-                "delta_a": gap.delta_a,
-                "delta_b": gap.delta_b,
-            }
-            for gap in ranking.gaps
-        ],
-    }
+    return {"order": order, "gaps": [asdict(gap) for gap in ranking.gaps]}
 
 
 def _corner_json(point: NashPoint | None) -> dict | None:

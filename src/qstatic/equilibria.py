@@ -1,9 +1,9 @@
 """Nash equilibrium computation for 2x2 mixing problems.
 
-Closed forms for the classical game, for independent local tactics, and for
-the |OO>/|TT> superposition family, plus an exact best-response enumerator
-for arbitrary bilinear payoff surfaces, equilibrium ranking, and the
-merged-corner unique-solution test at maximal entanglement.
+Closed forms for the |OO>/|TT> superposition family, whose |OO> member is
+the classical game, and for independent local tactics, plus an exact
+best-response enumerator for arbitrary bilinear payoff surfaces, equilibrium
+ranking, and the merged-corner unique-solution test at maximal entanglement.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConstraintViolation
-from .game_core import BilinearPayoff, GamePayoffs
+from .game_core import BilinearPayoff, GamePayoffs, _check_unit_interval
 from .quantum_core import DensityMatrix, MixingChoice, StateVector, mixed_final_density
 
 __all__ = [
@@ -36,7 +36,8 @@ __all__ = [
     "unique_solution",
 ]
 
-#: Below this magnitude a best-response slope is treated as exactly zero.
+#: A best-response slope is treated as exactly zero below this fraction of
+#: the payoff scale; two candidate points within this distance coincide.
 SLOPE_TOL = 1e-12
 #: Corner equilibria merge only when payoffs and final densities agree this tightly.
 MERGE_TOL = 1e-12
@@ -87,8 +88,7 @@ class EntangledFamilyState:
     a2: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.a2 <= 1.0:
-            raise ConstraintViolation(f"a2 must lie in [0, 1], got {self.a2}")
+        _check_unit_interval("a2", self.a2)
 
     @property
     def b2(self) -> float:
@@ -114,28 +114,18 @@ class FactorizableEquilibrium:
 def classical_mixed_equilibria(
     params: GamePayoffs,
 ) -> tuple[NashPoint, NashPoint, NashPoint]:
-    """The three mixed equilibria of the coordination game.
+    """The three mixed equilibria of the coordination game: the family's
+    |OO> member (a2 = 1), where the quantum scheme gives back the classical
+    game.
 
     Two pure corners, (1,1) and (0,0), and the interior profile at which
     each player's slope vanishes: p* = (alpha-gamma)/spread,
     q* = (beta-gamma)/spread, where both players earn
     (alpha*beta - gamma^2)/spread. The interior payoff always ranks
-    strictly between gamma and beta.
+    strictly between gamma and beta. The integer a2 keeps Fraction inputs
+    exact.
     """
-    alpha, beta, gamma = params.alpha, params.beta, params.gamma
-    spread = params.spread
-    interior_value = (alpha * beta - gamma * gamma) / spread
-    return (
-        NashPoint(1.0, 1.0, alpha, beta, EquilibriumKind.CORNER),
-        NashPoint(0.0, 0.0, beta, alpha, EquilibriumKind.CORNER),
-        NashPoint(
-            (alpha - gamma) / spread,
-            (beta - gamma) / spread,
-            interior_value,
-            interior_value,
-            EquilibriumKind.INTERIOR,
-        ),
-    )
+    return entangled_equilibria(params, EntangledFamilyState(1))
 
 
 def factorizable_equilibria(
@@ -189,20 +179,6 @@ def entangled_equilibria(
     )
 
 
-def _holds_at(coordinate: float, slope: float) -> bool:
-    """Best-response condition for one player at one candidate.
-
-    With payoff affine in the player's own coordinate, the coordinate is a
-    best response iff the slope is (near) zero, or the coordinate sits at
-    the end the slope pushes toward.
-    """
-    if abs(slope) <= SLOPE_TOL:
-        return True
-    if slope > 0.0:
-        return coordinate == 1.0
-    return coordinate == 0.0
-
-
 def enumerate_bilinear_nash(
     bp_a: BilinearPayoff, bp_b: BilinearPayoff
 ) -> tuple[NashPoint, ...]:
@@ -215,28 +191,50 @@ def enumerate_bilinear_nash(
     that edge's corners qualify, the edge is a continuum of equilibria and
     is reported once, by its midpoint, as a degenerate family; if both
     players are indifferent everywhere the whole square is reported once.
+
+    A slope counts as zero within SLOPE_TOL of the payoff scale, the largest
+    coefficient or constant term of either surface, so rescaling both
+    players' payoffs by one positive factor changes nothing. The constants
+    belong in the scale because the coefficients are differences of corner
+    payoffs, which carry round-off in proportion to their size: a surface
+    flat up to that round-off is read as flat.
     """
+    scale = max(
+        abs(c)
+        for bp in (bp_a, bp_b)
+        for c in (bp.pq_coeff, bp.p_coeff, bp.q_coeff, bp.const)
+    )
+    tol = SLOPE_TOL * scale
+
+    def flat(slope: float) -> bool:
+        return abs(slope) <= tol
+
+    def holds(coordinate: float, slope: float) -> bool:
+        # Payoff is affine in the player's own coordinate: it is a best
+        # response iff the slope is (near) zero, or the coordinate sits at
+        # the end the slope pushes toward.
+        return flat(slope) or coordinate == (1.0 if slope > 0.0 else 0.0)
 
     def point(p: float, q: float, kind: EquilibriumKind) -> NashPoint:
         return NashPoint(p, q, bp_a.value(p, q), bp_b.value(p, q), kind)
 
-    fully_indifferent_a = abs(bp_a.pq_coeff) <= SLOPE_TOL and abs(bp_a.p_coeff) <= SLOPE_TOL
-    fully_indifferent_b = abs(bp_b.pq_coeff) <= SLOPE_TOL and abs(bp_b.q_coeff) <= SLOPE_TOL
+    fully_indifferent_a = flat(bp_a.pq_coeff) and flat(bp_a.p_coeff)
+    fully_indifferent_b = flat(bp_b.pq_coeff) and flat(bp_b.q_coeff)
     if fully_indifferent_a and fully_indifferent_b:
         return (point(0.5, 0.5, EquilibriumKind.DEGENERATE_FAMILY),)
 
     corners = ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0))
     passes = {
-        (p, q): _holds_at(p, bp_a.slope_p(q)) and _holds_at(q, bp_b.slope_q(p))
+        (p, q): holds(p, bp_a.slope_p(q)) and holds(q, bp_b.slope_q(p))
         for p, q in corners
     }
 
     # Edges along which one player is indifferent, with their two corners.
     edges = (
-        (((0.0, 1.0), (1.0, 1.0)), abs(bp_a.slope_p(1.0)) <= SLOPE_TOL),
-        (((0.0, 0.0), (1.0, 0.0)), abs(bp_a.slope_p(0.0)) <= SLOPE_TOL),
-        (((1.0, 0.0), (1.0, 1.0)), abs(bp_b.slope_q(1.0)) <= SLOPE_TOL),
-        (((0.0, 0.0), (0.0, 1.0)), abs(bp_b.slope_q(0.0)) <= SLOPE_TOL),
+        (((0.0, 1.0), (1.0, 1.0)), flat(bp_a.slope_p(1.0))),
+        (((0.0, 0.0), (1.0, 0.0)), flat(bp_a.slope_p(0.0))),
+        (((1.0, 0.0), (1.0, 1.0)), flat(bp_b.slope_q(1.0))),
+        (((0.0, 0.0), (0.0, 1.0)), flat(bp_b.slope_q(0.0))),
     )
     found: list[NashPoint] = []
     merged: set[tuple[float, float]] = set()
@@ -251,7 +249,7 @@ def enumerate_bilinear_nash(
         if passes[corner] and corner not in merged:
             found.append(point(*corner, EquilibriumKind.CORNER))
 
-    if abs(bp_a.pq_coeff) > SLOPE_TOL and abs(bp_b.pq_coeff) > SLOPE_TOL:
+    if not flat(bp_a.pq_coeff) and not flat(bp_b.pq_coeff):
         q_star = -bp_a.p_coeff / bp_a.pq_coeff
         p_star = -bp_b.q_coeff / bp_b.pq_coeff
         inside = 0.0 <= p_star <= 1.0 and 0.0 <= q_star <= 1.0
@@ -259,7 +257,7 @@ def enumerate_bilinear_nash(
             abs(p_star - f.p_star) <= SLOPE_TOL and abs(q_star - f.q_star) <= SLOPE_TOL
             for f in found
         ):
-            if _holds_at(p_star, bp_a.slope_p(q_star)) and _holds_at(
+            if holds(p_star, bp_a.slope_p(q_star)) and holds(
                 q_star, bp_b.slope_q(p_star)
             ):
                 found.append(point(p_star, q_star, EquilibriumKind.INTERIOR))

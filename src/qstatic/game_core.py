@@ -90,6 +90,18 @@ class GamePayoffs:
                 "payoff parameters must satisfy alpha > beta > gamma, got "
                 f"alpha={self.alpha}, beta={self.beta}, gamma={self.gamma}"
             )
+        # The closed forms multiply levels together; a scale at which that
+        # overflows a float is rejected here rather than printed as inf or nan.
+        # (alpha-gamma)^2 bounds every squared difference and the spread;
+        # gamma^2 and alpha*beta + (alpha-beta)^2 bound the interior payoff's
+        # numerator for every a2.
+        a, b, g = float(self.alpha), float(self.beta), float(self.gamma)
+        products = ((a - g) * (a - g), g * g, a * b + (a - b) * (a - b))
+        if not all(math.isfinite(x) for x in products):
+            raise ConstraintViolation(
+                "payoff scale too large: products of the levels overflow a float, "
+                f"got alpha={self.alpha}, beta={self.beta}, gamma={self.gamma}"
+            )
 
     @property
     def spread(self) -> float:
@@ -105,7 +117,9 @@ def _check_unit_interval(name: str, value: float) -> None:
 @dataclass(frozen=True)
 class MixProbabilities:
     """Independent mixing probabilities: p for the row player's strategy 0,
-    q for the column player's strategy 0."""
+    q for the column player's strategy 0. In the quantum scheme the same pair
+    is each player's probability of keeping their half of the joint state
+    (``quantum_core.MixingChoice``)."""
 
     p: float
     q: float
@@ -169,17 +183,20 @@ class BilinearPayoff:
         return self.pq_coeff * p + self.q_coeff
 
 
-def bos_bimatrix(params: GamePayoffs) -> Bimatrix:
-    """Bimatrix of the coordination game with strategy 0 = O and 1 = T.
+def _bos_table(params: GamePayoffs) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Both players' payoffs at the joint outcomes (OO, OT, TO, TT).
 
     Row player earns alpha at (O,O) and beta at (T,T); the column player
     the reverse; both earn gamma off the diagonal.
     """
     a, b, g = params.alpha, params.beta, params.gamma
-    return Bimatrix(
-        payoff_a=np.array([[a, g], [g, b]]),
-        payoff_b=np.array([[b, g], [g, a]]),
-    )
+    return (a, g, g, b), (b, g, g, a)
+
+
+def bos_bimatrix(params: GamePayoffs) -> Bimatrix:
+    """Bimatrix of the coordination game with strategy 0 = O and 1 = T."""
+    row, col = _bos_table(params)
+    return Bimatrix(np.reshape(row, (2, 2)), np.reshape(col, (2, 2)))
 
 
 @dataclass(frozen=True)

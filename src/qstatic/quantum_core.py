@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintViolation, InternalConsistencyError
-from .game_core import BilinearPayoff, GamePayoffs
+from .game_core import BilinearPayoff, GamePayoffs, MixProbabilities, _bos_table
 
 __all__ = [
     "BASIS_LABELS",
@@ -30,7 +30,6 @@ __all__ = [
     "MixingChoice",
     "apply_local_unitaries",
     "projection_probabilities",
-    "payoffs_factorizable",
     "mixed_final_density",
     "payoff_operators",
     "trace_payoffs",
@@ -111,9 +110,6 @@ class StateVector:
     def bell(cls) -> StateVector:
         """The maximally entangled state (|OO> + |TT>) / sqrt(2)."""
         return cls.oo_tt(1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
 
     def density_matrix(self) -> DensityMatrix:
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
@@ -216,19 +212,10 @@ class PayoffOperator:
         object.__setattr__(self, "_complex_diagonal", d_complex)
 
 
-@dataclass(frozen=True)
-class MixingChoice:
-    """Each player keeps their part of the state with the given probability
-    (p for the row player, q for the column player) and flips it otherwise."""
-
-    p: float
-    q: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ConstraintViolation(f"p must lie in [0, 1], got {self.p}")
-        if not 0.0 <= self.q <= 1.0:
-            raise ConstraintViolation(f"q must lie in [0, 1], got {self.q}")
+#: Each player keeps their part of the state with the given probability
+#: (p for the row player, q for the column player) and flips it otherwise:
+#: the classical mixing probabilities, read as keep probabilities.
+MixingChoice = MixProbabilities
 
 
 def apply_local_unitaries(
@@ -257,31 +244,7 @@ def apply_local_unitaries(
 
 def projection_probabilities(psi: StateVector) -> np.ndarray:
     """Squared moduli of the projections onto the canonical basis."""
-    return psi.probabilities()
-
-
-def payoffs_factorizable(
-    params: GamePayoffs, a2: float, c2: float
-) -> tuple[float, float]:
-    """Expected payoffs when both players apply independent local tactics.
-
-    ``a2`` and ``c2`` are the squared moduli of the first coefficient of the
-    row and column player's tactic; the payoffs depend on nothing else, and
-    coincide with classical independent mixing at (p, q) = (a2, c2).
-    """
-    _check_square_modulus("a2", a2)
-    _check_square_modulus("c2", c2)
-    alpha, beta, gamma = params.alpha, params.beta, params.gamma
-    pay_a = a2 * (params.spread * c2 - beta + gamma) + beta + (gamma - beta) * c2
-    pay_b = c2 * (params.spread * a2 - alpha + gamma) + alpha + (gamma - alpha) * a2
-    return pay_a, pay_b
-
-
-def _check_square_modulus(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ConstraintViolation(
-            f"{name} is a squared modulus and must lie in [0, 1], got {value}"
-        )
+    return np.abs(psi.amplitudes) ** 2
 
 
 def mixed_final_density(rho_in: DensityMatrix, mix: MixingChoice) -> DensityMatrix:
@@ -311,32 +274,36 @@ def payoff_operators(params: GamePayoffs) -> tuple[PayoffOperator, PayoffOperato
     Row player: (alpha, gamma, gamma, beta); column player: (beta, gamma,
     gamma, alpha), in the canonical basis order.
     """
-    a, b, g = params.alpha, params.beta, params.gamma
-    return (
-        PayoffOperator(np.array([a, g, g, b])),
-        PayoffOperator(np.array([b, g, g, a])),
-    )
+    row, col = _bos_table(params)
+    return PayoffOperator(row), PayoffOperator(col)
 
 
-def trace_payoffs(
-    pa: PayoffOperator, pb: PayoffOperator, rho: DensityMatrix
+def _payoff_means(
+    pa: PayoffOperator, pb: PayoffOperator, diag: np.ndarray, what: str
 ) -> tuple[float, float]:
-    """Mean values tr(P rho) for both diagonal payoff operators.
+    """Both players' mean payoffs over a density diagonal.
 
-    Only the diagonal of rho contributes. Any imaginary residue beyond
-    IMAG_PART_TOL is flagged as an internal inconsistency; smaller residue
-    is discarded.
+    Any imaginary residue beyond IMAG_PART_TOL is flagged as an internal
+    inconsistency, naming the payoffs as ``what``; smaller residue is
+    discarded.
     """
-    diag = rho.entries.diagonal()
     # ndarray.dot runs the same dot loop as ``@`` without the gufunc set-up.
     value_a = complex(pa._complex_diagonal.dot(diag))
     value_b = complex(pb._complex_diagonal.dot(diag))
     residue = max(abs(value_a.imag), abs(value_b.imag))
     if residue > IMAG_PART_TOL:
         raise InternalConsistencyError(
-            f"trace payoff has imaginary residue {residue:.3e}"
+            f"{what} payoff has imaginary residue {residue:.3e}"
         )
     return value_a.real, value_b.real
+
+
+def trace_payoffs(
+    pa: PayoffOperator, pb: PayoffOperator, rho: DensityMatrix
+) -> tuple[float, float]:
+    """Mean values tr(P rho) for both diagonal payoff operators; only the
+    diagonal of rho contributes."""
+    return _payoff_means(pa, pb, rho.entries.diagonal(), "trace")
 
 
 def bilinear_payoff_coefficients(
@@ -352,18 +319,11 @@ def bilinear_payoff_coefficients(
     """
     r = rho_in.entries.ravel()
     row_flipped = r[_FLIP_ROW]
-    corners = []
-    for conjugated in (r, r[_FLIP_COL], row_flipped, row_flipped[_FLIP_COL]):
-        diag = conjugated[::5]  # entries (k, k) of the flattened 4x4
-        va = complex(pa.diagonal @ diag)
-        vb = complex(pb.diagonal @ diag)
-        residue = max(abs(va.imag), abs(vb.imag))
-        if residue > IMAG_PART_TOL:
-            raise InternalConsistencyError(
-                f"corner payoff has imaginary residue {residue:.3e}"
-            )
-        corners.append((va.real, vb.real))
-    (t11_a, t11_b), (t10_a, t10_b), (t01_a, t01_b), (t00_a, t00_b) = corners
+    # conjugated[::5] holds entries (k, k) of the flattened 4x4.
+    (t11_a, t11_b), (t10_a, t10_b), (t01_a, t01_b), (t00_a, t00_b) = (
+        _payoff_means(pa, pb, conjugated[::5], "corner")
+        for conjugated in (r, r[_FLIP_COL], row_flipped, row_flipped[_FLIP_COL])
+    )
     return (
         BilinearPayoff.from_corner_values(t11_a, t10_a, t01_a, t00_a),
         BilinearPayoff.from_corner_values(t11_b, t10_b, t01_b, t00_b),

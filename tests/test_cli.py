@@ -137,6 +137,23 @@ class TestConfigLoading:
         assert main(["classical", "--config", path]) == 2
         assert "payoffs.alpha: expected a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["classical", "quantum", "simulate", "sweep"])
+    @pytest.mark.parametrize(
+        "payoffs",
+        [
+            {"alpha": 9.76e299, "beta": 7.00e299, "gamma": -6.64e299},
+            {"alpha": 1e308, "beta": -1e308, "gamma": -1.7e308},
+        ],
+    )
+    def test_overflowing_payoff_scale_names_payoffs(
+        self, tmp_path, capsys, payoffs, command
+    ):
+        path = write_config(tmp_path, {"payoffs": payoffs, "initial_state": "bell"})
+        assert main([command, "--config", path, "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert f"{path}: payoffs: payoff scale too large" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "payoff_a, field",
         [

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import best_response_defect_grid, endpoint_certificate_holds
+from helpers import best_response_defect_grid, endpoint_certificate_holds, random_density
 from qstatic.equilibria import (
     EntangledFamilyState,
     EquilibriumKind,
@@ -15,9 +19,28 @@ from qstatic.equilibria import (
 )
 from qstatic.errors import ConstraintViolation
 from qstatic.game_core import BilinearPayoff, GamePayoffs
-from qstatic.quantum_core import StateVector, payoff_operators, bilinear_payoff_coefficients
+from qstatic.quantum_core import (
+    StateVector,
+    bilinear_payoff_coefficients,
+    payoff_operators,
+    projection_probabilities,
+)
 
 BOS = GamePayoffs(3, 2, 1)
+
+# Seeded property runs, so tier-1 stays deterministic.
+PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+@st.composite
+def scaled_levels(draw) -> GamePayoffs:
+    """alpha > beta > gamma at scale 10^k, k in [-6, 6], with both gaps at
+    least a hundredth of the scale, so round-off stays far below 1e-12."""
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    gamma = draw(st.floats(-10, 10))
+    beta = gamma + draw(st.floats(0.01, 10))
+    alpha = beta + draw(st.floats(0.01, 10))
+    return GamePayoffs(alpha * scale, beta * scale, gamma * scale)
 
 
 def family_coefficients(params: GamePayoffs, a2: float):
@@ -73,7 +96,8 @@ class TestFactorizableClosedForms:
     def test_interior_final_state_probabilities(self):
         _, _, interior = factorizable_equilibria(BOS)
         np.testing.assert_allclose(
-            interior.final_state.probabilities(), [2 / 9, 4 / 9, 1 / 9, 2 / 9],
+            projection_probabilities(interior.final_state),
+            [2 / 9, 4 / 9, 1 / 9, 2 / 9],
             atol=1e-12,
         )
 
@@ -141,6 +165,41 @@ class TestEntangledClosedForms:
     def test_rejects_a2_outside_unit_interval(self):
         with pytest.raises(ConstraintViolation):
             EntangledFamilyState(1.2)
+
+    @PROPERTY
+    @given(params=scaled_levels(), a2=st.floats(0, 1))
+    def test_swapping_a2_and_b2_mirrors_the_equilibria(self, params, a2):
+        # Relabelling |OO> <-> |TT> swaps the players' roles: corner payoffs
+        # trade places and the interior point reflects p <-> q.
+        keep, flip, interior = entangled_equilibria(params, EntangledFamilyState(a2))
+        m_keep, m_flip, m_interior = entangled_equilibria(
+            params, EntangledFamilyState(1 - a2)
+        )
+        tol = 1e-12 * max(abs(params.alpha), abs(params.beta), abs(params.gamma))
+        for mirrored, point in ((m_keep, keep), (m_flip, flip)):
+            assert (mirrored.p_star, mirrored.q_star) == (point.p_star, point.q_star)
+            assert abs(mirrored.payoff_a - point.payoff_b) <= tol
+            assert abs(mirrored.payoff_b - point.payoff_a) <= tol
+        assert abs(m_interior.p_star - interior.q_star) <= 1e-12
+        assert abs(m_interior.q_star - interior.p_star) <= 1e-12
+        assert abs(m_interior.payoff_a - interior.payoff_b) <= tol
+        assert abs(m_interior.payoff_b - interior.payoff_a) <= tol
+
+    @PROPERTY
+    @given(
+        levels=st.lists(
+            st.floats(-1e308, 1e308) | st.floats(-1e160, 1e160),
+            min_size=3, max_size=3, unique=True,
+        ),
+        a2=st.floats(0, 1),
+    )
+    def test_every_accepted_scale_gives_finite_closed_forms(self, levels, a2):
+        try:
+            params = GamePayoffs(*sorted(levels, reverse=True))
+        except ConstraintViolation:
+            return
+        for point in entangled_equilibria(params, EntangledFamilyState(a2)):
+            assert math.isfinite(point.payoff_a) and math.isfinite(point.payoff_b)
 
 
 class TestEnumerator:
@@ -237,6 +296,45 @@ class TestEnumerator:
                 assert endpoint_certificate_holds(
                     bp_a, bp_b, point.p_star, point.q_star
                 )
+
+    @pytest.mark.parametrize("k", [-13, 0, 13])
+    def test_equilibria_do_not_depend_on_payoff_scale(self, k):
+        scale = 10.0**k
+        params = GamePayoffs(3 * scale, 2 * scale, 1 * scale)
+        points = enumerate_bilinear_nash(*family_coefficients(params, 0.8))
+        assert [n.kind for n in points] == [
+            EquilibriumKind.CORNER, EquilibriumKind.CORNER, EquilibriumKind.INTERIOR
+        ]
+        coords = [(n.p_star, n.q_star) for n in points]
+        np.testing.assert_allclose(coords, [(1, 1), (0, 0), (0.6, 0.4)], atol=1e-12)
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-13, 13), mixed=st.booleans())
+    def test_positive_affine_rescaling_keeps_the_equilibria(self, seed, k, mixed):
+        # Both surfaces of a random pure state or random (Ginibre) density
+        # matrix, mapped to c*x + d with c = 10^k and a shift d at that scale.
+        rng = np.random.default_rng(seed)
+        if mixed:
+            rho = random_density(rng)
+        else:
+            amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+            rho = StateVector(amps / np.linalg.norm(amps)).density_matrix()
+        pa, pb = payoff_operators(GamePayoffs(*np.sort(rng.uniform(0.1, 10.0, 3))[::-1]))
+        surfaces = bilinear_payoff_coefficients(rho, pa, pb)
+        c = 10.0**k
+        scaled = [
+            BilinearPayoff(
+                c * bp.pq_coeff, c * bp.p_coeff, c * bp.q_coeff,
+                c * (bp.const + rng.uniform(-10.0, 10.0)),
+            )
+            for bp in surfaces
+        ]
+        base = enumerate_bilinear_nash(*surfaces)
+        moved = enumerate_bilinear_nash(*scaled)
+        assert [n.kind for n in moved] == [n.kind for n in base]
+        for got, want in zip(moved, base):
+            assert abs(got.p_star - want.p_star) <= 1e-12
+            assert abs(got.q_star - want.q_star) <= 1e-12
 
     def test_payoffs_equal_surface_values(self):
         bp_a, bp_b = family_coefficients(BOS, 0.8)

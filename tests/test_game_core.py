@@ -50,6 +50,18 @@ class TestBosBimatrix:
         with pytest.raises(ConstraintViolation):
             GamePayoffs(np.inf, 2, 1)
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            (9.76e299, 7.00e299, -6.64e299),  # (alpha - beta)^2 overflows
+            (1e308, -1e308, -1.7e308),  # the spread overflows
+            (1.5e154, 1.19e154, 1e154),  # the interior numerator at a2 = 1/2
+        ],
+    )
+    def test_rejects_scales_whose_products_overflow(self, params):
+        with pytest.raises(ConstraintViolation, match="payoff scale too large"):
+            GamePayoffs(*params)
+
 
 class TestBimatrixValidation:
     def test_shape_mismatch(self):

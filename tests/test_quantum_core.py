@@ -17,7 +17,6 @@ from qstatic.quantum_core import (
     bilinear_payoff_coefficients,
     mixed_final_density,
     payoff_operators,
-    payoffs_factorizable,
     projection_probabilities,
     trace_payoffs,
 )
@@ -185,33 +184,6 @@ class TestProjectionProbabilities:
         np.testing.assert_allclose(probs, [2 / 9, 4 / 9, 1 / 9, 2 / 9], atol=1e-12)
 
 
-class TestFactorizablePayoffs:
-    def test_keep_keep_corner(self):
-        assert payoffs_factorizable(BOS, 1.0, 1.0) == pytest.approx((3.0, 2.0))
-
-    def test_flip_flip_corner(self):
-        assert payoffs_factorizable(BOS, 0.0, 0.0) == pytest.approx((2.0, 3.0))
-
-    def test_interior_values_coincide(self):
-        pay = payoffs_factorizable(BOS, 2 / 3, 1 / 3)
-        assert pay[0] == pytest.approx(5 / 3, abs=1e-12)
-        assert pay[1] == pytest.approx(5 / 3, abs=1e-12)
-
-    def test_rejects_moduli_outside_unit_interval(self):
-        with pytest.raises(ConstraintViolation):
-            payoffs_factorizable(BOS, 1.5, 0.5)
-
-    def test_equals_classical_mixing_everywhere(self):
-        game = bos_bimatrix(BOS)
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            a2, c2 = rng.uniform(size=2)
-            quantum = payoffs_factorizable(BOS, a2, c2)
-            classical = expected_payoffs(game, MixProbabilities(a2, c2))
-            assert quantum[0] == pytest.approx(classical[0], abs=1e-12)
-            assert quantum[1] == pytest.approx(classical[1], abs=1e-12)
-
-
 class TestMixedFinalDensity:
     def test_pure_oo_input_gives_product_diagonal(self):
         rho = StateVector.basis("OO").density_matrix()
@@ -325,19 +297,6 @@ class TestClassicalEquivalence:
                 for route in (vector_route, density_route):
                     assert route[0] == pytest.approx(classical[0], abs=1e-12)
                     assert route[1] == pytest.approx(classical[1], abs=1e-12)
-
-    def test_statevector_route_matches_closed_form(self):
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            a2, c2 = rng.uniform(size=2)
-            closed = payoffs_factorizable(BOS, a2, c2)
-            pa, pb = payoff_operators(BOS)
-            rho = StateVector.basis("OO").density_matrix()
-            via_density = trace_payoffs(
-                pa, pb, mixed_final_density(rho, MixingChoice(a2, c2))
-            )
-            assert closed[0] == pytest.approx(via_density[0], abs=1e-12)
-            assert closed[1] == pytest.approx(via_density[1], abs=1e-12)
 
 
 class TestPhaseInvariance:
