@@ -37,10 +37,13 @@ __all__ = [
 ]
 
 #: A best-response slope is treated as exactly zero below this fraction of
-#: the payoff scale; two candidate points within this distance coincide.
+#: the largest payoff coefficient; two candidate points within this
+#: distance coincide.
 SLOPE_TOL = 1e-12
 #: Corner equilibria merge only when payoffs and final densities agree this tightly.
 MERGE_TOL = 1e-12
+# Round-off a difference of corner payoffs can carry, relative to their size.
+_ROUNDOFF = 32 * np.finfo(float).eps
 
 
 class EquilibriumKind(enum.Enum):
@@ -192,19 +195,17 @@ def enumerate_bilinear_nash(
     is reported once, by its midpoint, as a degenerate family; if both
     players are indifferent everywhere the whole square is reported once.
 
-    A slope counts as zero within SLOPE_TOL of the payoff scale, the largest
-    coefficient or constant term of either surface, so rescaling both
-    players' payoffs by one positive factor changes nothing. The constants
-    belong in the scale because the coefficients are differences of corner
-    payoffs, which carry round-off in proportion to their size: a surface
-    flat up to that round-off is read as flat.
+    A slope counts as zero within SLOPE_TOL of the largest pq, p or q
+    coefficient of either surface, so neither rescaling both players'
+    payoffs by one positive factor nor shifting them by one offset changes
+    anything. The coefficients are differences of corner payoffs and carry
+    their float round-off, so when every coefficient is within 32 ulps of
+    the largest constant term, both surfaces are read as flat.
     """
-    scale = max(
-        abs(c)
-        for bp in (bp_a, bp_b)
-        for c in (bp.pq_coeff, bp.p_coeff, bp.q_coeff, bp.const)
+    coefficient_scale = max(
+        abs(c) for bp in (bp_a, bp_b) for c in (bp.pq_coeff, bp.p_coeff, bp.q_coeff)
     )
-    tol = SLOPE_TOL * scale
+    tol = SLOPE_TOL * coefficient_scale
 
     def flat(slope: float) -> bool:
         return abs(slope) <= tol
@@ -218,9 +219,10 @@ def enumerate_bilinear_nash(
     def point(p: float, q: float, kind: EquilibriumKind) -> NashPoint:
         return NashPoint(p, q, bp_a.value(p, q), bp_b.value(p, q), kind)
 
+    roundoff = _ROUNDOFF * max(abs(bp_a.const), abs(bp_b.const))
     fully_indifferent_a = flat(bp_a.pq_coeff) and flat(bp_a.p_coeff)
     fully_indifferent_b = flat(bp_b.pq_coeff) and flat(bp_b.q_coeff)
-    if fully_indifferent_a and fully_indifferent_b:
+    if coefficient_scale <= roundoff or (fully_indifferent_a and fully_indifferent_b):
         return (point(0.5, 0.5, EquilibriumKind.DEGENERATE_FAMILY),)
 
     corners = ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0))

@@ -235,6 +235,25 @@ class TestClassicalCommand:
         assert (row["p"], row["q"]) == (0.5, 0.5)
         assert any("enumeration" in notice for notice in doc["notices"])
 
+    def test_large_common_offset_keeps_mixed_equilibria(self, tmp_path, capsys):
+        big = 10**13
+        path = write_config(
+            tmp_path,
+            {
+                "payoffs": {
+                    "payoff_a": [[big + 3, big], [big, big + 2]],
+                    "payoff_b": [[big + 2, big], [big, big + 3]],
+                }
+            },
+        )
+        doc = run_json(capsys, ["classical", "--config", path])
+        assert [(e["row"], e["col"]) for e in doc["pure_equilibria"]] == [(0, 0), (1, 1)]
+        assert [(r["kind"], r["p"], r["q"]) for r in doc["mixed_equilibria"]] == [
+            ("corner", 1.0, 1.0),
+            ("corner", 0.0, 0.0),
+            ("interior", 0.6, 0.4),
+        ]
+
     def test_larger_bimatrix_skips_mixed_enumeration(self, tmp_path, capsys):
         path = write_config(
             tmp_path,

@@ -308,11 +308,48 @@ class TestEnumerator:
         coords = [(n.p_star, n.q_star) for n in points]
         np.testing.assert_allclose(coords, [(1, 1), (0, 0), (0.6, 0.4)], atol=1e-12)
 
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e13])
+    def test_common_payoff_offset_keeps_the_equilibria(self, offset):
+        # Coefficients (5, -2, -2) and (5, -3, -3) at every offset: only the
+        # constant terms grow, so the slopes must not read as flat.
+        bp_a = BilinearPayoff.from_payoff_matrix(np.array([[3.0, 0.0], [0.0, 2.0]]) + offset)
+        bp_b = BilinearPayoff.from_payoff_matrix(np.array([[2.0, 0.0], [0.0, 3.0]]) + offset)
+        points = enumerate_bilinear_nash(bp_a, bp_b)
+        assert [(n.kind, n.p_star, n.q_star) for n in points] == [
+            (EquilibriumKind.CORNER, 1.0, 1.0),
+            (EquilibriumKind.CORNER, 0.0, 0.0),
+            (EquilibriumKind.INTERIOR, 0.6, 0.4),
+        ]
+
     @PROPERTY
-    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-13, 13), mixed=st.booleans())
-    def test_positive_affine_rescaling_keeps_the_equilibria(self, seed, k, mixed):
+    @given(
+        phases=st.lists(st.floats(-np.pi, np.pi), min_size=4, max_size=4),
+        k=st.integers(-6, 6),
+    )
+    def test_uniform_modulus_state_leaves_both_players_indifferent(self, phases, k):
+        # Every keep/flip combination of a state with four equal moduli gives
+        # the same outcome probabilities, so both surfaces are flat and their
+        # coefficients are round-off of the corner payoffs.
+        scale = 10.0**k
+        params = GamePayoffs(3 * scale, 2 * scale, 1 * scale)
+        rho = StateVector(0.5 * np.exp(1j * np.array(phases))).density_matrix()
+        surfaces = bilinear_payoff_coefficients(rho, *payoff_operators(params))
+        points = enumerate_bilinear_nash(*surfaces)
+        assert [(n.kind, n.p_star, n.q_star) for n in points] == [
+            (EquilibriumKind.DEGENERATE_FAMILY, 0.5, 0.5)
+        ]
+
+    @PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(-13, 13),
+        m=st.integers(0, 10),
+        mixed=st.booleans(),
+    )
+    def test_positive_affine_rescaling_keeps_the_equilibria(self, seed, k, m, mixed):
         # Both surfaces of a random pure state or random (Ginibre) density
-        # matrix, mapped to c*x + d with c = 10^k and a shift d at that scale.
+        # matrix, mapped to c*x + d with c = 10^k and a shift d of up to
+        # 10^(m+1) times c, up to 1e11 times the payoff differences.
         rng = np.random.default_rng(seed)
         if mixed:
             rho = random_density(rng)
@@ -325,7 +362,7 @@ class TestEnumerator:
         scaled = [
             BilinearPayoff(
                 c * bp.pq_coeff, c * bp.p_coeff, c * bp.q_coeff,
-                c * (bp.const + rng.uniform(-10.0, 10.0)),
+                c * (bp.const + rng.uniform(-10.0, 10.0) * 10.0**m),
             )
             for bp in surfaces
         ]
