@@ -120,6 +120,9 @@ RUNS = [
     (["classical"], "zero_negative", FORMATS),
     (["quantum", "--mode", "factorizable"], "zero_negative", FORMATS),
     (["quantum"], "zero_negative", FORMATS),
+    # The fixed p or q of a sweep is outside input: out of [0, 1] or NaN is exit 2.
+    (["sweep", "--param", "p", "--steps", "5", "--q", "1.5"], "bell", ("csv",)),
+    (["sweep", "--param", "q", "--steps", "3", "--p", "nan"], "bell", ("json",)),
 ]
 
 

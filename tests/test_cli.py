@@ -447,6 +447,20 @@ class TestSweepCommand:
         assert doc["fixed"] == {"q": 1.0}
         assert [row["p"] for row in doc["rows"]] == [0.0, 0.25, 0.5, 0.75, 1.0]
 
+    @pytest.mark.parametrize(
+        "options, name",
+        [
+            (["--param", "p", "--q", "1.5"], "q"),
+            (["--param", "p", "--q", "-0.5"], "q"),
+            (["--param", "q", "--p", "nan"], "p"),
+        ],
+    )
+    def test_bad_fixed_mix_exit_2_naming_it(self, capsys, bos_config, options, name):
+        assert main(["sweep", "--config", bos_config, "--steps", "3", *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{name} must lie in [0, 1]" in captured.err
+
     def test_steps_below_two_exit_2(self, capsys, bos_config):
         assert main(["sweep", "--config", bos_config, "--steps", "1"]) == 2
 
