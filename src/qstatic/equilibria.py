@@ -357,9 +357,8 @@ def unique_solution(
     (alpha+beta)/2 and the shared final state is the initial state itself.
     """
     corner_keep, corner_flip, _ = entangled_equilibria(params, state)
-    rho_in = state.density_matrix()
-    rho_keep = mixed_final_density(rho_in, MixingChoice(1.0, 1.0))
-    rho_flip = mixed_final_density(rho_in, MixingChoice(0.0, 0.0))
+    rho_keep = state.density_matrix()  # keeping at (1, 1) changes nothing
+    rho_flip = mixed_final_density(rho_keep, MixingChoice(0.0, 0.0))
     density_gap = float(np.max(np.abs(rho_keep.entries - rho_flip.entries)))
     diff_a = corner_keep.payoff_a - corner_flip.payoff_a
     diff_b = corner_keep.payoff_b - corner_flip.payoff_b

@@ -64,18 +64,18 @@ def simulate(config: SimulationConfig) -> SimulationReport:
     counts = np.bincount(outcomes, minlength=4)
 
     game = bos_bimatrix(config.payoffs)
-    values_a = game.payoff_a.ravel()
-    values_b = game.payoff_b.ravel()
 
     def stats(values: np.ndarray) -> tuple[float, float]:
         mean = float(counts @ values) / config.rounds
         if config.rounds == 1:
             return mean, 0.0
-        variance = float(counts @ (values - mean) ** 2) / (config.rounds - 1)
-        return mean, float(np.sqrt(variance / config.rounds))
+        # Deviations in units of a power of two (exact) cannot overflow squared.
+        unit = 2.0 ** np.frexp(np.abs(values).max())[1]
+        variance = float(counts @ ((values - mean) / unit) ** 2) / (config.rounds - 1)
+        return mean, float(np.sqrt(variance / config.rounds) * unit)
 
-    mean_a, se_a = stats(values_a)
-    mean_b, se_b = stats(values_b)
+    mean_a, se_a = stats(game.payoff_a.ravel())
+    mean_b, se_b = stats(game.payoff_b.ravel())
     return SimulationReport(
         counts=tuple(int(c) for c in counts),
         mean_payoff_a=mean_a,

@@ -46,7 +46,7 @@ HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 #: Eigenvalues may dip slightly negative from repeated conjugation round-off.
 EIGENVALUE_FLOOR = -1e-10
-#: A trace payoff with a larger imaginary part indicates an internal bug.
+#: A payoff whose imaginary part exceeds this times the payoff scale is a bug.
 IMAG_PART_TOL = 1e-9
 
 
@@ -205,7 +205,7 @@ class PayoffOperator:
         d = d.copy()
         d.setflags(write=False)
         object.__setattr__(self, "diagonal", d)
-        # trace_payoffs dots the diagonal with a complex one; numpy would cast
+        # _payoff_means dots the diagonal with a complex one; numpy would cast
         # the real diagonal to this same complex copy on every call.
         d_complex = d.astype(complex)
         d_complex.setflags(write=False)
@@ -283,15 +283,18 @@ def _payoff_means(
 ) -> tuple[float, float]:
     """Both players' mean payoffs over a density diagonal.
 
-    Any imaginary residue beyond IMAG_PART_TOL is flagged as an internal
-    inconsistency, naming the payoffs as ``what``; smaller residue is
-    discarded.
+    An imaginary residue beyond IMAG_PART_TOL times the payoff scale (largest
+    |payoff entry|, at least 1) is an internal inconsistency, named by ``what``;
+    a valid density's diagonal is real within HERMITIAN_TOL / 2.
     """
     # ndarray.dot runs the same dot loop as ``@`` without the gufunc set-up.
     value_a = complex(pa._complex_diagonal.dot(diag))
     value_b = complex(pb._complex_diagonal.dot(diag))
     residue = max(abs(value_a.imag), abs(value_b.imag))
-    if residue > IMAG_PART_TOL:
+    # The scale is taken only past the absolute bound, off the common path.
+    if residue > IMAG_PART_TOL and residue > IMAG_PART_TOL * max(
+        1.0, *np.abs(pa.diagonal), *np.abs(pb.diagonal)
+    ):
         raise InternalConsistencyError(
             f"{what} payoff has imaginary residue {residue:.3e}"
         )

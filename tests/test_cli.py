@@ -1,13 +1,27 @@
+import contextlib
+import io
 import json
+import math
+import re
+import warnings
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qstatic.cli as cli
 from qstatic.cli import load_config, main
 from qstatic.errors import InternalConsistencyError
+from qstatic.quantum_core import (
+    DensityMatrix,
+    MixingChoice,
+    mixed_final_density,
+    payoff_operators,
+    trace_payoffs,
+)
 from qstatic.report_schema import REPORT_SCHEMA
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -94,6 +108,20 @@ class TestConfigLoading:
         )
         assert main(["quantum", "--config", path]) == 2
         assert "normalized" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_amplitude_norm_is_one_error_line(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            {
+                "payoffs": {"alpha": 3, "beta": 2, "gamma": 1},
+                "initial_state": [[1e300, 0], [0, 0], [0, 0], [0, 0]],
+            },
+        )
+        assert main(["quantum", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "initial_state: amplitudes must be normalized" in err
 
     def test_slightly_denormalized_amplitudes_accepted(self, tmp_path):
         r = 1 / np.sqrt(2) + 1e-10
@@ -406,6 +434,19 @@ class TestSimulateCommand:
         gap = abs(doc["empirical"]["mean_payoff_a"] - 1.75)
         assert gap <= 4 * doc["empirical"]["std_error_a"]
 
+    @pytest.mark.filterwarnings("error")
+    def test_std_error_finite_at_large_payoff_scale(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            {
+                "payoffs": {"alpha": 1.2e154, "beta": 0.5e154, "gamma": -0.1e154},
+                "initial_state": "bell",
+            },
+        )
+        empirical = run_json(capsys, ["simulate", "--config", path])["empirical"]
+        for player in "ab":
+            assert 0.0 < empirical[f"std_error_{player}"] < 1e154
+
     def test_invalid_rounds_exit_2(self, capsys, bos_config):
         assert main(["simulate", "--config", bos_config, "--rounds", "0"]) == 2
 
@@ -460,6 +501,16 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{name} must lie in [0, 1]" in captured.err
+
+    @pytest.mark.parametrize("param", ["p", "q"])
+    def test_payoff_sweep_builds_one_density(self, capsys, bos_config, monkeypatch, param):
+        built = []
+        check = DensityMatrix.__post_init__
+        monkeypatch.setattr(DensityMatrix, "__post_init__", lambda rho: built.append(check(rho)))
+        argv = ["sweep", "--config", bos_config, "--param", param, "--steps", "2001"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(built) == 1
 
     def test_steps_below_two_exit_2(self, capsys, bos_config):
         assert main(["sweep", "--config", bos_config, "--steps", "1"]) == 2
@@ -518,9 +569,164 @@ class TestExitCodes:
         def forged_failure(*args, **kwargs):
             raise InternalConsistencyError("forged imaginary residue")
 
-        monkeypatch.setattr(cli, "trace_payoffs", forged_failure)
+        monkeypatch.setattr(cli, "bilinear_payoff_coefficients", forged_failure)
         assert main(["simulate", "--config", bos_config, "--rounds", "10"]) == 1
         assert "internal error" in capsys.readouterr().err
+
+
+# A complex state outside the family; its density diagonal keeps an imaginary
+# round-off residue of about 1e-17.
+_COMPLEX_STATE = np.array([0.5 + 0.1j, 0.3 - 0.2j, 0.4 + 0.3j, 0.5 - 0.3j])
+_COMPLEX_STATE /= np.linalg.norm(_COMPLEX_STATE)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e9, 1e13])
+def test_sweep_and_simulate_read_the_surface_at_any_scale(tmp_path, scale):
+    """Sweep rows and the simulate analytic payoff agree with the density
+    trace at their (p, q); the imaginary residue is judged against the
+    payoff scale, so large payoffs do not read as an internal error."""
+    path = write_config(
+        tmp_path,
+        {
+            "payoffs": {"alpha": 3 * scale, "beta": 2 * scale, "gamma": 1 * scale},
+            "initial_state": [[a.real, a.imag] for a in _COMPLEX_STATE],
+        },
+    )
+    cfg = load_config(path)
+    pa, pb = payoff_operators(cfg.params)
+    rho_in = cfg.state.density_matrix()
+
+    def check(p, q, pay_a, pay_b):
+        oracle = trace_payoffs(pa, pb, mixed_final_density(rho_in, MixingChoice(p, q)))
+        assert abs(pay_a - oracle[0]) <= 1e-12 * scale
+        assert abs(pay_b - oracle[1]) <= 1e-12 * scale
+
+    parser = cli.build_parser()
+    for options in (["--param", "p", "--q", "0.3"], ["--param", "q", "--p", "0.8"]):
+        args = parser.parse_args(["sweep", "--config", path, "--steps", "7", *options])
+        for row in cli.cmd_sweep(cfg, args)["rows"]:
+            check(row["p"], row["q"], row["payoff_a"], row["payoff_b"])
+    args = parser.parse_args(["simulate", "--config", path, "--p", "0.3", "--q", "0.6"])
+    analytic = cli.cmd_simulate(cfg, args)["analytic"]
+    check(0.3, 0.6, analytic["payoff_a"], analytic["payoff_b"])
+
+
+def _sometimes(broken, valid):
+    """Draws from ``valid``, and one time in eight from ``broken``."""
+    return st.integers(0, 7).flatmap(lambda k: broken if k == 7 else valid)
+
+
+_ODD_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 10**400])
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.sampled_from(["", "3", "bell", "XX"]), _ODD_NUMBERS,
+    st.lists(st.integers(-2, 2), max_size=3), st.fixed_dictionaries({"x": st.just(1)}),
+)
+_NUMBER = _sometimes(st.one_of(_ODD_NUMBERS, _JUNK), st.floats(-5, 5))
+_LEVELS = st.builds(
+    lambda levels, scale: {
+        key: level * scale
+        for key, level in zip(("alpha", "beta", "gamma"), sorted(levels, reverse=True))
+    },
+    st.lists(st.integers(-9, 9), min_size=3, max_size=3, unique=True),
+    st.sampled_from([1, 0.37, 1e-300, 1e-13, 1e6, 1e9, 1e13, 1e150, 1.2e154, 1e300]),
+)
+
+
+@st.composite
+def _tables(draw, entries=st.floats(-5, 5)):
+    shape = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    table = st.lists(st.lists(entries, min_size=shape[1], max_size=shape[1]),
+                     min_size=shape[0], max_size=shape[0])
+    return {"payoff_a": draw(table), "payoff_b": draw(table)}
+
+
+_RAGGED = st.lists(st.lists(_NUMBER, max_size=3), max_size=3)
+_PAYOFFS = _sometimes(
+    st.one_of(
+        st.fixed_dictionaries({key: _NUMBER for key in ("alpha", "beta", "gamma")}),
+        st.fixed_dictionaries({"payoff_a": _RAGGED, "payoff_b": _RAGGED}),
+        _tables(_NUMBER), _JUNK,
+    ),
+    _sometimes(_tables(), _LEVELS),
+)
+
+
+@st.composite
+def _amplitudes(draw, factor=st.just(1.0)):
+    parts = np.array(draw(st.lists(st.floats(-1, 1), min_size=8, max_size=8)))
+    amps = parts[::2] + 1j * parts[1::2]
+    norm = np.linalg.norm(amps)
+    amps = amps / norm if norm > 1e-3 else np.array([1.0, 0, 0, 0])
+    return [[float(a.real), float(a.imag)] for a in amps * draw(factor)]
+
+
+_STATE = _sometimes(
+    st.one_of(
+        st.just("XX"), st.fixed_dictionaries({"a2": _NUMBER}), _JUNK,
+        _amplitudes(st.sampled_from([1.1, 1e300])), st.lists(st.lists(_NUMBER), max_size=5),
+    ),
+    st.one_of(
+        st.sampled_from(["OO", "OT", "TO", "TT", "bell"]),
+        st.fixed_dictionaries({"a2": st.floats(0, 1)}),
+        _amplitudes(), _amplitudes(),
+    ),
+)
+_LABELS = _sometimes(
+    st.one_of(_JUNK, st.fixed_dictionaries({"a": st.lists(st.sampled_from(["O", ""]))})),
+    st.fixed_dictionaries({}, optional={"a": st.just(["O", "T"]), "b": st.just(["x", "y"])}),
+)
+_DOCUMENT = _sometimes(
+    st.one_of(
+        _JUNK,
+        st.fixed_dictionaries({"initial_state": _STATE}),
+        st.fixed_dictionaries({"payoffs": _PAYOFFS, "extra": _JUNK}),
+    ),
+    st.fixed_dictionaries(
+        {"payoffs": _PAYOFFS, "initial_state": _STATE}, optional={"labels": _LABELS}
+    ),
+)
+_MIX = _sometimes(st.sampled_from(["-0.5", "1.5", "nan", "inf"]), st.floats(0, 1).map(repr))
+
+
+@st.composite
+def _options(draw, command):
+    options = ["--format", draw(st.sampled_from(["table", "json", "csv"]))]
+    if command == "quantum":
+        options += ["--mode", draw(st.sampled_from(["factorizable", "entangled"]))]
+    if command == "simulate":
+        options += ["--rounds", str(draw(_sometimes(st.integers(-1, 0), st.integers(1, 40))))]
+        seed = _sometimes(st.sampled_from([-1, 2**64]), st.integers(0, 2**64 - 1))
+        options += ["--seed", str(draw(seed))]
+    if command == "sweep":
+        options += ["--param", draw(st.sampled_from(["a2", "p", "q"]))]
+        options += ["--steps", str(draw(_sometimes(st.integers(-1, 1), st.integers(2, 5))))]
+    if command in ("simulate", "sweep"):
+        options += ["--p", draw(_MIX), "--q", draw(_MIX)]
+    return options
+
+
+@pytest.mark.parametrize("command", ["classical", "quantum", "simulate", "sweep"])
+@settings(derandomize=True, max_examples=75, deadline=None)
+@given(data=st.data(), doc=_DOCUMENT)
+def test_any_config_document_exits_0_or_2(tmp_path_factory, command, data, doc):
+    """Well-formed or broken config documents, under every command and
+    format: exit 0 with clean stderr, or exit 2 with one error line; never
+    a traceback, exit 1, warning, or non-finite number in the output."""
+    path = tmp_path_factory.mktemp("fuzz") / "game.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, "--config", str(path), *data.draw(_options(command))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), err
+    if code == 0:
+        assert err == ""
+    else:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert not re.search(r"Infinity|NaN|\b(inf|nan)\b", out), out
 
 
 def test_cli_outputs_match_golden(capsys, monkeypatch):

@@ -276,6 +276,15 @@ class TestTracePayoffs:
         with pytest.raises(InternalConsistencyError):
             trace_payoffs(pa, pb, rho)
 
+    def test_flags_imaginary_residue_at_large_payoff_scale(self):
+        # The residue is judged against the payoff scale; a forged one that
+        # grows with the payoffs still fires.
+        rho = object.__new__(DensityMatrix)
+        object.__setattr__(rho, "entries", np.diag([1e-6j, 0, 0, 1 - 1e-6j]))
+        pa, pb = payoff_operators(GamePayoffs(3e9, 2e9, 1e9))
+        with pytest.raises(InternalConsistencyError):
+            trace_payoffs(pa, pb, rho)
+
 
 class TestClassicalEquivalence:
     def test_all_three_payoff_routes_agree_on_a_grid(self):
