@@ -7,6 +7,9 @@ initial states, and a seeded measurement-collapse simulator. The ``qstatic``
 command line fronts all of it.
 """
 
+from importlib import import_module
+from typing import Any
+
 from .equilibria import (
     EntangledFamilyState,
     EquilibriumKind,
@@ -35,21 +38,33 @@ from .game_core import (
     expected_payoffs,
     pure_nash,
 )
-from .montecarlo import SimulationConfig, SimulationReport, simulate
-from .quantum_core import (
-    BASIS_LABELS,
-    DensityMatrix,
-    LocalUnitary,
-    MixingChoice,
-    PayoffOperator,
-    StateVector,
-    apply_local_unitaries,
-    bilinear_payoff_coefficients,
-    mixed_final_density,
-    payoff_operators,
-    projection_probabilities,
-    trace_payoffs,
-)
+from .outcomes import BASIS_LABELS, MixingChoice, StateVector, payoff_surfaces
+
+#: Modules that load numpy and the names taken from them, imported on first
+#: access so that ``import qstatic`` loads no numpy.
+_LAZY = {
+    "montecarlo": ("SimulationConfig", "SimulationReport", "simulate"),
+    "quantum_core": (
+        "DensityMatrix",
+        "LocalUnitary",
+        "PayoffOperator",
+        "apply_local_unitaries",
+        "bilinear_payoff_coefficients",
+        "mixed_final_density",
+        "payoff_operators",
+        "projection_probabilities",
+        "trace_payoffs",
+    ),
+}
+
+
+def __getattr__(name: str) -> Any:
+    for module, names in _LAZY.items():
+        if name in names:
+            value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 
@@ -88,6 +103,7 @@ __all__ = [
     "factorizable_equilibria",
     "mixed_final_density",
     "payoff_operators",
+    "payoff_surfaces",
     "projection_probabilities",
     "pure_nash",
     "rank_equilibria",

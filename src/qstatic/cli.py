@@ -22,8 +22,6 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
-import numpy as np
-
 from .equilibria import (
     EntangledFamilyState,
     EquilibriumRanking,
@@ -42,18 +40,12 @@ from .game_core import (
     Bimatrix,
     EliminationStep,
     GamePayoffs,
+    _bos_table,
     bos_bimatrix,
     eliminate_strictly_dominated,
     pure_nash,
 )
-from .montecarlo import SimulationConfig, outcome_distribution, simulate
-from .quantum_core import (
-    BASIS_LABELS,
-    MixingChoice,
-    StateVector,
-    bilinear_payoff_coefficients,
-    payoff_operators,
-)
+from .outcomes import BASIS_LABELS, MixingChoice, StateVector, payoff_surfaces
 from .report_schema import SCHEMA_VERSION
 
 __all__ = ["ConfigError", "LoadedConfig", "load_config", "main"]
@@ -120,8 +112,8 @@ def _load_payoffs(
         return params, bos_bimatrix(params)
     if keys == {"payoff_a", "payoff_b"}:
         return None, Bimatrix(
-            np.array(_as_table(path, "payoffs.payoff_a", raw["payoff_a"])),
-            np.array(_as_table(path, "payoffs.payoff_b", raw["payoff_b"])),
+            _as_table(path, "payoffs.payoff_a", raw["payoff_a"]),
+            _as_table(path, "payoffs.payoff_b", raw["payoff_b"]),
         )
     raise _fail(
         path,
@@ -163,9 +155,8 @@ def _load_state(
             re = _as_number(path, f"initial_state[{k}][0]", pair[0])
             im = _as_number(path, f"initial_state[{k}][1]", pair[1])
             amps.append(complex(re, im))
-        vec = np.array(amps, dtype=complex)
-        with np.errstate(over="ignore"):  # an inf norm is reported below
-            norm = float(np.sqrt(np.sum(np.abs(vec) ** 2)))
+        # Squares overflow to inf, not an exception; an inf norm is reported below.
+        norm = math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in amps))
         if abs(norm - 1.0) > AMPLITUDE_NORM_TOL:
             raise _fail(
                 path,
@@ -173,10 +164,11 @@ def _load_state(
                 f"amplitudes must be normalized within {AMPLITUDE_NORM_TOL:g}; "
                 f"norm is {norm!r}",
             )
-        state = StateVector(vec / norm)
+        scale = 1.0 / norm
+        state = StateVector([a * scale for a in amps])
         family = None
         if abs(state.amplitudes[1]) <= 1e-12 and abs(state.amplitudes[2]) <= 1e-12:
-            family = EntangledFamilyState(float(abs(state.amplitudes[0]) ** 2))
+            family = EntangledFamilyState(abs(state.amplitudes[0]) ** 2)
         return state, "amplitudes", None, family
     raise _fail(
         path,
@@ -266,6 +258,19 @@ def _require_params(cfg: LoadedConfig, command: str) -> GamePayoffs:
     return cfg.params
 
 
+def _payoff_surfaces(
+    cfg: LoadedConfig, params: GamePayoffs
+) -> tuple[BilinearPayoff, BilinearPayoff]:
+    """Both players' payoff surfaces over (p, q) for the configured state."""
+    return payoff_surfaces(cfg.state.probabilities, *_bos_table(params))
+
+
+def _unit_grid(steps: int) -> list[float]:
+    """``steps`` evenly spaced points from 0 to 1, both ends included."""
+    step = 1.0 / (steps - 1)
+    return [k * step for k in range(steps - 1)] + [1.0]
+
+
 # ---------------------------------------------------------------------------
 # exact fractions: the closed forms re-run on Fraction inputs
 
@@ -309,8 +314,8 @@ def _game_json(cfg: LoadedConfig) -> dict:
             "gamma": cfg.params.gamma,
         }
     return {
-        "payoff_a": cfg.game.payoff_a.tolist(),
-        "payoff_b": cfg.game.payoff_b.tolist(),
+        "payoff_a": [list(row) for row in cfg.game.payoff_a],
+        "payoff_b": [list(row) for row in cfg.game.payoff_b],
     }
 
 
@@ -429,8 +434,8 @@ def cmd_classical(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
                 "col": j,
                 "label_a": cfg.labels_a[i],
                 "label_b": cfg.labels_b[j],
-                "payoff_a": float(cfg.game.payoff_a[i, j]),
-                "payoff_b": float(cfg.game.payoff_b[i, j]),
+                "payoff_a": cfg.game.payoff_a[i][j],
+                "payoff_b": cfg.game.payoff_b[i][j],
             }
             for i, j in pure_nash(cfg.game)
         ],
@@ -460,9 +465,7 @@ def cmd_quantum(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
         exact = _exact_equilibria(params, cfg.family)
         unique = unique_solution(params, cfg.family)
     else:
-        pa, pb = payoff_operators(params)
-        bp_a, bp_b = bilinear_payoff_coefficients(cfg.state.density_matrix(), pa, pb)
-        points = enumerate_bilinear_nash(bp_a, bp_b)
+        points = enumerate_bilinear_nash(*_payoff_surfaces(cfg, params))
         notices.append(
             "initial state is outside the |OO>/|TT> superposition family; "
             "equilibria computed by generic bilinear enumeration"
@@ -482,6 +485,9 @@ def cmd_quantum(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
 
 
 def cmd_simulate(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
+    # The simulator draws with numpy's generator; only this command loads it.
+    from .montecarlo import SimulationConfig, simulate
+
     params = _require_params(cfg, "simulate")
     try:
         config = SimulationConfig(
@@ -494,7 +500,7 @@ def cmd_simulate(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
     except ConstraintViolation as exc:
         raise ConfigError(f"simulate: {exc}") from exc
     report = simulate(config)
-    bp_a, bp_b = bilinear_payoff_coefficients(config.initial, *payoff_operators(params))
+    bp_a, bp_b = _payoff_surfaces(cfg, params)
     analytic = (bp_a.value(args.p, args.q), bp_b.value(args.p, args.q))
 
     return {
@@ -505,7 +511,7 @@ def cmd_simulate(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
         "mix": {"p": args.p, "q": args.q},
         "rounds": args.rounds,
         "seed": args.seed,
-        "outcome_probabilities": outcome_distribution(config).tolist(),
+        "outcome_probabilities": list(report.outcome_probabilities),
         "counts": dict(zip(BASIS_LABELS, report.counts)),
         "empirical": {
             "mean_payoff_a": report.mean_payoff_a,
@@ -522,7 +528,7 @@ def cmd_sweep(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
     params = _require_params(cfg, "sweep")
     if args.steps < 2:
         raise ConfigError(f"sweep: steps must be at least 2, got {args.steps}")
-    values = np.linspace(0.0, 1.0, args.steps)
+    values = _unit_grid(args.steps)
     rows: list[dict] = []
     payload = {
         "schema": SCHEMA_VERSION,
@@ -537,11 +543,11 @@ def cmd_sweep(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
     if args.param == "a2":
         for value in values:
             keep, flip, interior = entangled_equilibria(
-                params, EntangledFamilyState(float(value))
+                params, EntangledFamilyState(value)
             )
             rows.append(
                 {
-                    "a2": float(value),
+                    "a2": value,
                     "corner_11_payoff_a": keep.payoff_a,
                     "corner_11_payoff_b": keep.payoff_b,
                     "corner_00_payoff_a": flip.payoff_a,
@@ -556,12 +562,10 @@ def cmd_sweep(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
             "the configured initial state is not used"
         )
     else:
-        bp_a, bp_b = bilinear_payoff_coefficients(
-            cfg.state.density_matrix(), *payoff_operators(params)
-        )
+        bp_a, bp_b = _payoff_surfaces(cfg, params)
         fixed = payload["fixed"] = {"q": args.q} if args.param == "p" else {"p": args.p}
         for value in values:
-            mix = MixingChoice(**{args.param: float(value)}, **fixed)  # checks fixed p/q
+            mix = MixingChoice(**{args.param: value}, **fixed)  # checks fixed p/q
             pay_a, pay_b = bp_a.value(mix.p, mix.q), bp_b.value(mix.p, mix.q)
             rows.append({"p": mix.p, "q": mix.q, "payoff_a": pay_a, "payoff_b": pay_b})
     return payload

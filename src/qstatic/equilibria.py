@@ -9,14 +9,17 @@ ranking, and the merged-corner unique-solution test at maximal entanglement.
 from __future__ import annotations
 
 import enum
+import math
+import sys
 from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import ConstraintViolation
 from .game_core import BilinearPayoff, GamePayoffs, _check_unit_interval
-from .quantum_core import DensityMatrix, MixingChoice, StateVector, mixed_final_density
+from .outcomes import StateVector
+
+if TYPE_CHECKING:
+    from .quantum_core import DensityMatrix
 
 __all__ = [
     "SLOPE_TOL",
@@ -43,7 +46,7 @@ SLOPE_TOL = 1e-12
 #: Corner equilibria merge only when payoffs and final densities agree this tightly.
 MERGE_TOL = 1e-12
 # Round-off a difference of corner payoffs can carry, relative to their size.
-_ROUNDOFF = 32 * np.finfo(float).eps
+_ROUNDOFF = 32 * sys.float_info.epsilon
 
 
 class EquilibriumKind(enum.Enum):
@@ -98,7 +101,7 @@ class EntangledFamilyState:
         return 1 - self.a2
 
     def state_vector(self) -> StateVector:
-        return StateVector.oo_tt(np.sqrt(self.a2), np.sqrt(self.b2))
+        return StateVector.oo_tt(math.sqrt(self.a2), math.sqrt(self.b2))
 
     def density_matrix(self) -> DensityMatrix:
         return self.state_vector().density_matrix()
@@ -143,10 +146,10 @@ def factorizable_equilibria(
     """
     corner_oo, corner_tt, interior = classical_mixed_equilibria(params)
     alpha, beta, gamma = params.alpha, params.beta, params.gamma
-    root = np.sqrt(params.spread)
-    row_vec = np.array([np.sqrt(alpha - gamma), -np.sqrt(beta - gamma)]) / root
-    col_vec = np.array([np.sqrt(beta - gamma), -np.sqrt(alpha - gamma)]) / root
-    product_state = StateVector(np.kron(row_vec, col_vec))
+    root = math.sqrt(params.spread)
+    row_vec = (math.sqrt(alpha - gamma) / root, -math.sqrt(beta - gamma) / root)
+    col_vec = (math.sqrt(beta - gamma) / root, -math.sqrt(alpha - gamma) / root)
+    product_state = StateVector([r * c for r in row_vec for c in col_vec])
     return (
         FactorizableEquilibrium(corner_oo, StateVector.basis("OO")),
         FactorizableEquilibrium(corner_tt, StateVector.basis("TT")),
@@ -357,9 +360,15 @@ def unique_solution(
     (alpha+beta)/2 and the shared final state is the initial state itself.
     """
     corner_keep, corner_flip, _ = entangled_equilibria(params, state)
-    rho_keep = state.density_matrix()  # keeping at (1, 1) changes nothing
-    rho_flip = mixed_final_density(rho_keep, MixingChoice(0.0, 0.0))
-    density_gap = float(np.max(np.abs(rho_keep.entries - rho_flip.entries)))
+    # Keeping at (1, 1) leaves the initial density a_m conj(a_n); flipping
+    # both halves at (0, 0) moves basis index k to k ^ 3, and with it entry
+    # (m, n) to (m ^ 3, n ^ 3).
+    amps = state.state_vector().amplitudes
+    density_gap = max(
+        abs(amps[m] * amps[n].conjugate() - amps[m ^ 3] * amps[n ^ 3].conjugate())
+        for m in range(4)
+        for n in range(4)
+    )
     diff_a = corner_keep.payoff_a - corner_flip.payoff_a
     diff_b = corner_keep.payoff_b - corner_flip.payoff_b
     merged = (

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Iterable
 
 from .errors import ConstraintViolation
 
@@ -33,39 +32,47 @@ __all__ = [
 class Bimatrix:
     """Payoff tables of a finite two-player game.
 
-    ``payoff_a[i, j]`` is the row player's payoff when the row player picks
+    ``payoff_a[i][j]`` is the row player's payoff when the row player picks
     strategy ``i`` and the column player picks ``j``; ``payoff_b`` likewise.
-    Both tables share one shape and all entries are finite. Arrays are
-    copied and frozen at construction.
+    Both tables share one shape and all entries are finite. Tables are
+    copied into tuples of float rows at construction.
     """
 
-    payoff_a: np.ndarray
-    payoff_b: np.ndarray
+    payoff_a: tuple[tuple[float, ...], ...]
+    payoff_b: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        a = np.array(self.payoff_a, dtype=float)
-        b = np.array(self.payoff_b, dtype=float)
-        if a.ndim != 2 or a.shape != b.shape:
+        a, b = _float_table(self.payoff_a), _float_table(self.payoff_b)
+        shape_a, shape_b = _table_shape(a), _table_shape(b)
+        if len(shape_a) != 2 or shape_a != shape_b:
             raise ConstraintViolation(
                 f"payoff tables must be 2-d arrays of equal shape, "
-                f"got {a.shape} and {b.shape}"
+                f"got {shape_a} and {shape_b}"
             )
-        if min(a.shape) < 1:
+        if min(shape_a) < 1:
             raise ConstraintViolation("each player needs at least one strategy")
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        if not all(math.isfinite(x) for table in (a, b) for row in table for x in row):
             raise ConstraintViolation("payoff entries must be finite")
-        a.setflags(write=False)
-        b.setflags(write=False)
         object.__setattr__(self, "payoff_a", a)
         object.__setattr__(self, "payoff_b", b)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.payoff_a.shape
+        return len(self.payoff_a), len(self.payoff_a[0])
 
     @property
     def is_2x2(self) -> bool:
         return self.shape == (2, 2)
+
+
+def _float_table(table: Iterable[Iterable[float]]) -> tuple[tuple[float, ...], ...]:
+    return tuple(tuple(float(x) for x in row) for row in table)
+
+
+def _table_shape(rows: tuple[tuple[float, ...], ...]) -> tuple[int, ...]:
+    """(rows, columns); (rows,) when the table is empty or ragged."""
+    widths = {len(row) for row in rows}
+    return (len(rows), *widths) if len(widths) == 1 else (len(rows),)
 
 
 @dataclass(frozen=True)
@@ -145,7 +152,7 @@ class BilinearPayoff:
 
     def __post_init__(self) -> None:
         vals = (self.pq_coeff, self.p_coeff, self.q_coeff, self.const)
-        if not all(np.isfinite(v) for v in vals):
+        if not all(math.isfinite(v) for v in vals):
             raise ConstraintViolation(f"bilinear coefficients must be finite, got {vals}")
 
     @classmethod
@@ -165,12 +172,17 @@ class BilinearPayoff:
         )
 
     @classmethod
-    def from_payoff_matrix(cls, matrix: np.ndarray) -> BilinearPayoff:
+    def from_payoff_matrix(
+        cls, matrix: Iterable[Iterable[float]]
+    ) -> BilinearPayoff:
         """Corner values of a 2x2 payoff table, with p = P(row 0), q = P(col 0)."""
-        m = np.asarray(matrix, dtype=float)
-        if m.shape != (2, 2):
-            raise ConstraintViolation(f"need a 2x2 payoff table, got shape {m.shape}")
-        return cls.from_corner_values(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+        m = _float_table(matrix)
+        if _table_shape(m) != (2, 2):
+            raise ConstraintViolation(
+                f"need a 2x2 payoff table, got shape {_table_shape(m)}"
+            )
+        (at_11, at_10), (at_01, at_00) = m
+        return cls.from_corner_values(at_11, at_10, at_01, at_00)
 
     def value(self, p: float, q: float) -> float:
         return self.pq_coeff * p * q + self.p_coeff * p + self.q_coeff * q + self.const
@@ -196,7 +208,7 @@ def _bos_table(params: GamePayoffs) -> tuple[tuple[float, ...], tuple[float, ...
 def bos_bimatrix(params: GamePayoffs) -> Bimatrix:
     """Bimatrix of the coordination game with strategy 0 = O and 1 = T."""
     row, col = _bos_table(params)
-    return Bimatrix(np.reshape(row, (2, 2)), np.reshape(col, (2, 2)))
+    return Bimatrix((row[:2], row[2:]), (col[:2], col[2:]))
 
 
 @dataclass(frozen=True)
@@ -240,9 +252,9 @@ def eliminate_strictly_dominated(game: Bimatrix) -> EliminationResult:
                 if other == cand:
                     continue
                 if player == 0:
-                    worse = all(table[cand, j] < table[other, j] for j in cols)
+                    worse = all(table[cand][j] < table[other][j] for j in cols)
                 else:
-                    worse = all(table[i, cand] < table[i, other] for i in rows)
+                    worse = all(table[i][cand] < table[i][other] for i in rows)
                 if worse:
                     return cand, other
         return None
@@ -266,9 +278,15 @@ def pure_nash(game: Bimatrix) -> tuple[tuple[int, int], ...]:
     deviation; ties count, comparisons are exact.
     """
     a, b = game.payoff_a, game.payoff_b
-    best_a = a == a.max(axis=0, keepdims=True)
-    best_b = b == b.max(axis=1, keepdims=True)
-    return tuple((int(i), int(j)) for i, j in np.argwhere(best_a & best_b))
+    best_a = [max(column) for column in zip(*a)]
+    best_b = [max(row) for row in b]
+    rows, cols = game.shape
+    return tuple(
+        (i, j)
+        for i in range(rows)
+        for j in range(cols)
+        if a[i][j] == best_a[j] and b[i][j] == best_b[i]
+    )
 
 
 def expected_payoffs(game: Bimatrix, mix: MixProbabilities) -> tuple[float, float]:
@@ -282,9 +300,10 @@ def expected_payoffs(game: Bimatrix, mix: MixProbabilities) -> tuple[float, floa
             f"expected payoffs are defined for 2x2 games, got shape {game.shape}"
         )
     p, q = mix.p, mix.q
-    weights = np.array([p * q, p * (1.0 - q), (1.0 - p) * q, (1.0 - p) * (1.0 - q)])
-    # ndarray.dot runs the same dot loop as ``@`` without the gufunc set-up.
+    (a11, a10), (a01, a00) = game.payoff_a
+    (b11, b10), (b01, b00) = game.payoff_b
+    w11, w10, w01, w00 = p * q, p * (1.0 - q), (1.0 - p) * q, (1.0 - p) * (1.0 - q)
     return (
-        float(weights.dot(game.payoff_a.ravel())),
-        float(weights.dot(game.payoff_b.ravel())),
+        w11 * a11 + w10 * a10 + w01 * a01 + w00 * a00,
+        w11 * b11 + w10 * b10 + w01 * b01 + w00 * b00,
     )

@@ -10,7 +10,8 @@ import numpy as np
 
 from .errors import ConstraintViolation
 from .game_core import GamePayoffs, bos_bimatrix
-from .quantum_core import DensityMatrix, MixingChoice, mixed_final_density
+from .outcomes import MixingChoice, _flipped
+from .quantum_core import DensityMatrix
 
 __all__ = ["SimulationConfig", "SimulationReport", "simulate"]
 
@@ -32,12 +33,14 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Outcome tallies per basis state plus empirical payoff statistics.
+    """Outcome probabilities and tallies per basis state, plus empirical
+    payoff statistics.
 
     Standard errors are the sample standard deviation over rounds divided
     by sqrt(rounds); zero when every round lands on one outcome.
     """
 
+    outcome_probabilities: tuple[float, float, float, float]
     counts: tuple[int, int, int, int]
     mean_payoff_a: float
     mean_payoff_b: float
@@ -45,10 +48,21 @@ class SimulationReport:
     std_error_b: float
 
 
+# Index maps of a row flip (k -> k ^ 2) and a column flip (k -> k ^ 1).
+_ROW_FLIP = np.array(_flipped(range(4), True, False))
+_COL_FLIP = np.array(_flipped(range(4), False, True))
+
+
 def outcome_distribution(config: SimulationConfig) -> np.ndarray:
-    """Probabilities of the four collapse outcomes for this configuration."""
-    rho_fin = mixed_final_density(config.initial, config.mix)
-    probs = np.clip(rho_fin.diagonal_probabilities(), 0.0, None)
+    """Probabilities of the four collapse outcomes for this configuration.
+
+    Keeping or flipping permutes the initial density's diagonal, so the
+    final diagonal is its keep/flip mix, one player at a time.
+    """
+    d = config.initial.diagonal_probabilities()
+    p, q = config.mix.p, config.mix.q
+    row = p * d + (1.0 - p) * d[_ROW_FLIP]
+    probs = np.clip(q * row + (1.0 - q) * row[_COL_FLIP], 0.0, None)
     return probs / probs.sum()
 
 
@@ -74,9 +88,10 @@ def simulate(config: SimulationConfig) -> SimulationReport:
         variance = float(counts @ ((values - mean) / unit) ** 2) / (config.rounds - 1)
         return mean, float(np.sqrt(variance / config.rounds) * unit)
 
-    mean_a, se_a = stats(game.payoff_a.ravel())
-    mean_b, se_b = stats(game.payoff_b.ravel())
+    mean_a, se_a = stats(np.ravel(game.payoff_a))
+    mean_b, se_b = stats(np.ravel(game.payoff_b))
     return SimulationReport(
+        outcome_probabilities=tuple(probs.tolist()),
         counts=tuple(int(c) for c in counts),
         mean_payoff_a=mean_a,
         mean_payoff_b=mean_b,

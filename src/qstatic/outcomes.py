@@ -1,0 +1,135 @@
+"""Joint states and their outcome probabilities over (|OO>, |OT>, |TO>, |TT>).
+
+Payoffs are measured in the joint basis, so only the four outcome
+probabilities |a_k|^2 of the initial state ever enter a payoff, and keeping
+or flipping a player's half only permutes them. This module computes the
+production payoff surfaces from those probabilities in plain Python; the
+numpy-backed density-matrix routes in ``qstatic.quantum_core`` are their
+oracle. The first tensor slot belongs to the row player.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Sequence
+
+from .errors import ConstraintViolation
+from .game_core import BilinearPayoff, MixProbabilities
+
+if TYPE_CHECKING:
+    from .quantum_core import DensityMatrix
+
+__all__ = ["BASIS_LABELS", "STATE_NORM_TOL", "StateVector", "MixingChoice", "payoff_surfaces"]
+
+#: Canonical ordering of the joint basis; row player's symbol first.
+BASIS_LABELS = ("OO", "OT", "TO", "TT")
+
+# The validators test ``not gap <= TOL`` rather than ``gap > TOL`` so that a
+# NaN anywhere in the input fails the check instead of slipping past it.
+STATE_NORM_TOL = 1e-12
+
+#: Each player keeps their part of the state with the given probability
+#: (p for the row player, q for the column player) and flips it otherwise:
+#: the classical mixing probabilities, read as keep probabilities.
+MixingChoice = MixProbabilities
+
+
+def _flipped(values: Sequence[Any], row_flips: bool, col_flips: bool) -> tuple:
+    """Values over the joint basis after the chosen players flip their halves.
+
+    A flip swaps one player's symbol: basis index k = 2 r + c becomes k ^ s,
+    with s = 2 for a row flip, 1 for a column flip and 3 for both. This is
+    the only definition of "flip": the outcome probabilities here and the
+    density conjugation in ``quantum_core`` both permute through it.
+    """
+    s = 2 * int(row_flips) + int(col_flips)
+    return tuple(values[k ^ s] for k in range(4))
+
+
+@dataclass(frozen=True, eq=False)
+class StateVector:
+    """Normalized joint strategy state: 4 complex amplitudes over BASIS_LABELS."""
+
+    amplitudes: tuple[complex, complex, complex, complex]
+
+    def __post_init__(self) -> None:
+        amps = tuple(map(complex, self.amplitudes))
+        if len(amps) != 4:
+            raise ConstraintViolation(
+                f"a joint state needs exactly 4 amplitudes, got {len(amps)}"
+            )
+        object.__setattr__(self, "amplitudes", amps)
+        norm_sq = sum(self.probabilities)
+        if not abs(norm_sq - 1.0) <= STATE_NORM_TOL:
+            raise ConstraintViolation(
+                f"state vector is not normalized: sum of squared moduli = {norm_sq!r}"
+            )
+
+    @classmethod
+    def basis(cls, which: int | str) -> StateVector:
+        """Basis state by index 0..3 or by label such as "TO"."""
+        index = BASIS_LABELS.index(which) if isinstance(which, str) else which
+        if not 0 <= index <= 3:
+            raise ConstraintViolation(f"basis index must be 0..3, got {which!r}")
+        return cls([1.0 if k == index else 0.0 for k in range(4)])
+
+    @classmethod
+    def oo_tt(cls, a: complex, b: complex) -> StateVector:
+        """Superposition a|OO> + b|TT> (must be normalized)."""
+        return cls((a, 0.0, 0.0, b))
+
+    @classmethod
+    def bell(cls) -> StateVector:
+        """The maximally entangled state (|OO> + |TT>) / sqrt(2)."""
+        return cls.oo_tt(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
+
+    @property
+    def probabilities(self) -> tuple[float, float, float, float]:
+        """Outcome probabilities |a_k|^2 of a measurement in the joint basis."""
+        return tuple([a.real * a.real + a.imag * a.imag for a in self.amplitudes])
+
+    def density_matrix(self) -> DensityMatrix:
+        """The projector |psi><psi| as a numpy-backed ``DensityMatrix``."""
+        import numpy as np
+
+        from .quantum_core import DensityMatrix
+
+        amps = np.array(self.amplitudes)
+        return DensityMatrix(np.outer(amps, amps.conj()))
+
+
+#: Outcome index maps at the corners (1,1), (1,0), (0,1) and (0,0) of the
+#: keep probabilities: nobody flips, the column player flips, the row player
+#: flips, both flip.
+_CORNER_FLIPS = tuple(
+    _flipped(range(4), row_flips, col_flips)
+    for row_flips, col_flips in ((False, False), (False, True), (True, False), (True, True))
+)
+
+
+def _corner_means(payoffs: Sequence[float], probabilities: Sequence[float]) -> list[float]:
+    """Mean payoffs at the corners, in ``_CORNER_FLIPS`` order."""
+    x0, x1, x2, x3 = payoffs
+    d = probabilities
+    return [x0 * d[i] + x1 * d[j] + x2 * d[k] + x3 * d[m] for i, j, k, m in _CORNER_FLIPS]
+
+
+def payoff_surfaces(
+    probabilities: Sequence[float],
+    payoffs_a: Sequence[float],
+    payoffs_b: Sequence[float],
+) -> tuple[BilinearPayoff, BilinearPayoff]:
+    """Both players' payoffs as bilinear surfaces over the keep probabilities
+    (p, q), for an initial state with these outcome probabilities.
+
+    ``payoffs_a`` and ``payoffs_b`` are each player's payoffs at the outcomes
+    (OO, OT, TO, TT). The mixing map makes each payoff bilinear in (p, q),
+    and the surface is pinned by its four corner payoffs, each a dot product
+    with the permuted probabilities. The arithmetic is plain, so
+    ``Fraction`` inputs give exact surfaces.
+    """
+    return (
+        BilinearPayoff.from_corner_values(*_corner_means(payoffs_a, probabilities)),
+        BilinearPayoff.from_corner_values(*_corner_means(payoffs_b, probabilities)),
+    )

@@ -1,10 +1,13 @@
 """Quantum strategy space over the joint basis (|OO>, |OT>, |TO>, |TT>).
 
-State vectors and 4x4 density matrices for the two players' joint choice,
-local SU(2) manipulation, the identity/flip mixing map, diagonal payoff
-observables, and trace payoffs. The first tensor slot belongs to the row
-player. Payoff evaluation is phase-insensitive throughout: only squared
-moduli (the density diagonal) ever enter a payoff.
+Numpy-backed 4x4 density matrices for the two players' joint choice, local
+SU(2) manipulation, the identity/flip mixing map on densities, diagonal
+payoff observables, and trace payoffs: the independent routes the
+acceptance criteria check the production payoffs of ``qstatic.outcomes``
+against. The joint state vector and the payoff surfaces come from
+``outcomes`` and are importable from here too. The first tensor slot belongs
+to the row player. Payoff evaluation is phase-insensitive throughout: only
+squared moduli (the density diagonal) ever enter a payoff.
 """
 
 from __future__ import annotations
@@ -14,7 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintViolation, InternalConsistencyError
-from .game_core import BilinearPayoff, GamePayoffs, MixProbabilities, _bos_table
+from .game_core import BilinearPayoff, GamePayoffs, _bos_table
+from .outcomes import (
+    BASIS_LABELS,
+    STATE_NORM_TOL,
+    MixingChoice,
+    StateVector,
+    _corner_means,
+    _flipped,
+    payoff_surfaces,
+)
 
 __all__ = [
     "BASIS_LABELS",
@@ -32,16 +44,13 @@ __all__ = [
     "projection_probabilities",
     "mixed_final_density",
     "payoff_operators",
+    "payoff_surfaces",
     "trace_payoffs",
     "bilinear_payoff_coefficients",
 ]
 
-#: Canonical ordering of the joint basis; row player's symbol first.
-BASIS_LABELS = ("OO", "OT", "TO", "TT")
-
 # The validators test ``not gap <= TOL`` rather than ``gap > TOL`` so that a
 # NaN anywhere in the input fails the check instead of slipping past it.
-STATE_NORM_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 #: Eigenvalues may dip slightly negative from repeated conjugation round-off.
@@ -53,66 +62,19 @@ IMAG_PART_TOL = 1e-9
 def _flip_index(row_flips: bool, col_flips: bool) -> np.ndarray:
     """Flat index map of conjugation by (flip^row ⊗ flip^col) on a 4x4 matrix.
 
-    A flip swaps one player's symbol in both the ket and the bra index: basis
-    index k = 2 r + c becomes k ^ s, with s = 2 for a row flip, 1 for a
-    column flip and 3 for both. Entry (m, n) of the conjugated matrix is entry
-    (m ^ s, n ^ s) of the original, so gathering the flattened matrix with
-    this map is the conjugation, exactly.
+    A flip swaps one player's symbol in both the ket and the bra index
+    (``outcomes._flipped``), so entry (m, n) of the conjugated matrix is entry
+    (m ^ s, n ^ s) of the original: gathering the flattened matrix with this
+    map is the conjugation, exactly.
     """
-    k = np.arange(4) ^ (2 * int(row_flips) + int(col_flips))
+    k = np.array(_flipped(range(4), row_flips, col_flips))
     return (4 * k[:, None] + k[None, :]).ravel()
 
 
-# The only definition of "flip" on joint densities: the mixing map and its
-# corner surface both gather through these maps.
 _FLIP_ROW = _flip_index(True, False)
 _FLIP_COL = _flip_index(False, True)
 # Flat index map of the transpose: entry (i, j) gathers entry (j, i).
 _TRANSPOSE = np.arange(16).reshape(4, 4).T.ravel()
-
-
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """Normalized joint strategy state: 4 complex amplitudes over BASIS_LABELS."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex)
-        if amps.shape != (4,):
-            raise ConstraintViolation(
-                f"a joint state needs exactly 4 amplitudes, got shape {amps.shape}"
-            )
-        norm_sq = float(np.vdot(amps, amps).real)
-        if not abs(norm_sq - 1.0) <= STATE_NORM_TOL:
-            raise ConstraintViolation(
-                f"state vector is not normalized: sum of squared moduli = {norm_sq!r}"
-            )
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def basis(cls, which: int | str) -> StateVector:
-        """Basis state by index 0..3 or by label such as "TO"."""
-        index = BASIS_LABELS.index(which) if isinstance(which, str) else which
-        if not 0 <= index <= 3:
-            raise ConstraintViolation(f"basis index must be 0..3, got {which!r}")
-        amps = np.zeros(4, dtype=complex)
-        amps[index] = 1.0
-        return cls(amps)
-
-    @classmethod
-    def oo_tt(cls, a: complex, b: complex) -> StateVector:
-        """Superposition a|OO> + b|TT> (must be normalized)."""
-        return cls(np.array([a, 0.0, 0.0, b], dtype=complex))
-
-    @classmethod
-    def bell(cls) -> StateVector:
-        """The maximally entangled state (|OO> + |TT>) / sqrt(2)."""
-        return cls.oo_tt(1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
-
-    def density_matrix(self) -> DensityMatrix:
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +117,7 @@ class DensityMatrix:
 
     def fidelity(self, psi: StateVector) -> float:
         """Overlap <psi| rho |psi>, real for a valid density matrix."""
-        amps = psi.amplitudes
+        amps = np.array(psi.amplitudes)
         return float(np.real(amps.conj() @ self.entries @ amps))
 
 
@@ -205,17 +167,11 @@ class PayoffOperator:
         d = d.copy()
         d.setflags(write=False)
         object.__setattr__(self, "diagonal", d)
-        # _payoff_means dots the diagonal with a complex one; numpy would cast
+        # trace_payoffs dots the diagonal with a complex one; numpy would cast
         # the real diagonal to this same complex copy on every call.
         d_complex = d.astype(complex)
         d_complex.setflags(write=False)
         object.__setattr__(self, "_complex_diagonal", d_complex)
-
-
-#: Each player keeps their part of the state with the given probability
-#: (p for the row player, q for the column player) and flips it otherwise:
-#: the classical mixing probabilities, read as keep probabilities.
-MixingChoice = MixProbabilities
 
 
 def apply_local_unitaries(
@@ -230,7 +186,7 @@ def apply_local_unitaries(
     # Ua M Ub^T (a plain transpose), written out entry by entry.
     a, b, c, d = ua.a, ua.b, ub.a, ub.b
     a_, b_, c_, d_ = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
-    m00, m01, m10, m11 = psi_in.amplitudes.tolist()
+    m00, m01, m10, m11 = psi_in.amplitudes
     # Column player: Ub = [[c, d], [-conj(d), conj(c)]] on the second slot.
     n00 = c * m00 + d * m01
     n01 = c_ * m01 - d_ * m00
@@ -278,19 +234,13 @@ def payoff_operators(params: GamePayoffs) -> tuple[PayoffOperator, PayoffOperato
     return PayoffOperator(row), PayoffOperator(col)
 
 
-def _payoff_means(
-    pa: PayoffOperator, pb: PayoffOperator, diag: np.ndarray, what: str
-) -> tuple[float, float]:
-    """Both players' mean payoffs over a density diagonal.
-
-    An imaginary residue beyond IMAG_PART_TOL times the payoff scale (largest
-    |payoff entry|, at least 1) is an internal inconsistency, named by ``what``;
-    a valid density's diagonal is real within HERMITIAN_TOL / 2.
+def _check_imaginary_residue(
+    residue: float, what: str, pa: PayoffOperator, pb: PayoffOperator
+) -> None:
+    """An imaginary residue beyond IMAG_PART_TOL times the payoff scale
+    (largest |payoff entry|, at least 1) is an internal inconsistency, named
+    by ``what``; a valid density's diagonal is real within HERMITIAN_TOL / 2.
     """
-    # ndarray.dot runs the same dot loop as ``@`` without the gufunc set-up.
-    value_a = complex(pa._complex_diagonal.dot(diag))
-    value_b = complex(pb._complex_diagonal.dot(diag))
-    residue = max(abs(value_a.imag), abs(value_b.imag))
     # The scale is taken only past the absolute bound, off the common path.
     if residue > IMAG_PART_TOL and residue > IMAG_PART_TOL * max(
         1.0, *np.abs(pa.diagonal), *np.abs(pb.diagonal)
@@ -298,7 +248,6 @@ def _payoff_means(
         raise InternalConsistencyError(
             f"{what} payoff has imaginary residue {residue:.3e}"
         )
-    return value_a.real, value_b.real
 
 
 def trace_payoffs(
@@ -306,28 +255,26 @@ def trace_payoffs(
 ) -> tuple[float, float]:
     """Mean values tr(P rho) for both diagonal payoff operators; only the
     diagonal of rho contributes."""
-    return _payoff_means(pa, pb, rho.entries.diagonal(), "trace")
+    diag = rho.entries.diagonal()
+    # ndarray.dot runs the same dot loop as ``@`` without the gufunc set-up.
+    value_a = complex(pa._complex_diagonal.dot(diag))
+    value_b = complex(pb._complex_diagonal.dot(diag))
+    _check_imaginary_residue(max(abs(value_a.imag), abs(value_b.imag)), "trace", pa, pb)
+    return value_a.real, value_b.real
 
 
 def bilinear_payoff_coefficients(
     rho_in: DensityMatrix, pa: PayoffOperator, pb: PayoffOperator
 ) -> tuple[BilinearPayoff, BilinearPayoff]:
-    """Coefficients of both players' payoffs as functions of the keep
-    probabilities (p, q).
+    """``outcomes.payoff_surfaces`` for a density matrix and two payoff
+    operators: only the density's diagonal enters.
 
-    The mixing map makes each payoff bilinear in (p, q); the surface is
-    pinned by the four corner payoffs, obtained by conjugating ``rho_in``
-    with each keep/flip combination. Evaluating the returned forms at any
-    corner reproduces the corresponding corner payoff exactly.
+    The diagonal's imaginary part must leave every corner payoff real within
+    IMAG_PART_TOL of the payoff scale.
     """
-    r = rho_in.entries.ravel()
-    row_flipped = r[_FLIP_ROW]
-    # conjugated[::5] holds entries (k, k) of the flattened 4x4.
-    (t11_a, t11_b), (t10_a, t10_b), (t01_a, t01_b), (t00_a, t00_b) = (
-        _payoff_means(pa, pb, conjugated[::5], "corner")
-        for conjugated in (r, r[_FLIP_COL], row_flipped, row_flipped[_FLIP_COL])
-    )
-    return (
-        BilinearPayoff.from_corner_values(t11_a, t10_a, t01_a, t00_a),
-        BilinearPayoff.from_corner_values(t11_b, t10_b, t01_b, t00_b),
-    )
+    diagonal = rho_in.entries.diagonal().tolist()
+    payoffs_a, payoffs_b = pa.diagonal.tolist(), pb.diagonal.tolist()
+    imaginary = [d.imag for d in diagonal]
+    residues = _corner_means(payoffs_a, imaginary) + _corner_means(payoffs_b, imaginary)
+    _check_imaginary_residue(max(map(abs, residues)), "corner", pa, pb)
+    return payoff_surfaces([d.real for d in diagonal], payoffs_a, payoffs_b)

@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qstatic
 import qstatic.cli as cli
 from qstatic.cli import load_config, main
 from qstatic.errors import InternalConsistencyError
@@ -480,6 +484,14 @@ class TestSweepCommand:
         rows = run_csv(capsys, ["sweep", "--config", bos_config, "--steps", "2"])
         assert len(rows) == 3  # header + 2 data rows
 
+    @pytest.mark.parametrize("steps", [2, 3, 7, 101, 4001])
+    def test_grid_is_linspace_bit_for_bit(self, bos_config, steps):
+        args = cli.build_parser().parse_args(
+            ["sweep", "--config", bos_config, "--steps", str(steps)]
+        )
+        rows = cli.cmd_sweep(load_config(bos_config), args)["rows"]
+        assert [row["a2"] for row in rows] == np.linspace(0.0, 1.0, steps).tolist()
+
     def test_p_sweep_tabulates_payoff_slice(self, capsys, bos_config):
         doc = run_json(
             capsys,
@@ -503,14 +515,14 @@ class TestSweepCommand:
         assert f"{name} must lie in [0, 1]" in captured.err
 
     @pytest.mark.parametrize("param", ["p", "q"])
-    def test_payoff_sweep_builds_one_density(self, capsys, bos_config, monkeypatch, param):
+    def test_payoff_sweep_builds_no_density(self, capsys, bos_config, monkeypatch, param):
         built = []
         check = DensityMatrix.__post_init__
         monkeypatch.setattr(DensityMatrix, "__post_init__", lambda rho: built.append(check(rho)))
         argv = ["sweep", "--config", bos_config, "--param", param, "--steps", "2001"]
         assert main(argv) == 0
         capsys.readouterr()
-        assert len(built) == 1
+        assert built == []
 
     def test_steps_below_two_exit_2(self, capsys, bos_config):
         assert main(["sweep", "--config", bos_config, "--steps", "1"]) == 2
@@ -569,9 +581,127 @@ class TestExitCodes:
         def forged_failure(*args, **kwargs):
             raise InternalConsistencyError("forged imaginary residue")
 
-        monkeypatch.setattr(cli, "bilinear_payoff_coefficients", forged_failure)
+        monkeypatch.setattr(cli, "payoff_surfaces", forged_failure)
         assert main(["simulate", "--config", bos_config, "--rounds", "10"]) == 1
         assert "internal error" in capsys.readouterr().err
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this qstatic."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qstatic.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+
+
+_RUN_MAIN = """
+import contextlib, io, json, sys
+from qstatic.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+class TestNumpyFreeImportPath:
+    """classical, quantum and sweep run on the standard library; simulate
+    and the density oracle load numpy."""
+
+    CONFIGS = {
+        "family": {"payoffs": {"alpha": 3, "beta": 2, "gamma": 1}, "initial_state": {"a2": 0.3}},
+        "bell": {"payoffs": {"alpha": 3, "beta": 2, "gamma": 1}, "initial_state": "bell"},
+        "amplitudes": {
+            "payoffs": {"alpha": 5, "beta": 4, "gamma": -2},
+            "initial_state": [[0.5, 0.5], [0.0, 0.5], [0.5, 0.0], [0.0, 0.0]],
+        },
+        "amplitudes_in_family": {
+            "payoffs": {"alpha": 3, "beta": 2, "gamma": 1},
+            "initial_state": [[0.6, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.8]],
+        },
+        "bimatrix2": {"payoffs": {"payoff_a": [[3, 0], [5, 1]], "payoff_b": [[3, 5], [0, 1]]}},
+        "bimatrix3": {
+            "payoffs": {
+                "payoff_a": [[4, 1, 0], [2, 3, 1], [0, 0, 5]],
+                "payoff_b": [[1, 2, 0], [3, 0, 2], [0, 1, 4]],
+            }
+        },
+    }
+    COMMANDS = (
+        ["classical"],
+        ["quantum", "--mode", "entangled"],
+        ["quantum", "--mode", "factorizable"],
+        ["sweep", "--param", "a2"],
+        ["sweep", "--param", "p", "--q", "0.3"],
+        ["sweep", "--param", "q", "--p", "0.8"],
+    )
+
+    def test_classical_quantum_and_sweep_load_no_numpy(self, tmp_path):
+        argvs, expected = [], []
+        for name, doc in self.CONFIGS.items():
+            path = write_config(tmp_path, doc, f"{name}.json")
+            for command in self.COMMANDS:
+                for fmt in ("table", "json", "csv"):
+                    argvs.append([*command, "--config", path, "--format", fmt])
+                    # The quantum and sweep commands need the parametric payoffs.
+                    explicit = "payoff_a" in doc["payoffs"]
+                    expected.append(2 if explicit and command[0] != "classical" else 0)
+        result = json.loads(run_python(_RUN_MAIN, json.dumps(argvs)).stdout)
+        assert result["codes"] == expected
+        assert result["numpy"] is False
+
+    def test_simulate_runs_and_loads_numpy(self, tmp_path):
+        path = write_config(tmp_path, self.CONFIGS["amplitudes"])
+        argv = ["simulate", "--config", path, "--rounds", "100", "--seed", "4"]
+        result = json.loads(run_python(_RUN_MAIN, json.dumps([argv])).stdout)
+        assert result == {"codes": [0], "numpy": True}
+
+    def test_import_qstatic_loads_no_numpy(self):
+        code = (
+            "import sys, qstatic\n"
+            "print('numpy' in sys.modules)\n"
+            "print(qstatic.DensityMatrix.__module__, 'numpy' in sys.modules)"
+        )
+        assert run_python(code).stdout.split() == ["False", "qstatic.quantum_core", "True"]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    phases=st.lists(st.floats(-math.pi, math.pi), min_size=4, max_size=4),
+    k=st.integers(-6, 6),
+)
+def test_amplitude_phases_leave_quantum_equilibria_unchanged(tmp_path_factory, seed, phases, k):
+    """Only squared moduli enter a payoff: multiplying each amplitude of a
+    state outside the family by its own phase keeps every equilibrium."""
+    rng = np.random.default_rng(seed)
+    levels = (np.sort(rng.uniform(0.1, 10.0, 3))[::-1] * 10.0**k).tolist()
+    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+    amps /= np.linalg.norm(amps)
+
+    def equilibria(state):
+        path = tmp_path_factory.mktemp("phase") / "game.json"
+        doc = {
+            "payoffs": dict(zip(("alpha", "beta", "gamma"), levels)),
+            "initial_state": [[a.real, a.imag] for a in state.tolist()],
+        }
+        path.write_text(json.dumps(doc))
+        args = cli.build_parser().parse_args(["quantum", "--config", str(path)])
+        report = cli.cmd_quantum(load_config(str(path)), args)
+        assert report["unique_solution"] is None  # outside the family
+        return report["equilibria"]
+
+    base = equilibria(amps)
+    moved = equilibria(amps * np.exp(1j * np.array(phases)))
+    assert [row["kind"] for row in moved] == [row["kind"] for row in base]
+    scale = max(map(abs, levels))
+    for got, want in zip(moved, base):
+        assert abs(got["p"] - want["p"]) <= 1e-12
+        assert abs(got["q"] - want["q"]) <= 1e-12
+        assert abs(got["payoff_a"] - want["payoff_a"]) <= 1e-12 * scale
+        assert abs(got["payoff_b"] - want["payoff_b"]) <= 1e-12 * scale
 
 
 # A complex state outside the family; its density diagonal keeps an imaginary

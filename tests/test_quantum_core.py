@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -17,6 +19,7 @@ from qstatic.quantum_core import (
     bilinear_payoff_coefficients,
     mixed_final_density,
     payoff_operators,
+    payoff_surfaces,
     projection_probabilities,
     trace_payoffs,
 )
@@ -70,7 +73,7 @@ class TestStateVector:
 
     def test_amplitudes_frozen(self):
         state = StateVector.bell()
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             state.amplitudes[0] = 0.0
 
     def test_projector_is_valid_density(self):
@@ -354,6 +357,24 @@ class TestBilinearCoefficients:
         assert bp_a.p_coeff == pytest.approx(-1.0, abs=1e-12)
         assert bp_a.q_coeff == pytest.approx(-1.0, abs=1e-12)
         assert bp_a.const == pytest.approx(2.0, abs=1e-12)
+
+    def test_outcome_probabilities_give_exact_surfaces_on_fractions(self):
+        # The superposition-family case above, a2 = 4/5, in exact arithmetic.
+        probabilities = (Fraction(4, 5), 0, 0, Fraction(1, 5))
+        bp_a, bp_b = payoff_surfaces(probabilities, (3, 1, 1, 2), (2, 1, 1, 3))
+        assert (bp_a.pq_coeff, bp_a.p_coeff, bp_a.q_coeff, bp_a.const) == (
+            3, Fraction(-6, 5), Fraction(-6, 5), Fraction(11, 5)
+        )
+        assert (bp_b.pq_coeff, bp_b.p_coeff, bp_b.q_coeff, bp_b.const) == (
+            3, Fraction(-9, 5), Fraction(-9, 5), Fraction(14, 5)
+        )
+
+    def test_flags_imaginary_residue(self):
+        # The adapter reads the density's diagonal and keeps the residue check.
+        rho = object.__new__(DensityMatrix)
+        object.__setattr__(rho, "entries", np.diag([1j, 0, 0, 1 - 1j]))
+        with pytest.raises(InternalConsistencyError, match="corner payoff"):
+            bilinear_payoff_coefficients(rho, *payoff_operators(BOS))
 
     def test_corner_evaluations_return_corner_payoffs(self):
         rng = np.random.default_rng(19)
