@@ -454,6 +454,17 @@ class TestSimulateCommand:
     def test_invalid_rounds_exit_2(self, capsys, bos_config):
         assert main(["simulate", "--config", bos_config, "--rounds", "0"]) == 2
 
+    @pytest.mark.parametrize("rounds", [2**63, 10**20])
+    def test_rounds_beyond_int64_exit_2(self, capsys, bos_config, rounds):
+        assert main(["simulate", "--config", bos_config, "--rounds", str(rounds)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "rounds" in err
+
+    def test_ten_billion_rounds_count_exactly(self, capsys, bos_config):
+        argv = ["simulate", "--config", bos_config, "--rounds", str(10**10)]
+        assert sum(run_json(capsys, argv)["counts"].values()) == 10**10
+
     def test_invalid_probability_exit_2(self, capsys, bos_config):
         assert main(["simulate", "--config", bos_config, "--p", "1.5"]) == 2
 
@@ -824,7 +835,8 @@ def _options(draw, command):
     if command == "quantum":
         options += ["--mode", draw(st.sampled_from(["factorizable", "entangled"]))]
     if command == "simulate":
-        options += ["--rounds", str(draw(_sometimes(st.integers(-1, 0), st.integers(1, 40))))]
+        rounds = st.one_of(st.integers(1, 40), st.integers(2**63 - 1, 2**70))
+        options += ["--rounds", str(draw(_sometimes(st.integers(-1, 0), rounds)))]
         seed = _sometimes(st.sampled_from([-1, 2**64]), st.integers(0, 2**64 - 1))
         options += ["--seed", str(draw(seed))]
     if command == "sweep":

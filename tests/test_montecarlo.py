@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -45,6 +47,11 @@ class TestValidation:
         with pytest.raises(ConstraintViolation):
             config(StateVector.basis("OO").density_matrix(), 1.0, 1.0, 10, 2**64)
 
+    @pytest.mark.parametrize("rounds", [2**63, 10**20])
+    def test_rejects_rounds_beyond_int64(self, rounds):
+        with pytest.raises(ConstraintViolation, match="rounds"):
+            config(StateVector.basis("OO").density_matrix(), 1.0, 1.0, rounds, 1)
+
 
 class TestDeterministicCases:
     def test_certain_outcome_yields_exact_payoffs(self):
@@ -58,6 +65,14 @@ class TestDeterministicCases:
         cfg = config(StateVector.basis("TT").density_matrix(), 1.0, 1.0, 1, 0)
         report = simulate(cfg)
         assert sum(report.counts) == 1
+        assert (report.std_error_a, report.std_error_b) == (0.0, 0.0)
+
+    def test_certain_outcome_at_the_largest_round_count(self):
+        rounds = 2**63 - 1
+        cfg = config(StateVector.basis("OO").density_matrix(), 1.0, 1.0, rounds, 123)
+        report = simulate(cfg)
+        assert report.counts == (rounds, 0, 0, 0)
+        assert (report.mean_payoff_a, report.mean_payoff_b) == (3.0, 2.0)
         assert (report.std_error_a, report.std_error_b) == (0.0, 0.0)
 
 
@@ -95,6 +110,25 @@ class TestAgreementWithAnalytic:
     def test_counts_sum_to_rounds(self):
         cfg = config(EntangledFamilyState(0.3).density_matrix(), 0.4, 0.9, 12345, 5)
         assert sum(simulate(cfg).counts) == 12345
+
+    def test_trillion_rounds_count_exactly_and_agree(self):
+        rounds = 10**12
+        cfg = config(EntangledFamilyState(0.5).density_matrix(), 0.5, 0.5, rounds, 11)
+        report = simulate(cfg)
+        assert sum(report.counts) == rounds
+        assert abs(report.mean_payoff_a - 1.75) <= 4 * report.std_error_a
+        assert abs(report.mean_payoff_b - 1.75) <= 4 * report.std_error_b
+
+
+def test_memory_does_not_grow_with_rounds():
+    cfg = config(EntangledFamilyState(0.5).density_matrix(), 0.5, 0.5, 10**7, 3)
+    tracemalloc.start()
+    try:
+        simulate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 class TestStatisticalProperties:
