@@ -847,7 +847,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="seeded measurement-collapse simulation")
     common(sim)
-    sim.add_argument("--rounds", type=int, default=10000, help="number of rounds")
+    sim.add_argument(
+        "--rounds",
+        type=int,
+        default=10000,
+        help="number of rounds, 1 to 2**63 - 1; the outcome counts are one multinomial draw",
+    )
     sim.add_argument("--seed", type=int, default=0, help="generator seed")
     sim.add_argument("--p", type=float, default=0.5, help="row player keep probability")
     sim.add_argument("--q", type=float, default=0.5, help="column player keep probability")

@@ -1,10 +1,6 @@
 """Measurement-collapse simulator: repeated play with a fresh identical
 state preparation each round, outcomes drawn from the final density's
-diagonal, payoffs accrued from the classical bimatrix entries only.
-
-Independent rounds make the four outcome tallies one multinomial sample,
-so they are drawn in a single call whose cost does not grow with the
-number of rounds."""
+diagonal, payoffs accrued from the classical bimatrix entries only."""
 
 from __future__ import annotations
 
