@@ -211,7 +211,7 @@ def load_config(path: str) -> LoadedConfig:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     try:
         doc = json.loads(text)
@@ -219,6 +219,8 @@ def load_config(path: str) -> LoadedConfig:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     unknown = set(doc) - {"payoffs", "initial_state", "labels"}

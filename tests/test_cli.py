@@ -79,6 +79,21 @@ class TestConfigLoading:
         err = capsys.readouterr().err
         assert f"{path}:3" in err
 
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        doc = '{"payoffs": {"alpha": 3, "beta": 2, "gamma": 1}, "é": 1}'
+        path.write_bytes(doc.encode("latin-1"))
+        assert main(["classical", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: cannot read config") and err.count("\n") == 1
+
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        assert main(["classical", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: invalid JSON: nested too deeply\n"
+
     def test_degenerate_payoffs_exit_2_names_constraint(self, tmp_path, capsys):
         path = write_config(
             tmp_path, {"payoffs": {"alpha": 2, "beta": 2, "gamma": 1}}
