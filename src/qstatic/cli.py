@@ -496,7 +496,7 @@ def cmd_simulate(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
             rounds=args.rounds,
             seed=args.seed,
             mix=MixingChoice(args.p, args.q),
-            initial=cfg.state.density_matrix(),
+            initial=cfg.state,
             payoffs=params,
         )
     except ConstraintViolation as exc:

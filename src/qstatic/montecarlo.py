@@ -1,6 +1,7 @@
 """Measurement-collapse simulator: repeated play with a fresh identical
-state preparation each round, outcomes drawn from the final density's
-diagonal, payoffs accrued from the classical bimatrix entries only."""
+state preparation each round, outcomes drawn from the state's outcome
+probabilities permuted by the keep/flip moves, payoffs accrued from the
+classical bimatrix entries only."""
 
 from __future__ import annotations
 
@@ -9,9 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintViolation
-from .game_core import GamePayoffs, bos_bimatrix
-from .outcomes import MixingChoice, _flipped
-from .quantum_core import DensityMatrix
+from .game_core import GamePayoffs, _bos_table
+from .outcomes import MixingChoice, StateVector, _flipped
 
 __all__ = ["SimulationConfig", "SimulationReport", "simulate"]
 
@@ -21,7 +21,7 @@ class SimulationConfig:
     rounds: int
     seed: int
     mix: MixingChoice
-    initial: DensityMatrix
+    initial: StateVector
     payoffs: GamePayoffs
 
     def __post_init__(self) -> None:
@@ -51,39 +51,28 @@ class SimulationReport:
     std_error_b: float
 
 
-# Index maps of a row flip (k -> k ^ 2) and a column flip (k -> k ^ 1).
-_ROW_FLIP = np.array(_flipped(range(4), True, False))
-_COL_FLIP = np.array(_flipped(range(4), False, True))
-
-
-def outcome_distribution(config: SimulationConfig) -> np.ndarray:
-    """Probabilities of the four collapse outcomes for this configuration.
-
-    Keeping or flipping permutes the initial density's diagonal, so the
-    final diagonal is its keep/flip mix, one player at a time.
-    """
-    d = config.initial.diagonal_probabilities()
-    p, q = config.mix.p, config.mix.q
-    row = p * d + (1.0 - p) * d[_ROW_FLIP]
-    probs = np.clip(q * row + (1.0 - q) * row[_COL_FLIP], 0.0, None)
-    return probs / probs.sum()
-
-
 def simulate(config: SimulationConfig) -> SimulationReport:
     """Play the configured game ``rounds`` times and tally collapsed outcomes.
 
-    The tallies are one multinomial draw over the four outcome
-    probabilities: the same distribution as ``rounds`` independent
-    collapses, at a time and memory cost that does not depend on
-    ``rounds``. The generator is seeded PCG64, so an identical config
-    reproduces the report bit for bit.
+    Keeping or flipping permutes the state's outcome probabilities, so the
+    final ones are their keep/flip mix, the row player's move first. The
+    tallies are one multinomial draw over them: the same distribution as
+    ``rounds`` independent collapses, at a time and memory cost that does
+    not depend on ``rounds``. The generator is seeded PCG64, so an
+    identical config reproduces the report bit for bit.
     """
-    probs = outcome_distribution(config)
+    p, q = config.mix.p, config.mix.q
+    d = config.initial.probabilities
+    row = [p * x + (1.0 - p) * y for x, y in zip(d, _flipped(d, True, False))]
+    mixed = [q * x + (1.0 - q) * y for x, y in zip(row, _flipped(row, False, True))]
+    # A fixed left-to-right order: the seeded draw depends on the last bit,
+    # and sum() compensates from Python 3.12 on.
+    total = ((mixed[0] + mixed[1]) + mixed[2]) + mixed[3]
+    probs = [x / total for x in mixed]
     counts = np.random.default_rng(config.seed).multinomial(config.rounds, probs)
 
-    game = bos_bimatrix(config.payoffs)
-
-    def stats(values: np.ndarray) -> tuple[float, float]:
+    def stats(payoffs: tuple[float, ...]) -> tuple[float, float]:
+        values = np.array(payoffs, dtype=float)
         mean = float(counts @ values) / config.rounds
         if config.rounds == 1:
             return mean, 0.0
@@ -92,10 +81,9 @@ def simulate(config: SimulationConfig) -> SimulationReport:
         variance = float(counts @ ((values - mean) / unit) ** 2) / (config.rounds - 1)
         return mean, float(np.sqrt(variance / config.rounds) * unit)
 
-    mean_a, se_a = stats(np.ravel(game.payoff_a))
-    mean_b, se_b = stats(np.ravel(game.payoff_b))
+    (mean_a, se_a), (mean_b, se_b) = map(stats, _bos_table(config.payoffs))
     return SimulationReport(
-        outcome_probabilities=tuple(probs.tolist()),
+        outcome_probabilities=tuple(probs),
         counts=tuple(int(c) for c in counts),
         mean_payoff_a=mean_a,
         mean_payoff_b=mean_b,

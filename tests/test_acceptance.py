@@ -230,7 +230,7 @@ def test_criterion_6_monte_carlo_validation():
         rounds=10**6,
         seed=20240817,
         mix=MixingChoice(0.5, 0.5),
-        initial=EntangledFamilyState(0.5).density_matrix(),
+        initial=EntangledFamilyState(0.5).state_vector(),
         payoffs=BOS,
     )
     start = time.perf_counter()

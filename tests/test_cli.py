@@ -628,13 +628,17 @@ codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         codes.append(main(argv))
-print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+print(json.dumps({
+    "codes": codes,
+    "numpy": "numpy" in sys.modules,
+    "quantum_core": "qstatic.quantum_core" in sys.modules,
+}))
 """
 
 
 class TestNumpyFreeImportPath:
     """classical, quantum and sweep run on the standard library; simulate
-    and the density oracle load numpy."""
+    loads numpy for its generator only, and the density oracle loads it."""
 
     CONFIGS = {
         "family": {"payoffs": {"alpha": 3, "beta": 2, "gamma": 1}, "initial_state": {"a2": 0.3}},
@@ -682,7 +686,7 @@ class TestNumpyFreeImportPath:
         path = write_config(tmp_path, self.CONFIGS["amplitudes"])
         argv = ["simulate", "--config", path, "--rounds", "100", "--seed", "4"]
         result = json.loads(run_python(_RUN_MAIN, json.dumps([argv])).stdout)
-        assert result == {"codes": [0], "numpy": True}
+        assert result == {"codes": [0], "numpy": True, "quantum_core": False}
 
     def test_import_qstatic_loads_no_numpy(self):
         code = (

@@ -1,13 +1,16 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from qstatic.equilibria import EntangledFamilyState
 from qstatic.errors import ConstraintViolation
 from qstatic.game_core import GamePayoffs
-from qstatic.montecarlo import SimulationConfig, outcome_distribution, simulate
+from qstatic.montecarlo import SimulationConfig, simulate
 from qstatic.quantum_core import (
     MixingChoice,
     StateVector,
@@ -31,66 +34,90 @@ def config(initial, p, q, rounds, seed):
 
 def analytic_payoffs(cfg: SimulationConfig) -> tuple[float, float]:
     pa, pb = payoff_operators(cfg.payoffs)
-    return trace_payoffs(pa, pb, mixed_final_density(cfg.initial, cfg.mix))
+    return trace_payoffs(pa, pb, mixed_final_density(cfg.initial.density_matrix(), cfg.mix))
 
 
 class TestValidation:
     def test_rejects_zero_rounds(self):
         with pytest.raises(ConstraintViolation):
-            config(StateVector.basis("OO").density_matrix(), 1.0, 1.0, 0, 1)
+            config(StateVector.basis("OO"), 1.0, 1.0, 0, 1)
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ConstraintViolation):
-            config(StateVector.basis("OO").density_matrix(), 1.0, 1.0, 10, -1)
+            config(StateVector.basis("OO"), 1.0, 1.0, 10, -1)
 
     def test_rejects_oversized_seed(self):
         with pytest.raises(ConstraintViolation):
-            config(StateVector.basis("OO").density_matrix(), 1.0, 1.0, 10, 2**64)
+            config(StateVector.basis("OO"), 1.0, 1.0, 10, 2**64)
 
     @pytest.mark.parametrize("rounds", [2**63, 10**20])
     def test_rejects_rounds_beyond_int64(self, rounds):
         with pytest.raises(ConstraintViolation, match="rounds"):
-            config(StateVector.basis("OO").density_matrix(), 1.0, 1.0, rounds, 1)
+            config(StateVector.basis("OO"), 1.0, 1.0, rounds, 1)
 
 
 class TestDeterministicCases:
     def test_certain_outcome_yields_exact_payoffs(self):
-        cfg = config(StateVector.basis("OO").density_matrix(), 1.0, 1.0, 50, 123)
+        cfg = config(StateVector.basis("OO"), 1.0, 1.0, 50, 123)
         report = simulate(cfg)
         assert report.counts == (50, 0, 0, 0)
         assert (report.mean_payoff_a, report.mean_payoff_b) == (3.0, 2.0)
         assert (report.std_error_a, report.std_error_b) == (0.0, 0.0)
 
     def test_single_round(self):
-        cfg = config(StateVector.basis("TT").density_matrix(), 1.0, 1.0, 1, 0)
+        cfg = config(StateVector.basis("TT"), 1.0, 1.0, 1, 0)
         report = simulate(cfg)
         assert sum(report.counts) == 1
         assert (report.std_error_a, report.std_error_b) == (0.0, 0.0)
 
     def test_certain_outcome_at_the_largest_round_count(self):
         rounds = 2**63 - 1
-        cfg = config(StateVector.basis("OO").density_matrix(), 1.0, 1.0, rounds, 123)
+        cfg = config(StateVector.basis("OO"), 1.0, 1.0, rounds, 123)
         report = simulate(cfg)
         assert report.counts == (rounds, 0, 0, 0)
         assert (report.mean_payoff_a, report.mean_payoff_b) == (3.0, 2.0)
         assert (report.std_error_a, report.std_error_b) == (0.0, 0.0)
 
 
+KEEP = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.sets(st.integers(0, 3), max_size=3),
+    p=KEEP,
+    q=KEEP,
+)
+def test_outcome_probabilities_match_the_density_oracle(seed, zeros, p, q):
+    """The keep/flip mix of the state's squared moduli is the diagonal of
+    the oracle's mixed final density, and it is normalized."""
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+    amps[list(zeros)] = 0.0
+    psi = StateVector(tuple(amps / np.linalg.norm(amps)))
+    mix = MixingChoice(p, q)
+    probs = simulate(config(psi, p, q, 1, seed)).outcome_probabilities
+    want = mixed_final_density(psi.density_matrix(), mix).diagonal_probabilities()
+    assert np.abs(np.array(probs) - want).max() <= 1e-15
+    assert abs(math.fsum(probs) - 1.0) <= 4 * math.ulp(1.0)
+
+
 class TestReproducibility:
     def test_same_seed_same_report(self):
-        cfg = config(EntangledFamilyState(0.5).density_matrix(), 0.5, 0.5, 20000, 42)
+        cfg = config(EntangledFamilyState(0.5).state_vector(), 0.5, 0.5, 20000, 42)
         assert simulate(cfg) == simulate(cfg)
 
     def test_different_seed_different_counts(self):
-        rho = EntangledFamilyState(0.5).density_matrix()
-        first = simulate(config(rho, 0.5, 0.5, 20000, 1))
-        second = simulate(config(rho, 0.5, 0.5, 20000, 2))
+        psi = EntangledFamilyState(0.5).state_vector()
+        first = simulate(config(psi, 0.5, 0.5, 20000, 1))
+        second = simulate(config(psi, 0.5, 0.5, 20000, 2))
         assert first.counts != second.counts
 
 
 class TestAgreementWithAnalytic:
     def test_balanced_superposition_at_half_mixing(self):
-        cfg = config(EntangledFamilyState(0.5).density_matrix(), 0.5, 0.5, 10**6, 7)
+        cfg = config(EntangledFamilyState(0.5).state_vector(), 0.5, 0.5, 10**6, 7)
         report = simulate(cfg)
         want_a, want_b = analytic_payoffs(cfg)
         assert want_a == pytest.approx(1.75, abs=1e-12)
@@ -98,9 +125,7 @@ class TestAgreementWithAnalytic:
         assert abs(report.mean_payoff_b - want_b) <= 4 * report.std_error_b
 
     def test_interior_mixing_from_pure_start(self):
-        cfg = config(
-            StateVector.basis("OO").density_matrix(), 2 / 3, 1 / 3, 10**6, 99
-        )
+        cfg = config(StateVector.basis("OO"), 2 / 3, 1 / 3, 10**6, 99)
         report = simulate(cfg)
         want_a, want_b = analytic_payoffs(cfg)
         assert want_a == pytest.approx(5 / 3, abs=1e-12)
@@ -108,12 +133,12 @@ class TestAgreementWithAnalytic:
         assert abs(report.mean_payoff_b - want_b) <= 4 * report.std_error_b
 
     def test_counts_sum_to_rounds(self):
-        cfg = config(EntangledFamilyState(0.3).density_matrix(), 0.4, 0.9, 12345, 5)
+        cfg = config(EntangledFamilyState(0.3).state_vector(), 0.4, 0.9, 12345, 5)
         assert sum(simulate(cfg).counts) == 12345
 
     def test_trillion_rounds_count_exactly_and_agree(self):
         rounds = 10**12
-        cfg = config(EntangledFamilyState(0.5).density_matrix(), 0.5, 0.5, rounds, 11)
+        cfg = config(EntangledFamilyState(0.5).state_vector(), 0.5, 0.5, rounds, 11)
         report = simulate(cfg)
         assert sum(report.counts) == rounds
         assert abs(report.mean_payoff_a - 1.75) <= 4 * report.std_error_a
@@ -121,7 +146,7 @@ class TestAgreementWithAnalytic:
 
 
 def test_memory_does_not_grow_with_rounds():
-    cfg = config(EntangledFamilyState(0.5).density_matrix(), 0.5, 0.5, 10**7, 3)
+    cfg = config(EntangledFamilyState(0.5).state_vector(), 0.5, 0.5, 10**7, 3)
     tracemalloc.start()
     try:
         simulate(cfg)
@@ -136,8 +161,8 @@ class TestStatisticalProperties:
     TRIALS = 200
 
     def _trial_configs(self):
-        rho = EntangledFamilyState(0.5).density_matrix()
-        return [config(rho, 0.3, 0.7, self.ROUNDS, seed) for seed in range(self.TRIALS)]
+        psi = EntangledFamilyState(0.5).state_vector()
+        return [config(psi, 0.3, 0.7, self.ROUNDS, seed) for seed in range(self.TRIALS)]
 
     def test_mean_within_four_standard_errors_in_nearly_all_trials(self):
         hits = 0
@@ -153,10 +178,11 @@ class TestStatisticalProperties:
         threshold = stats.chi2.ppf(0.999, df=3)
         hits = 0
         for cfg in self._trial_configs():
-            probs = outcome_distribution(cfg)
+            report = simulate(cfg)
+            probs = np.array(report.outcome_probabilities)
             assert probs.min() > 0
             expected = probs * self.ROUNDS
-            observed = np.array(simulate(cfg).counts)
+            observed = np.array(report.counts)
             statistic = float(((observed - expected) ** 2 / expected).sum())
             hits += statistic < threshold
         assert hits >= 0.99 * self.TRIALS
