@@ -168,7 +168,8 @@ def _load_state(
         state = StateVector([a * scale for a in amps])
         family = None
         if abs(state.amplitudes[1]) <= 1e-12 and abs(state.amplitudes[2]) <= 1e-12:
-            family = EntangledFamilyState(abs(state.amplitudes[0]) ** 2)
+            # |a0|^2 of a normalized state can round above 1.
+            family = EntangledFamilyState(min(abs(state.amplitudes[0]) ** 2, 1.0))
         return state, "amplitudes", None, family
     raise _fail(
         path,

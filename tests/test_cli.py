@@ -158,6 +158,23 @@ class TestConfigLoading:
         assert cfg.family is not None
         assert cfg.family.a2 == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "command", [["classical"], ["quantum"], ["sweep"], ["simulate", "--rounds", "100"]]
+    )
+    def test_in_family_amplitudes_whose_square_rounds_above_one(
+        self, tmp_path, capsys, command
+    ):
+        """|OO> times a phase, within the norm tolerance, whose |a0|^2 comes
+        out as 1.0000000000000004 after normalizing."""
+        amps = [[-0.855676238748895, -0.5175115210703468], [0, 0], [0, 0], [0, 0]]
+        path = write_config(
+            tmp_path,
+            {"payoffs": {"alpha": 3, "beta": 2, "gamma": 1}, "initial_state": amps},
+        )
+        assert load_config(path).family.a2 == 1.0
+        assert main([command[0], "--config", path, *command[1:]]) == 0
+        capsys.readouterr()
+
     def test_family_form(self, tmp_path):
         path = write_config(
             tmp_path,
