@@ -38,31 +38,28 @@ from .game_core import (
     expected_payoffs,
     pure_nash,
 )
+from .montecarlo import SimulationConfig, SimulationReport, simulate
 from .outcomes import BASIS_LABELS, MixingChoice, StateVector, payoff_surfaces
 
-#: Modules that load numpy and the names taken from them, imported on first
-#: access so that ``import qstatic`` loads no numpy.
-_LAZY = {
-    "montecarlo": ("SimulationConfig", "SimulationReport", "simulate"),
-    "quantum_core": (
-        "DensityMatrix",
-        "LocalUnitary",
-        "PayoffOperator",
-        "apply_local_unitaries",
-        "bilinear_payoff_coefficients",
-        "mixed_final_density",
-        "payoff_operators",
-        "projection_probabilities",
-        "trace_payoffs",
-    ),
-}
+#: Names from ``quantum_core``, the numpy-backed oracle module, imported on
+#: first access so that ``import qstatic`` loads no numpy.
+_LAZY = (
+    "DensityMatrix",
+    "LocalUnitary",
+    "PayoffOperator",
+    "apply_local_unitaries",
+    "bilinear_payoff_coefficients",
+    "mixed_final_density",
+    "payoff_operators",
+    "projection_probabilities",
+    "trace_payoffs",
+)
 
 
 def __getattr__(name: str) -> Any:
-    for module, names in _LAZY.items():
-        if name in names:
-            value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
-            return value
+    if name in _LAZY:
+        value = globals()[name] = getattr(import_module(".quantum_core", __name__), name)
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

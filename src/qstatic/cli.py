@@ -45,6 +45,7 @@ from .game_core import (
     eliminate_strictly_dominated,
     pure_nash,
 )
+from .montecarlo import SimulationConfig, simulate
 from .outcomes import BASIS_LABELS, MixingChoice, StateVector, payoff_surfaces
 from .report_schema import SCHEMA_VERSION
 
@@ -488,9 +489,6 @@ def cmd_quantum(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
 
 
 def cmd_simulate(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
-    # The simulator draws with numpy's generator; only this command loads it.
-    from .montecarlo import SimulationConfig, simulate
-
     params = _require_params(cfg, "simulate")
     try:
         config = SimulationConfig(

@@ -654,8 +654,8 @@ print(json.dumps({
 
 
 class TestNumpyFreeImportPath:
-    """classical, quantum and sweep run on the standard library; simulate
-    loads numpy for its generator only, and the density oracle loads it."""
+    """Every command runs on the standard library; only the density oracle
+    loads numpy."""
 
     CONFIGS = {
         "family": {"payoffs": {"alpha": 3, "beta": 2, "gamma": 1}, "initial_state": {"a2": 0.3}},
@@ -699,11 +699,39 @@ class TestNumpyFreeImportPath:
         assert result["codes"] == expected
         assert result["numpy"] is False
 
-    def test_simulate_runs_and_loads_numpy(self, tmp_path):
+    def test_simulate_loads_neither_numpy_nor_quantum_core(self, tmp_path):
         path = write_config(tmp_path, self.CONFIGS["amplitudes"])
-        argv = ["simulate", "--config", path, "--rounds", "100", "--seed", "4"]
-        result = json.loads(run_python(_RUN_MAIN, json.dumps([argv])).stdout)
-        assert result == {"codes": [0], "numpy": True, "quantum_core": False}
+        argvs = [
+            ["simulate", "--config", path, "--rounds", rounds, "--seed", "4", "--format", fmt]
+            for rounds in ("5", "100", "10000000")
+            for fmt in ("table", "json", "csv")
+        ]
+        result = json.loads(run_python(_RUN_MAIN, json.dumps(argvs)).stdout)
+        assert result == {"codes": [0] * 9, "numpy": False, "quantum_core": False}
+
+    def test_every_command_runs_with_numpy_import_blocked(self, tmp_path):
+        code = (
+            "import contextlib, io, json, runpy, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "codes = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    sys.argv = ['qstatic', *argv]\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        try:\n"
+            "            runpy.run_module('qstatic', run_name='__main__', alter_sys=True)\n"
+            "        except SystemExit as exc:\n"
+            "            codes.append(exc.code)\n"
+            "print(json.dumps(codes))\n"
+        )
+        commands = [*self.COMMANDS, ["simulate", "--rounds", "1000", "--p", "0.3"]]
+        argvs = [
+            [*command, "--config", write_config(tmp_path, doc, f"{name}.json"), "--format", fmt]
+            for name, doc in self.CONFIGS.items()
+            if "alpha" in doc["payoffs"]
+            for command in commands
+            for fmt in ("table", "json", "csv")
+        ]
+        assert json.loads(run_python(code, json.dumps(argvs)).stdout) == [0] * len(argvs)
 
     def test_import_qstatic_loads_no_numpy(self):
         code = (

@@ -1,5 +1,7 @@
 import math
+import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from scipy import stats
 from qstatic.equilibria import EntangledFamilyState
 from qstatic.errors import ConstraintViolation
 from qstatic.game_core import GamePayoffs
-from qstatic.montecarlo import SimulationConfig, simulate
+from qstatic.montecarlo import SimulationConfig, _binomial, simulate
 from qstatic.quantum_core import (
     MixingChoice,
     StateVector,
@@ -186,3 +188,98 @@ class TestStatisticalProperties:
             statistic = float(((observed - expected) ** 2 / expected).sum())
             hits += statistic < threshold
         assert hits >= 0.99 * self.TRIALS
+
+
+class TestBinomialSampler:
+    """``_binomial`` against the exact Binomial(n, p) law, on both of its
+    branches (geometric below n p = 10, BTRS above) and their mirrors."""
+
+    DRAWS = 20000
+
+    @pytest.mark.parametrize(
+        "n, p",
+        [(30, 0.2), (12, 0.75), (100, 0.3), (1000, 0.85), (2, 0.5), (5000, 0.5)],
+    )
+    def test_draws_pass_chi_square_against_the_exact_pmf(self, n, p):
+        rng = random.Random(n)
+        observed: dict[int, int] = {}
+        for _ in range(self.DRAWS):
+            k = _binomial(rng, n, p)
+            observed[k] = observed.get(k, 0) + 1
+        mean, sd = n * p, math.sqrt(n * p * (1 - p))
+        lo, hi = max(0, math.floor(mean - 6 * sd)), min(n, math.ceil(mean + 6 * sd))
+        assert lo <= min(observed) and max(observed) <= hi
+        x = Fraction(p)
+        pmf = {k: float(math.comb(n, k) * x**k * (1 - x) ** (n - k)) for k in range(lo, hi + 1)}
+        # Pool values into bins of at least 5 expected draws.
+        bins, expected, got = [], 0.0, 0
+        for k in range(lo, hi + 1):
+            expected += self.DRAWS * pmf[k]
+            got += observed.get(k, 0)
+            if expected >= 5:
+                bins.append((got, expected))
+                expected, got = 0.0, 0
+        bins[-1] = (bins[-1][0] + got, bins[-1][1] + expected)
+        statistic = sum((o - e) ** 2 / e for o, e in bins)
+        assert statistic < stats.chi2.ppf(0.999, df=len(bins) - 1)
+
+    @pytest.mark.parametrize("n", [2, 12, 30, 100, 10**6, 2**63 - 1])
+    @pytest.mark.parametrize("p", [0.6, 0.75, 0.97])
+    def test_mirror_above_one_half(self, n, p):
+        for seed in range(20):
+            want = n - _binomial(random.Random(seed), n, 1.0 - p)
+            assert _binomial(random.Random(seed), n, p) == want
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 10**6, 2**63 - 1])
+    def test_certain_and_impossible_success(self, n):
+        rng = random.Random(1)
+        assert _binomial(rng, n, 0.0) == 0
+        assert _binomial(rng, n, 1.0) == n
+
+    def test_single_trial_is_a_bernoulli_draw(self):
+        rng = random.Random(2)
+        draws = [_binomial(rng, 1, 0.3) for _ in range(10000)]
+        assert set(draws) == {0, 1}
+        assert abs(sum(draws) / 10000 - 0.3) <= 4 * math.sqrt(0.3 * 0.7 / 10000)
+
+    def test_no_trials_no_successes(self):
+        assert _binomial(random.Random(3), 0, 0.4) == 0
+
+    def test_tiny_probability_keeps_its_rate(self):
+        """n p = 5 with p = 5e-18, below where 1 - p rounds to 1."""
+        rng = random.Random(4)
+        draws = [_binomial(rng, 10**18, 5e-18) for _ in range(4000)]
+        assert abs(sum(draws) / 4000 - 5.0) <= 4 * math.sqrt(5.0 / 4000)
+
+    def test_subnormal_probability_draws_zero(self):
+        assert _binomial(random.Random(5), 2**63 - 1, 5e-324) == 0
+
+    def test_largest_trial_count_follows_the_normal_limit(self):
+        """At n = 2^63 - 1 the standardized draws are standard normal; the
+        lgamma-difference acceptance test gives them a standard deviation
+        near 2.9 there."""
+        n, p = 2**63 - 1, 0.3
+        rng = random.Random(6)
+        sd = math.sqrt(n * p * (1 - p))
+        z = [(_binomial(rng, n, p) - n * p) / sd for _ in range(20000)]
+        assert max(map(abs, z)) < 6
+        assert stats.kstest(z, "norm").pvalue > 1e-3
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_largest_round_count_splits_exactly(seed):
+    rounds = 2**63 - 1
+    report = simulate(config(EntangledFamilyState(0.3).state_vector(), 0.4, 0.7, rounds, seed))
+    assert sum(report.counts) == rounds
+    assert all(0 <= c <= rounds for c in report.counts)
+
+
+@pytest.mark.parametrize("rounds", [1, 5, 10**6, 2**63 - 1])
+def test_impossible_outcomes_get_no_counts(rounds):
+    """From |OO>, a row player who mixes and a column player who keeps reach
+    only OO and TO."""
+    for seed in range(10):
+        report = simulate(config(StateVector.basis("OO"), 0.5, 1.0, rounds, seed))
+        assert report.outcome_probabilities == (0.5, 0.0, 0.5, 0.0)
+        assert report.counts[1] == report.counts[3] == 0
+        assert report.counts[0] + report.counts[2] == rounds
