@@ -123,6 +123,9 @@ RUNS = [
     # The fixed p or q of a sweep is outside input: out of [0, 1] or NaN is exit 2.
     (["sweep", "--param", "p", "--steps", "5", "--q", "1.5"], "bell", ("csv",)),
     (["sweep", "--param", "q", "--steps", "3", "--p", "nan"], "bell", ("json",)),
+    # One simulate case per binomial branch: n p below 10 and far above it.
+    (["simulate", "--rounds", "5", *SIMULATE[2:]], "bell", ("json",)),
+    (["simulate", "--rounds", "10000000", *SIMULATE[2:]], "complex_out_of_family", ("json",)),
 ]
 
 
