@@ -100,10 +100,11 @@ def _binomial(rng: random.Random, n: int, p: float) -> int:
     A port of CPython 3.12's ``random.binomialvariate``: Devroye's
     geometric method when n p < 10, Hoermann's BTRS (transformed rejection
     with squeeze) otherwise, and the mirror n - X(n, 1 - p) above p = 1/2.
-    Three changes keep it exact over 1 <= n <= 2^63 - 1: the geometric rate
-    is log1p(-p), which does not round to 0 below p = 1e-16; BTRS's
-    acceptance test takes the pmf ratio from ``_log_binomial_pmf``; and no
-    uniform that can be 0.0 reaches a log or a divisor.
+    Three changes keep it accurate, and free of exceptions, up to
+    n = 2^63 - 1: the geometric rate is log1p(-p), since log2(1 - p) is 0
+    below p = 2^-54 and coarse above it; BTRS's acceptance test takes the
+    pmf ratio from ``_log_binomial_pmf``; and no uniform that can be 0.0
+    reaches a log or a divisor.
     """
     if p <= 0.0:
         return 0
@@ -168,12 +169,13 @@ def simulate(config: SimulationConfig) -> SimulationReport:
     total = ((mixed[0] + mixed[1]) + mixed[2]) + mixed[3]
     probs = [x / total for x in mixed]
     # Each count is a binomial draw of what is left at the outcome's share of
-    # the probability left; an outcome of probability 0 gets a share of 0.
+    # the probability left; an outcome of probability 0 gets a share of 0,
+    # and _binomial reads a share at or past 0 or 1 as that bound.
     tails = list(accumulate(reversed(probs)))[::-1]
     rng = random.Random(config.seed)
     counts, left = [], config.rounds
     for x, tail in zip(probs[:3], tails):
-        counts.append(_binomial(rng, left, min(x / tail, 1.0) if tail else 0.0))
+        counts.append(_binomial(rng, left, x / tail if tail else 0.0))
         left -= counts[-1]
     counts.append(left)
 

@@ -254,6 +254,24 @@ class TestBinomialSampler:
     def test_subnormal_probability_draws_zero(self):
         assert _binomial(random.Random(5), 2**63 - 1, 5e-324) == 0
 
+    @pytest.mark.parametrize(
+        "n, p, uniforms",
+        [
+            (5, 0.3, [0.0] * 6),  # geometric: each 0.0 is a gap of one trial
+            # BTRS: u = -1/2 has no hat; then a tail proposal with v = 0.0.
+            (10**6, 0.3, [0.0, 0.94, 0.0]),
+        ],
+    )
+    def test_a_zero_uniform_raises_nothing(self, n, p, uniforms):
+        """random() returns 0.0 once in 2^53 draws; binomialvariate then
+        takes log(0) or divides by zero."""
+
+        class Scripted(random.Random):
+            def random(self):
+                return uniforms.pop(0)
+
+        assert 0 <= _binomial(Scripted(), n, p) <= n
+
     def test_largest_trial_count_follows_the_normal_limit(self):
         """At n = 2^63 - 1 the standardized draws are standard normal; the
         lgamma-difference acceptance test gives them a standard deviation
