@@ -71,10 +71,15 @@ def _flip_index(row_flips: bool, col_flips: bool) -> np.ndarray:
     return (4 * k[:, None] + k[None, :]).ravel()
 
 
-_FLIP_ROW = _flip_index(True, False)
-_FLIP_COL = _flip_index(False, True)
-# Flat index map of the transpose: entry (i, j) gathers entry (j, i).
-_TRANSPOSE = np.arange(16).reshape(4, 4).T.ravel()
+#: Flat index maps of the four keep/flip conjugations, one row per weight of
+#: ``mixed_final_density``: keep/keep, keep/flip, flip/keep, flip/flip.
+_MIX_INDEX = np.stack(
+    [_flip_index(row, col) for row in (False, True) for col in (False, True)]
+)
+#: Flat positions of each entry (i, j) on or above the diagonal and of its
+#: mirror (j, i); then the flat positions off the diagonal.
+_UPPER_PAIRS = tuple((4 * i + j, 4 * j + i) for i in range(4) for j in range(i, 4))
+_OFF_DIAGONAL = tuple(k for k in range(16) if k % 5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,21 +94,27 @@ class DensityMatrix:
             raise ConstraintViolation(
                 f"a joint density matrix must be 4x4, got shape {m.shape}"
             )
-        # m - m^H on the flat view; the gather keeps both operands contiguous.
-        flat = m.ravel()
-        hermitian_gap = float(np.abs(flat - flat[_TRANSPOSE].conj()).max())
-        if not hermitian_gap <= HERMITIAN_TOL:
+        # Sixteen Python complex numbers test faster than small numpy arrays.
+        v = m.ravel().tolist()
+        # |m[i, j] - conj(m[j, i])| for j >= i covers every entry of m - m^H.
+        if not all(abs(v[i] - v[j].conjugate()) <= HERMITIAN_TOL for i, j in _UPPER_PAIRS):
+            hermitian_gap = float(np.abs(m - m.conj().T).max())
             raise ConstraintViolation(
                 f"density matrix is not Hermitian (max asymmetry {hermitian_gap:.3e})"
             )
         # The trace, summed pairwise in the order numpy's add.reduce uses.
-        d0, d1, d2, d3 = flat[::5].tolist()
+        d0, d1, d2, d3 = v[0], v[5], v[10], v[15]
         trace_gap = abs((d0 + d1) + (d2 + d3) - 1.0)
         if not trace_gap <= TRACE_TOL:
             raise ConstraintViolation(
                 f"density matrix trace deviates from 1 by {trace_gap:.3e}"
             )
-        smallest = float(np.linalg.eigvalsh(m)[0])
+        if any(v[k] for k in _OFF_DIAGONAL):
+            smallest = float(np.linalg.eigvalsh(m)[0])
+        else:
+            # A diagonal matrix's eigenvalues are its diagonal; eigvalsh reads
+            # only the real parts and returns this same value.
+            smallest = min(d0.real, d1.real, d2.real, d3.real)
         if not smallest >= EIGENVALUE_FLOOR:
             raise ConstraintViolation(
                 f"density matrix has a negative eigenvalue ({smallest:.3e})"
@@ -211,16 +222,14 @@ def mixed_final_density(rho_in: DensityMatrix, mix: MixingChoice) -> DensityMatr
     (1-p)(1-q). All density-matrix invariants are preserved and re-checked
     on the output.
 
-    The map factorizes over the players, so it is applied one player at a
-    time: the row player's keep/flip mix first, then the column player's.
+    One gather stacks the four conjugations of the flattened input, and one
+    product with the weight vector sums them.
     """
-    r = rho_in.entries.ravel()
-    # numpy multiplies a complex array by a real weight after promoting the
-    # weight to complex; passing it complex gives the same bits, sooner.
-    keep_p, flip_p = complex(mix.p), complex(1.0 - mix.p)
-    keep_q, flip_q = complex(mix.q), complex(1.0 - mix.q)
-    row = keep_p * r + flip_p * r[_FLIP_ROW]
-    out = keep_q * row + flip_q * row[_FLIP_COL]
+    p, q = mix.p, mix.q
+    weights = np.array(
+        [p * q, p * (1.0 - q), (1.0 - p) * q, (1.0 - p) * (1.0 - q)], dtype=complex
+    )
+    out = weights.dot(rho_in.entries.ravel()[_MIX_INDEX])
     return DensityMatrix(out.reshape(4, 4))
 
 

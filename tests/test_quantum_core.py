@@ -1,15 +1,18 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_density, random_su2
 from qstatic.errors import ConstraintViolation, InternalConsistencyError
+from qstatic.outcomes import _flipped
 from qstatic.game_core import GamePayoffs, MixProbabilities, bos_bimatrix, expected_payoffs
 from qstatic.quantum_core import (
     BASIS_LABELS,
+    EIGENVALUE_FLOOR,
     DensityMatrix,
     LocalUnitary,
     MixingChoice,
@@ -81,25 +84,88 @@ class TestStateVector:
         assert rho.fidelity(StateVector.bell()) == pytest.approx(1.0, abs=1e-12)
 
 
+#: Diagonal entries on either side of the eigenvalue floor.
+_JUST_ABOVE_FLOOR = float(np.nextafter(EIGENVALUE_FLOOR, 0.0))
+_JUST_BELOW_FLOOR = float(np.nextafter(EIGENVALUE_FLOOR, -1.0))
+
+
 class TestDensityMatrix:
     def test_rejects_non_hermitian(self):
         m = np.eye(4, dtype=complex) / 4
         m[0, 1] = 0.1
-        with pytest.raises(ConstraintViolation):
+        with pytest.raises(ConstraintViolation, match=r"not Hermitian \(max asymmetry 1\.0+e-01"):
             DensityMatrix(m)
 
     def test_rejects_wrong_trace(self):
-        with pytest.raises(ConstraintViolation):
+        with pytest.raises(ConstraintViolation, match="trace deviates from 1 by 1.000e"):
             DensityMatrix(np.eye(4) / 2)
 
     def test_rejects_negative_eigenvalue(self):
         m = np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)
-        with pytest.raises(ConstraintViolation):
+        with pytest.raises(ConstraintViolation, match=r"negative eigenvalue \(-1\.000e-01\)"):
             DensityMatrix(m)
 
     def test_rejects_nan_entry(self):
-        with pytest.raises(ConstraintViolation):
+        with pytest.raises(ConstraintViolation, match="not Hermitian"):
             DensityMatrix(np.diag([np.nan, 1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_conjugate_pair(self, value):
+        # value - conj(value) is NaN, which no gap test may let through.
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = m[1, 0] = value
+        with pytest.raises(ConstraintViolation, match="not Hermitian"):
+            DensityMatrix(m)
+
+    def test_rejects_imaginary_diagonal_entry(self):
+        m = np.eye(4, dtype=complex) / 4
+        m[2, 2] += 1e-9j
+        with pytest.raises(ConstraintViolation, match=r"not Hermitian \(max asymmetry 2\.0+e-09"):
+            DensityMatrix(m)
+
+    def test_rejects_negative_eigenvalue_behind_off_diagonal_pair(self):
+        # The diagonal is non-negative; the (2, 3) block has eigenvalues ±0.1.
+        m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        m[2, 3] = m[3, 2] = 0.1
+        with pytest.raises(ConstraintViolation, match=r"negative eigenvalue \(-1\.000e-01\)"):
+            DensityMatrix(m)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        entries=st.lists(
+            st.one_of(
+                st.floats(0.0, 1.0),
+                st.floats(-1e-9, 1e-9),
+                st.sampled_from([_JUST_ABOVE_FLOOR, _JUST_BELOW_FLOOR, 0.0, -0.0]),
+            ),
+            min_size=3,
+            max_size=3,
+        ),
+        imaginary=st.lists(st.floats(-1e-13, 1e-13), min_size=3, max_size=3),
+        order=st.permutations(range(4)),
+    )
+    @example(
+        entries=[_JUST_ABOVE_FLOOR, 0.5, 0.25], imaginary=[0.0] * 3, order=[0, 1, 2, 3]
+    )
+    @example(
+        entries=[_JUST_BELOW_FLOOR, 0.5, 0.25], imaginary=[0.0] * 3, order=[3, 2, 1, 0]
+    )
+    def test_diagonal_density_accepted_exactly_above_the_floor(
+        self, entries, imaginary, order
+    ):
+        """A diagonal density is accepted exactly when eigvalsh's smallest
+        eigenvalue reaches the floor, and a rejection prints that value."""
+        # The last entry completes the trace; the imaginary residue sums to 0.
+        diagonal = [*entries, 1.0 - math.fsum(entries)]
+        residue = [*imaginary, -math.fsum(imaginary)]
+        m = np.diag([complex(diagonal[k], residue[k]) for k in order])
+        smallest = float(np.linalg.eigvalsh(m)[0])
+        if smallest >= EIGENVALUE_FLOOR:
+            np.testing.assert_array_equal(DensityMatrix(m).entries, m)
+        else:
+            with pytest.raises(ConstraintViolation) as info:
+                DensityMatrix(m)
+            assert str(info.value) == f"density matrix has a negative eigenvalue ({smallest:.3e})"
 
     def test_diagonal_probabilities_sum_to_one(self):
         rng = np.random.default_rng(3)
@@ -199,6 +265,14 @@ class TestMixedFinalDensity:
         rho = random_density(rng)
         out = mixed_final_density(rho, MixingChoice(1.0, 1.0))
         np.testing.assert_array_equal(out.entries, rho.entries)
+
+    def test_corners_gather_the_conjugated_density_exactly(self):
+        rho = random_density(np.random.default_rng(17))
+        for p, q in ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)):
+            # At a corner each player either keeps (p or q = 1) or flips.
+            k = list(_flipped(range(4), p == 0.0, q == 0.0))
+            out = mixed_final_density(rho, MixingChoice(p, q)).entries
+            np.testing.assert_array_equal(out, rho.entries[np.ix_(k, k)])
 
     def test_balanced_superposition_survives_double_flip(self):
         rho = StateVector.bell().density_matrix()
