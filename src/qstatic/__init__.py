@@ -38,27 +38,33 @@ from .game_core import (
     expected_payoffs,
     pure_nash,
 )
-from .montecarlo import SimulationConfig, SimulationReport, simulate
 from .outcomes import BASIS_LABELS, MixingChoice, StateVector, payoff_surfaces
 
-#: Names from ``quantum_core``, the numpy-backed oracle module, imported on
-#: first access so that ``import qstatic`` loads no numpy.
-_LAZY = (
-    "DensityMatrix",
-    "LocalUnitary",
-    "PayoffOperator",
-    "apply_local_unitaries",
-    "bilinear_payoff_coefficients",
-    "mixed_final_density",
-    "payoff_operators",
-    "projection_probabilities",
-    "trace_payoffs",
-)
+#: Names imported from their module on first access, so that ``import
+#: qstatic`` loads neither numpy (``quantum_core``, the density oracle) nor
+#: the simulator that only ``simulate`` needs.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "DensityMatrix",
+            "LocalUnitary",
+            "PayoffOperator",
+            "apply_local_unitaries",
+            "bilinear_payoff_coefficients",
+            "mixed_final_density",
+            "payoff_operators",
+            "projection_probabilities",
+            "trace_payoffs",
+        ),
+        ".quantum_core",
+    ),
+    **dict.fromkeys(("SimulationConfig", "SimulationReport", "simulate"), ".montecarlo"),
+}
 
 
 def __getattr__(name: str) -> Any:
     if name in _LAZY:
-        value = globals()[name] = getattr(import_module(".quantum_core", __name__), name)
+        value = globals()[name] = getattr(import_module(_LAZY[name], __name__), name)
         return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

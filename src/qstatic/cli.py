@@ -45,7 +45,6 @@ from .game_core import (
     eliminate_strictly_dominated,
     pure_nash,
 )
-from .montecarlo import SimulationConfig, simulate
 from .outcomes import BASIS_LABELS, MixingChoice, StateVector, payoff_surfaces
 from .report_schema import SCHEMA_VERSION
 
@@ -489,6 +488,9 @@ def cmd_quantum(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
 
 
 def cmd_simulate(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
+    # Imported here so that no other command loads the simulator.
+    from .montecarlo import SimulationConfig, simulate
+
     params = _require_params(cfg, "simulate")
     try:
         config = SimulationConfig(

@@ -649,6 +649,7 @@ print(json.dumps({
     "codes": codes,
     "numpy": "numpy" in sys.modules,
     "quantum_core": "qstatic.quantum_core" in sys.modules,
+    "montecarlo": "qstatic.montecarlo" in sys.modules,
 }))
 """
 
@@ -698,6 +699,7 @@ class TestNumpyFreeImportPath:
         result = json.loads(run_python(_RUN_MAIN, json.dumps(argvs)).stdout)
         assert result["codes"] == expected
         assert result["numpy"] is False
+        assert result["montecarlo"] is False
 
     def test_simulate_loads_neither_numpy_nor_quantum_core(self, tmp_path):
         path = write_config(tmp_path, self.CONFIGS["amplitudes"])
@@ -707,7 +709,12 @@ class TestNumpyFreeImportPath:
             for fmt in ("table", "json", "csv")
         ]
         result = json.loads(run_python(_RUN_MAIN, json.dumps(argvs)).stdout)
-        assert result == {"codes": [0] * 9, "numpy": False, "quantum_core": False}
+        assert result == {
+            "codes": [0] * 9,
+            "numpy": False,
+            "quantum_core": False,
+            "montecarlo": True,
+        }
 
     def test_every_command_runs_with_numpy_import_blocked(self, tmp_path):
         code = (
@@ -736,10 +743,18 @@ class TestNumpyFreeImportPath:
     def test_import_qstatic_loads_no_numpy(self):
         code = (
             "import sys, qstatic\n"
-            "print('numpy' in sys.modules)\n"
+            "print('numpy' in sys.modules, 'qstatic.montecarlo' in sys.modules)\n"
+            "print(qstatic.simulate.__module__, 'qstatic.montecarlo' in sys.modules)\n"
             "print(qstatic.DensityMatrix.__module__, 'numpy' in sys.modules)"
         )
-        assert run_python(code).stdout.split() == ["False", "qstatic.quantum_core", "True"]
+        assert run_python(code).stdout.split() == [
+            "False",
+            "False",
+            "qstatic.montecarlo",
+            "True",
+            "qstatic.quantum_core",
+            "True",
+        ]
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
