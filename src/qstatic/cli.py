@@ -27,7 +27,6 @@ from .equilibria import (
     EquilibriumRanking,
     NashPoint,
     UniqueSolutionReport,
-    classical_mixed_equilibria,
     entangled_equilibria,
     enumerate_bilinear_nash,
     factorizable_equilibria,
@@ -261,13 +260,6 @@ def _require_params(cfg: LoadedConfig, command: str) -> GamePayoffs:
     return cfg.params
 
 
-def _payoff_surfaces(
-    cfg: LoadedConfig, params: GamePayoffs
-) -> tuple[BilinearPayoff, BilinearPayoff]:
-    """Both players' payoff surfaces over (p, q) for the configured state."""
-    return payoff_surfaces(cfg.state.probabilities, *_bos_table(params))
-
-
 def _unit_grid(steps: int) -> list[float]:
     """``steps`` evenly spaced points from 0 to 1, both ends included."""
     step = 1.0 / (steps - 1)
@@ -275,7 +267,7 @@ def _unit_grid(steps: int) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# exact fractions: the closed forms re-run on Fraction inputs
+# exact fractions: the enumerator re-run on Fraction surfaces
 
 
 def _simple_fraction(x: float, max_denominator: int = 10**6) -> Fraction | None:
@@ -285,20 +277,20 @@ def _simple_fraction(x: float, max_denominator: int = 10**6) -> Fraction | None:
 
 
 def _exact_equilibria(
-    params: GamePayoffs, family: EntangledFamilyState | None = None
+    points: Sequence[NashPoint], params: GamePayoffs, a2: float = 1.0
 ) -> Sequence[NashPoint] | None:
-    """The closed-form equilibria in exact arithmetic, when the inputs are
-    exact: integer payoff parameters and, for the family, an a2 that is a
-    simple fraction. Without ``family`` these are the classical ones, the
-    family's a2 = 1 member."""
+    """``points`` in exact arithmetic, when the inputs are exact: integer
+    payoff parameters and an a2 that is a simple fraction (by default 1, the
+    classical game). The enumerator reruns on the family state's surfaces in
+    Fractions; None if it finds other kinds of equilibria than ``points``."""
     values = (params.alpha, params.beta, params.gamma)
-    if not all(v.is_integer() for v in values):
-        return None
-    a2 = _simple_fraction(family.a2) if family is not None else 1
-    if a2 is None:
+    a2 = _simple_fraction(a2)
+    if a2 is None or not all(v.is_integer() for v in values):
         return None
     exact = GamePayoffs(*(Fraction(v) for v in values))
-    return entangled_equilibria(exact, EntangledFamilyState(a2))
+    surfaces = payoff_surfaces((a2, 0, 0, 1 - a2), *_bos_table(exact))
+    found = enumerate_bilinear_nash(*surfaces)
+    return found if [p.kind for p in found] == [p.kind for p in points] else None
 
 
 # ---------------------------------------------------------------------------
@@ -395,15 +387,15 @@ def cmd_classical(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
     notices: list[str] = []
     elimination = eliminate_strictly_dominated(cfg.game)
     exact = None
-    if cfg.params is not None:
-        points: Sequence[NashPoint] = classical_mixed_equilibria(cfg.params)
-        exact = _exact_equilibria(cfg.params)
-    elif cfg.game.is_2x2:
-        points = enumerate_bilinear_nash(
+    if cfg.game.is_2x2:
+        points: Sequence[NashPoint] = enumerate_bilinear_nash(
             BilinearPayoff.from_payoff_matrix(cfg.game.payoff_a),
             BilinearPayoff.from_payoff_matrix(cfg.game.payoff_b),
         )
-        notices.append("mixed equilibria computed by generic bilinear enumeration")
+        if cfg.params is not None:
+            exact = _exact_equilibria(points, cfg.params)
+        else:
+            notices.append("mixed equilibria computed by generic bilinear enumeration")
     else:
         points = ()
         notices.append(
@@ -458,21 +450,22 @@ def cmd_quantum(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
         solutions = factorizable_equilibria(params)
         points: Sequence[NashPoint] = [sol.point for sol in solutions]
         final_states = [sol.final_state for sol in solutions]
-        exact = _exact_equilibria(params)
+        exact = _exact_equilibria(points, params)
         notices.append(
             "independent-tactic equilibria do not depend on the configured "
             "initial state; coordinates are squared tactic moduli"
         )
-    elif cfg.family is not None:
-        points = entangled_equilibria(params, cfg.family)
-        exact = _exact_equilibria(params, cfg.family)
-        unique = unique_solution(params, cfg.family)
     else:
-        points = enumerate_bilinear_nash(*_payoff_surfaces(cfg, params))
-        notices.append(
-            "initial state is outside the |OO>/|TT> superposition family; "
-            "equilibria computed by generic bilinear enumeration"
-        )
+        surfaces = payoff_surfaces(cfg.state.probabilities, *_bos_table(params))
+        points = enumerate_bilinear_nash(*surfaces)
+        if cfg.family is not None:
+            exact = _exact_equilibria(points, params, cfg.family.a2)
+            unique = unique_solution(params, cfg.family)
+        else:
+            notices.append(
+                "initial state is outside the |OO>/|TT> superposition family; "
+                "equilibria computed by generic bilinear enumeration"
+            )
 
     return {
         "schema": SCHEMA_VERSION,
@@ -503,7 +496,7 @@ def cmd_simulate(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
     except ConstraintViolation as exc:
         raise ConfigError(f"simulate: {exc}") from exc
     report = simulate(config)
-    bp_a, bp_b = _payoff_surfaces(cfg, params)
+    bp_a, bp_b = payoff_surfaces(cfg.state.probabilities, *_bos_table(params))
     analytic = (bp_a.value(args.p, args.q), bp_b.value(args.p, args.q))
 
     return {
@@ -544,6 +537,8 @@ def cmd_sweep(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
     }
 
     if args.param == "a2":
+        # The family's closed forms tabulate it directly; the enumerator at
+        # every grid point would make large sweeps much slower.
         for value in values:
             keep, flip, interior = entangled_equilibria(
                 params, EntangledFamilyState(value)
@@ -565,7 +560,7 @@ def cmd_sweep(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
             "the configured initial state is not used"
         )
     else:
-        bp_a, bp_b = _payoff_surfaces(cfg, params)
+        bp_a, bp_b = payoff_surfaces(cfg.state.probabilities, *_bos_table(params))
         fixed = payload["fixed"] = {"q": args.q} if args.param == "p" else {"p": args.p}
         for value in values:
             mix = MixingChoice(**{args.param: value}, **fixed)  # checks fixed p/q

@@ -1,9 +1,10 @@
 """Nash equilibrium computation for 2x2 mixing problems.
 
-Closed forms for the |OO>/|TT> superposition family, whose |OO> member is
-the classical game, and for independent local tactics, plus an exact
-best-response enumerator for arbitrary bilinear payoff surfaces, equilibrium
-ranking, and the merged-corner unique-solution test at maximal entanglement.
+The production path is an exact best-response enumerator for arbitrary
+bilinear payoff surfaces, in floats or Fractions, with equilibrium ranking
+and the merged-corner unique-solution test at maximal entanglement. The
+closed forms for the |OO>/|TT> superposition family, whose |OO> member is
+the classical game, and for independent local tactics are its oracles.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import ConstraintViolation
@@ -43,7 +45,8 @@ __all__ = [
 #: the largest payoff coefficient; two candidate points within this
 #: distance coincide.
 SLOPE_TOL = 1e-12
-#: Corner equilibria merge only when payoffs and final densities agree this tightly.
+#: Corner equilibria merge when their unit-trace final densities agree
+#: entrywise this tightly; equal densities give equal payoffs at any scale.
 MERGE_TOL = 1e-12
 # Round-off a difference of corner payoffs can carry, relative to their size.
 _ROUNDOFF = 32 * sys.float_info.epsilon
@@ -142,7 +145,8 @@ def factorizable_equilibria(
 
     The corners produce the joint basis states |OO> and |TT>; the interior
     point produces a product state whose per-player probabilities are the
-    classical interior mixing probabilities.
+    classical interior mixing probabilities. The closed forms stay here
+    because those final states are built from their tactic moduli.
     """
     corner_oo, corner_tt, interior = classical_mixed_equilibria(params)
     alpha, beta, gamma = params.alpha, params.beta, params.gamma
@@ -168,7 +172,8 @@ def entangled_equilibria(
     p* = ((alpha-gamma) a2 + (beta-gamma) b2)/spread and its mirror image
     in q, where both players earn the same amount,
     (alpha*beta + (alpha-beta)^2 a2 b2 - gamma^2)/spread, which is strictly
-    below both corner payoffs for both players.
+    below both corner payoffs for both players. Besides the oracle uses,
+    ``sweep --param a2``, ``unique_solution`` and bench/workloads.py call it.
     """
     alpha, beta, gamma = params.alpha, params.beta, params.gamma
     a2, b2 = state.a2, state.b2
@@ -192,7 +197,7 @@ def enumerate_bilinear_nash(
 
     Checks the four corners and, when both surfaces have a genuinely
     bilinear term, the unique mutual-indifference candidate
-    (p*, q*) = (-bp_b.q_coeff/bp_b.pq_coeff, -bp_a.p_coeff/bp_a.pq_coeff).
+    (p*, q*) = (-q_b/pq_b, -p_a/pq_a) in the coefficients below.
     When a player's slope vanishes identically along an edge and both of
     that edge's corners qualify, the edge is a continuum of equilibria and
     is reported once, by its midpoint, as a degenerate family; if both
@@ -204,11 +209,19 @@ def enumerate_bilinear_nash(
     anything. The coefficients are differences of corner payoffs and carry
     their float round-off, so when every coefficient is within 32 ulps of
     the largest constant term, both surfaces are read as flat.
+
+    Fraction surfaces are enumerated exactly, with zero slope tolerances and
+    Fraction coordinates; float surfaces get float coordinates.
     """
-    coefficient_scale = max(
-        abs(c) for bp in (bp_a, bp_b) for c in (bp.pq_coeff, bp.p_coeff, bp.q_coeff)
-    )
-    tol = SLOPE_TOL * coefficient_scale
+    a11, a10, a01, a00 = bp_a.at_11, bp_a.at_10, bp_a.at_01, bp_a.at_00
+    b11, b10, b01, b00 = bp_b.at_11, bp_b.at_10, bp_b.at_01, bp_b.at_00
+    exact = isinstance(a00, Fraction) and isinstance(b00, Fraction)
+    one, zero = (Fraction(1), Fraction(0)) if exact else (1.0, 0.0)
+    # The coefficients of pq * p * q + p_ * p + q_ * q + const, from the corners.
+    pq_a, p_a, q_a = a11 - a10 - a01 + a00, a10 - a00, a01 - a00
+    pq_b, q_b = b11 - b10 - b01 + b00, b01 - b00
+    coefficient_scale = max(map(abs, (pq_a, p_a, q_a, pq_b, b10 - b00, q_b)))
+    tol = 0 if exact else SLOPE_TOL * coefficient_scale
 
     def flat(slope: float) -> bool:
         return abs(slope) <= tol
@@ -217,36 +230,37 @@ def enumerate_bilinear_nash(
         # Payoff is affine in the player's own coordinate: it is a best
         # response iff the slope is (near) zero, or the coordinate sits at
         # the end the slope pushes toward.
-        return flat(slope) or coordinate == (1.0 if slope > 0.0 else 0.0)
+        return flat(slope) or coordinate == (one if slope > 0 else zero)
 
     def point(p: float, q: float, kind: EquilibriumKind) -> NashPoint:
         return NashPoint(p, q, bp_a.value(p, q), bp_b.value(p, q), kind)
 
-    roundoff = _ROUNDOFF * max(abs(bp_a.const), abs(bp_b.const))
-    fully_indifferent_a = flat(bp_a.pq_coeff) and flat(bp_a.p_coeff)
-    fully_indifferent_b = flat(bp_b.pq_coeff) and flat(bp_b.q_coeff)
+    roundoff = 0 if exact else _ROUNDOFF * max(abs(a00), abs(b00))
+    fully_indifferent_a = flat(pq_a) and flat(p_a)
+    fully_indifferent_b = flat(pq_b) and flat(q_b)
     if coefficient_scale <= roundoff or (fully_indifferent_a and fully_indifferent_b):
-        return (point(0.5, 0.5, EquilibriumKind.DEGENERATE_FAMILY),)
+        return (point(one / 2, one / 2, EquilibriumKind.DEGENERATE_FAMILY),)
 
-    corners = ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0))
-    passes = {
-        (p, q): holds(p, bp_a.slope_p(q)) and holds(q, bp_b.slope_q(p))
-        for p, q in corners
-    }
+    # The row player's slope in p along the edge q = 1 or 0, and the column
+    # player's slope in q along the edge p = 1 or 0.
+    slope_a = {one: a11 - a01, zero: p_a}
+    slope_b = {one: b11 - b10, zero: q_b}
+    corners = ((one, one), (one, zero), (zero, one), (zero, zero))
+    passes = {(p, q): holds(p, slope_a[q]) and holds(q, slope_b[p]) for p, q in corners}
 
     # Edges along which one player is indifferent, with their two corners.
     edges = (
-        (((0.0, 1.0), (1.0, 1.0)), flat(bp_a.slope_p(1.0))),
-        (((0.0, 0.0), (1.0, 0.0)), flat(bp_a.slope_p(0.0))),
-        (((1.0, 0.0), (1.0, 1.0)), flat(bp_b.slope_q(1.0))),
-        (((0.0, 0.0), (0.0, 1.0)), flat(bp_b.slope_q(0.0))),
+        (((zero, one), (one, one)), flat(slope_a[one])),
+        (((zero, zero), (one, zero)), flat(slope_a[zero])),
+        (((one, zero), (one, one)), flat(slope_b[one])),
+        (((zero, zero), (zero, one)), flat(slope_b[zero])),
     )
     found: list[NashPoint] = []
     merged: set[tuple[float, float]] = set()
     for (c1, c2), indifferent in edges:
         if indifferent and passes[c1] and passes[c2]:
-            mid_p = (c1[0] + c2[0]) / 2.0
-            mid_q = (c1[1] + c2[1]) / 2.0
+            mid_p = (c1[0] + c2[0]) / 2
+            mid_q = (c1[1] + c2[1]) / 2
             found.append(point(mid_p, mid_q, EquilibriumKind.DEGENERATE_FAMILY))
             merged.update((c1, c2))
 
@@ -254,10 +268,10 @@ def enumerate_bilinear_nash(
         if passes[corner] and corner not in merged:
             found.append(point(*corner, EquilibriumKind.CORNER))
 
-    if not flat(bp_a.pq_coeff) and not flat(bp_b.pq_coeff):
-        q_star = -bp_a.p_coeff / bp_a.pq_coeff
-        p_star = -bp_b.q_coeff / bp_b.pq_coeff
-        inside = 0.0 <= p_star <= 1.0 and 0.0 <= q_star <= 1.0
+    if not flat(pq_a) and not flat(pq_b):
+        q_star = -p_a / pq_a
+        p_star = -q_b / pq_b
+        inside = 0 <= p_star <= 1 and 0 <= q_star <= 1
         if inside and not any(
             abs(p_star - f.p_star) <= SLOPE_TOL and abs(q_star - f.q_star) <= SLOPE_TOL
             for f in found
@@ -321,11 +335,11 @@ def rank_equilibria(points: Iterable[NashPoint]) -> EquilibriumRanking:
 class UniqueSolutionReport:
     """Whether the two corner equilibria collapse into one joint solution.
 
-    They merge only when both players earn identical payoffs at both
-    corners and the two corner final densities are the same matrix; then
-    ``final_state`` is the shared strategy, which equals the initial
-    superposition. Otherwise each player prefers a different corner and
-    the preference fields say which.
+    They merge when the two corner final densities are the same matrix,
+    within MERGE_TOL; equal densities give both players identical payoffs
+    at both corners, whatever the payoff scale. Then ``final_state`` is the
+    shared strategy, which equals the initial superposition. Otherwise each
+    player prefers a different corner and the preference fields say which.
     """
 
     merged: bool
@@ -358,6 +372,8 @@ def unique_solution(
     player and its negative for the column player, so merging happens
     exactly at the balanced superposition, where the shared payoff is
     (alpha+beta)/2 and the shared final state is the initial state itself.
+    The corners come from the closed forms, for the family state that
+    bench/workloads.py passes too.
     """
     corner_keep, corner_flip, _ = entangled_equilibria(params, state)
     # Keeping at (1, 1) leaves the initial density a_m conj(a_n); flipping
@@ -371,11 +387,7 @@ def unique_solution(
     )
     diff_a = corner_keep.payoff_a - corner_flip.payoff_a
     diff_b = corner_keep.payoff_b - corner_flip.payoff_b
-    merged = (
-        density_gap <= MERGE_TOL
-        and abs(diff_a) <= MERGE_TOL
-        and abs(diff_b) <= MERGE_TOL
-    )
+    merged = density_gap <= MERGE_TOL
     return UniqueSolutionReport(
         merged=merged,
         corner_keep=corner_keep,

@@ -140,36 +140,23 @@ class MixProbabilities:
 class BilinearPayoff:
     """One player's expected payoff as a bilinear surface over the unit square.
 
-    value(p, q) = pq_coeff * p * q + p_coeff * p + q_coeff * q + const.
-    This is the exact shape of any 2x2 expected payoff in the two mixing
-    probabilities, classical or quantum.
+    The surface is held by its values at the four corners: ``at_pq`` is the
+    payoff at (p, q). A bilinear surface, c_pq p q + c_p p + c_q q + c_0, is
+    determined exactly by them, and this is the exact shape of any 2x2
+    expected payoff in the two mixing probabilities, classical or quantum.
+    ``value`` interpolates between the corners, so each corner value comes
+    back bit for bit, and ``Fraction`` corners give an exact surface.
     """
 
-    pq_coeff: float
-    p_coeff: float
-    q_coeff: float
-    const: float
+    at_11: float
+    at_10: float
+    at_01: float
+    at_00: float
 
     def __post_init__(self) -> None:
-        vals = (self.pq_coeff, self.p_coeff, self.q_coeff, self.const)
+        vals = (self.at_11, self.at_10, self.at_01, self.at_00)
         if not all(math.isfinite(v) for v in vals):
-            raise ConstraintViolation(f"bilinear coefficients must be finite, got {vals}")
-
-    @classmethod
-    def from_corner_values(
-        cls, at_11: float, at_10: float, at_01: float, at_00: float
-    ) -> BilinearPayoff:
-        """Build the surface from its values at the four corners of [0,1]^2.
-
-        ``at_pq`` is the payoff at (p, q); a bilinear surface is determined
-        exactly by its corner values.
-        """
-        return cls(
-            pq_coeff=at_11 - at_10 - at_01 + at_00,
-            p_coeff=at_10 - at_00,
-            q_coeff=at_01 - at_00,
-            const=at_00,
-        )
+            raise ConstraintViolation(f"corner payoffs must be finite, got {vals}")
 
     @classmethod
     def from_payoff_matrix(
@@ -182,17 +169,18 @@ class BilinearPayoff:
                 f"need a 2x2 payoff table, got shape {_table_shape(m)}"
             )
         (at_11, at_10), (at_01, at_00) = m
-        return cls.from_corner_values(at_11, at_10, at_01, at_00)
+        return cls(at_11, at_10, at_01, at_00)
 
     def value(self, p: float, q: float) -> float:
-        return self.pq_coeff * p * q + self.p_coeff * p + self.q_coeff * q + self.const
+        r = 1 - q
+        return (1 - p) * (r * self.at_00 + q * self.at_01) + p * (r * self.at_10 + q * self.at_11)
 
     def slope_p(self, q: float) -> float:
         """Derivative in p, constant in p because the surface is bilinear."""
-        return self.pq_coeff * q + self.p_coeff
+        return (1 - q) * (self.at_10 - self.at_00) + q * (self.at_11 - self.at_01)
 
     def slope_q(self, p: float) -> float:
-        return self.pq_coeff * p + self.q_coeff
+        return (1 - p) * (self.at_01 - self.at_00) + p * (self.at_11 - self.at_10)
 
 
 def _bos_table(params: GamePayoffs) -> tuple[tuple[float, ...], tuple[float, ...]]:

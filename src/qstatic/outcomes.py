@@ -109,10 +109,14 @@ _CORNER_FLIPS = tuple(
 
 
 def _corner_means(payoffs: Sequence[float], probabilities: Sequence[float]) -> list[float]:
-    """Mean payoffs at the corners, in ``_CORNER_FLIPS`` order."""
+    """Mean payoffs at the corners, in ``_CORNER_FLIPS`` order.
+
+    Adding the products in two pairs gives a mirrored payoff vector (the
+    column player's, outcome k ^ 3) the same bits at the mirror corner.
+    """
     x0, x1, x2, x3 = payoffs
     d = probabilities
-    return [x0 * d[i] + x1 * d[j] + x2 * d[k] + x3 * d[m] for i, j, k, m in _CORNER_FLIPS]
+    return [(x0 * d[i] + x1 * d[j]) + (x2 * d[k] + x3 * d[m]) for i, j, k, m in _CORNER_FLIPS]
 
 
 def payoff_surfaces(
@@ -130,6 +134,6 @@ def payoff_surfaces(
     ``Fraction`` inputs give exact surfaces.
     """
     return (
-        BilinearPayoff.from_corner_values(*_corner_means(payoffs_a, probabilities)),
-        BilinearPayoff.from_corner_values(*_corner_means(payoffs_b, probabilities)),
+        BilinearPayoff(*_corner_means(payoffs_a, probabilities)),
+        BilinearPayoff(*_corner_means(payoffs_b, probabilities)),
     )

@@ -8,6 +8,16 @@ from qstatic.game_core import BilinearPayoff
 from qstatic.quantum_core import DensityMatrix, LocalUnitary
 
 
+def coefficients(bp: BilinearPayoff) -> tuple:
+    """(pq, p, q, const) with value(p, q) = pq p q + p p + q q + const."""
+    return (
+        bp.at_11 - bp.at_10 - bp.at_01 + bp.at_00,
+        bp.at_10 - bp.at_00,
+        bp.at_01 - bp.at_00,
+        bp.at_00,
+    )
+
+
 def random_density(rng: np.random.Generator) -> DensityMatrix:
     """Random valid density matrix from a complex Ginibre draw."""
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -82,7 +92,8 @@ def best_response_defect_grid(
     p, q = np.meshgrid(axis, axis, indexing="ij")
 
     def value(bp: BilinearPayoff, pp: np.ndarray, qq: np.ndarray) -> np.ndarray:
-        return bp.pq_coeff * pp * qq + bp.p_coeff * pp + bp.q_coeff * qq + bp.const
+        pq, p_coeff, q_coeff, const = coefficients(bp)
+        return pq * pp * qq + p_coeff * pp + q_coeff * qq + const
 
     defect_a = (
         np.maximum(value(bp_a, np.zeros_like(p), q), value(bp_a, np.ones_like(p), q))

@@ -267,6 +267,18 @@ class TestClassicalCommand:
         out = capsys.readouterr().out
         assert "2/3" in out and "5/3" in out
 
+    def test_exact_columns_null_when_the_exact_run_finds_other_kinds(self, tmp_path, capsys):
+        # At a common offset of 1e15 the float corner differences are within
+        # the enumerator's round-off rule and the square reads as flat; the
+        # exact run finds three equilibria, so no row gets another's fractions.
+        big = 10**15
+        path = write_config(
+            tmp_path, {"payoffs": {"alpha": big + 2, "beta": big + 1, "gamma": big}}
+        )
+        doc = run_json(capsys, ["classical", "--config", path])
+        assert [row["kind"] for row in doc["mixed_equilibria"]] == ["degenerate-family"]
+        assert doc["mixed_equilibria"][0]["p_exact"] is None
+
     def test_dominant_strategy_bimatrix_has_elimination_trace(self, tmp_path, capsys):
         path = write_config(
             tmp_path,

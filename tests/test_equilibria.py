@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from qstatic.equilibria import (
     unique_solution,
 )
 from qstatic.errors import ConstraintViolation
-from qstatic.game_core import BilinearPayoff, GamePayoffs
+from qstatic.game_core import BilinearPayoff, GamePayoffs, _bos_table
+from qstatic.outcomes import payoff_surfaces
 from qstatic.quantum_core import (
     StateVector,
     bilinear_payoff_coefficients,
@@ -205,15 +207,15 @@ class TestEntangledClosedForms:
 class TestEnumerator:
     def test_classical_coordination_game(self):
         points = enumerate_bilinear_nash(
-            BilinearPayoff.from_corner_values(3, 1, 1, 2),
-            BilinearPayoff.from_corner_values(2, 1, 1, 3),
+            BilinearPayoff(3, 1, 1, 2),
+            BilinearPayoff(2, 1, 1, 3),
         )
         coords = {(round(n.p_star, 12), round(n.q_star, 12)) for n in points}
         assert coords == {(1.0, 1.0), (0.0, 0.0), (round(2 / 3, 12), round(1 / 3, 12))}
 
     def test_agrees_with_grid_defect_oracle(self):
-        bp_a = BilinearPayoff.from_corner_values(3, 1, 1, 2)
-        bp_b = BilinearPayoff.from_corner_values(2, 1, 1, 3)
+        bp_a = BilinearPayoff(3, 1, 1, 2)
+        bp_b = BilinearPayoff(2, 1, 1, 3)
         points = enumerate_bilinear_nash(bp_a, bp_b)
         p, q, defect = best_response_defect_grid(bp_a, bp_b, n=1001)
         near_nash = defect <= 2.5e-3
@@ -248,8 +250,9 @@ class TestEnumerator:
     def test_indifferent_player_merges_an_edge(self):
         # Row player fully indifferent; column player strictly wants q = 1,
         # so the whole top edge is an equilibrium continuum.
-        bp_a = BilinearPayoff(0.0, 0.0, 1.0, 0.0)
-        bp_b = BilinearPayoff(0.0, 0.0, 1.0, 0.0)
+        # Both surfaces are value(p, q) = q.
+        bp_a = BilinearPayoff(1.0, 0.0, 1.0, 0.0)
+        bp_b = BilinearPayoff(1.0, 0.0, 1.0, 0.0)
         points = enumerate_bilinear_nash(bp_a, bp_b)
         assert len(points) == 1
         only = points[0]
@@ -257,8 +260,8 @@ class TestEnumerator:
         assert (only.p_star, only.q_star) == (0.5, 1.0)
 
     def test_pure_cycling_game_has_single_interior_point(self):
-        bp_a = BilinearPayoff.from_corner_values(1, -1, -1, 1)
-        bp_b = BilinearPayoff.from_corner_values(-1, 1, 1, -1)
+        bp_a = BilinearPayoff(1, -1, -1, 1)
+        bp_b = BilinearPayoff(-1, 1, 1, -1)
         points = enumerate_bilinear_nash(bp_a, bp_b)
         assert len(points) == 1
         assert points[0].kind is EquilibriumKind.INTERIOR
@@ -342,14 +345,16 @@ class TestEnumerator:
     @PROPERTY
     @given(
         seed=st.integers(0, 2**32 - 1),
-        k=st.integers(-13, 13),
+        k=st.integers(-43, 43),
         m=st.integers(0, 10),
         mixed=st.booleans(),
     )
     def test_positive_affine_rescaling_keeps_the_equilibria(self, seed, k, m, mixed):
         # Both surfaces of a random pure state or random (Ginibre) density
-        # matrix, mapped to c*x + d with c = 10^k and a shift d of up to
-        # 10^(m+1) times c, up to 1e11 times the payoff differences.
+        # matrix, mapped to c*(x + d) with c = 2^k (about 10^-13 to 10^13)
+        # and an integer shift d of up to 10^(m+1), up to 1e11 times the
+        # payoff differences. The corners are put on a 2^-14 grid first, so
+        # that every shifted and scaled corner is exact.
         rng = np.random.default_rng(seed)
         if mixed:
             rho = random_density(rng)
@@ -357,15 +362,19 @@ class TestEnumerator:
             amps = rng.normal(size=4) + 1j * rng.normal(size=4)
             rho = StateVector(amps / np.linalg.norm(amps)).density_matrix()
         pa, pb = payoff_operators(GamePayoffs(*np.sort(rng.uniform(0.1, 10.0, 3))[::-1]))
-        surfaces = bilinear_payoff_coefficients(rho, pa, pb)
-        c = 10.0**k
-        scaled = [
-            BilinearPayoff(
-                c * bp.pq_coeff, c * bp.p_coeff, c * bp.q_coeff,
-                c * (bp.const + rng.uniform(-10.0, 10.0) * 10.0**m),
-            )
-            for bp in surfaces
+
+        def on_grid(bp: BilinearPayoff) -> list[float]:
+            return [round(x * 2**14) / 2**14 for x in (bp.at_11, bp.at_10, bp.at_01, bp.at_00)]
+
+        surfaces = [
+            BilinearPayoff(*on_grid(bp))
+            for bp in bilinear_payoff_coefficients(rho, pa, pb)
         ]
+        c = 2.0**k
+        scaled = []
+        for bp in surfaces:
+            d = round(rng.uniform(-10.0, 10.0) * 10.0**m)
+            scaled.append(BilinearPayoff(*(c * (x + d) for x in on_grid(bp))))
         base = enumerate_bilinear_nash(*surfaces)
         moved = enumerate_bilinear_nash(*scaled)
         assert [n.kind for n in moved] == [n.kind for n in base]
@@ -379,6 +388,46 @@ class TestEnumerator:
             assert point.payoff_a == bp_a.value(point.p_star, point.q_star)
             assert point.payoff_b == bp_b.value(point.p_star, point.q_star)
 
+    def test_float_surfaces_give_float_coordinates(self):
+        flat = BilinearPayoff(1.0, 1.0, 1.0, 1.0)
+        top_edge = BilinearPayoff(1.0, 0.0, 1.0, 0.0)
+        bos = (BilinearPayoff(3.0, 1.0, 1.0, 2.0), BilinearPayoff(2.0, 1.0, 1.0, 3.0))
+        cases = (
+            ((flat, flat), [(0.5, 0.5)]),
+            ((top_edge, top_edge), [(0.5, 1.0)]),
+            (bos, [(1.0, 1.0), (0.0, 0.0), (2 / 3, 1 / 3)]),
+        )
+        for surfaces, want in cases:
+            points = enumerate_bilinear_nash(*surfaces)
+            assert [(n.p_star, n.q_star) for n in points] == want
+            assert all(type(n.p_star) is float and type(n.q_star) is float for n in points)
+
+    @PROPERTY
+    @given(
+        levels=st.lists(st.integers(-10**6, 10**6), min_size=3, max_size=3, unique=True),
+        a2=st.fractions(0, 1, max_denominator=10**6),
+    )
+    def test_fraction_surfaces_reproduce_the_closed_forms_exactly(self, levels, a2):
+        # The exact twin: on Fraction surfaces of a family state the
+        # enumerator has zero tolerances and must give the closed forms'
+        # kinds, order and values exactly. The float run must find the same
+        # kinds in the same order; at these levels the spread is far above
+        # the float round-off of the levels.
+        exact = GamePayoffs(*(Fraction(v) for v in sorted(levels, reverse=True)))
+        surfaces = payoff_surfaces((a2, 0, 0, 1 - a2), *_bos_table(exact))
+        enumerated = enumerate_bilinear_nash(*surfaces)
+        closed = entangled_equilibria(exact, EntangledFamilyState(a2))
+
+        def fields(points):
+            return [(n.kind, n.p_star, n.q_star, n.payoff_a, n.payoff_b) for n in points]
+
+        assert fields(enumerated) == fields(closed)
+        assert all(type(x) is Fraction for n in enumerated for x in fields([n])[0][1:])
+        params = GamePayoffs(*(float(v) for v in (exact.alpha, exact.beta, exact.gamma)))
+        probabilities = EntangledFamilyState(float(a2)).state_vector().probabilities
+        floats = enumerate_bilinear_nash(*payoff_surfaces(probabilities, *_bos_table(params)))
+        assert [n.kind for n in floats] == [n.kind for n in enumerated]
+
 
 class TestRanking:
     def test_interior_ranked_strictly_last(self):
@@ -387,6 +436,28 @@ class TestRanking:
         assert ranking.ordered[-1].kind is EquilibriumKind.INTERIOR
         assert ranking.ordered[-1].payoff_a == pytest.approx(1.72, abs=1e-12)
         assert ranking.ordered[0].min_payoff > ranking.ordered[-1].min_payoff
+
+    @PROPERTY
+    @given(
+        params=scaled_levels(),
+        weights=st.lists(st.floats(1e-3, 1.0), min_size=4, max_size=4),
+        phases=st.lists(st.floats(-np.pi, np.pi), min_size=4, max_size=4),
+    )
+    def test_mirror_corners_tie_exactly_outside_the_family(self, params, weights, phases):
+        # B's payoff vector is A's read backwards, so B's (0,0) corner is
+        # A's (1,1) corner summed in reverse order: the two corners must tie
+        # bit for bit, and the documented tie-break puts (1,1) first.
+        total = sum(weights)
+        amps = [math.sqrt(w / total) * complex(math.cos(t), math.sin(t))
+                for w, t in zip(weights, phases)]
+        state = StateVector(np.array(amps) / np.linalg.norm(amps))
+        bp_a, bp_b = payoff_surfaces(state.probabilities, *_bos_table(params))
+        assert bp_a.at_11.hex() == bp_b.at_00.hex()
+        assert bp_a.at_00.hex() == bp_b.at_11.hex()
+        ordered = rank_equilibria(enumerate_bilinear_nash(bp_a, bp_b)).ordered
+        corners = [(n.p_star, n.q_star) for n in ordered]
+        if (1.0, 1.0) in corners and (0.0, 0.0) in corners:
+            assert corners.index((1.0, 1.0)) < corners.index((0.0, 0.0))
 
     def test_balanced_corners_tie_in_canonical_order(self):
         points = entangled_equilibria(BOS, EntangledFamilyState(0.5))
@@ -444,13 +515,21 @@ class TestUniqueSolution:
         assert (report.preferred_by_b.p_star, report.preferred_by_b.q_star) == (1.0, 1.0)
 
     def test_merge_boundary_behaviour(self):
-        # The merge certificate compares corner payoffs and corner final
-        # densities at 1e-12; for these parameters both gaps scale like
-        # 2 * |a2 - 1/2|, so offsets at 2e-13 merge and 1e-6 must not.
+        # The merge certificate compares the corner final densities at
+        # 1e-12; their gap scales like 2 * |a2 - 1/2|, so offsets at 2e-13
+        # merge and 1e-6 must not.
         for offset in (0.0, 2e-13, -2e-13):
             assert unique_solution(BOS, EntangledFamilyState(0.5 + offset)).merged
         for offset in (1e-6, -1e-6, 0.3, -0.3):
             assert not unique_solution(BOS, EntangledFamilyState(0.5 + offset)).merged
+
+    @pytest.mark.parametrize("k", range(-6, 13))
+    def test_verdict_does_not_depend_on_payoff_scale(self, k):
+        scale = 10.0**k
+        params = GamePayoffs(3 * scale, 2 * scale, 1 * scale)
+        for offset, merged in ((1e-14, True), (1e-6, False), (-1e-6, False)):
+            report = unique_solution(params, EntangledFamilyState(0.5 + offset))
+            assert report.merged is merged
 
     def test_merged_state_is_the_initial_superposition(self):
         report = unique_solution(BOS, EntangledFamilyState(0.5))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import brute_force_pure_nash, brute_force_survivors
+from helpers import brute_force_pure_nash, brute_force_survivors, coefficients
 from qstatic.errors import ConstraintViolation
 from qstatic.game_core import (
     BilinearPayoff,
@@ -245,11 +245,19 @@ class TestExpectedPayoffs:
 
 class TestBilinearPayoff:
     def test_corner_values_roundtrip(self):
-        bp = BilinearPayoff.from_corner_values(4.0, -1.0, 2.5, 0.5)
+        bp = BilinearPayoff(4.0, -1.0, 2.5, 0.5)
         assert bp.value(1, 1) == 4.0
         assert bp.value(1, 0) == -1.0
         assert bp.value(0, 1) == 2.5
         assert bp.value(0, 0) == 0.5
+
+    @given(corners=st.lists(st.floats(-1e300, 1e300), min_size=4, max_size=4))
+    def test_value_returns_each_corner_bit_for_bit(self, corners):
+        # Equal nonzero floats have equal bits; a zero corner may come back
+        # with the other sign.
+        bp = BilinearPayoff(*corners)
+        got = [bp.value(1.0, 1.0), bp.value(1.0, 0.0), bp.value(0.0, 1.0), bp.value(0.0, 0.0)]
+        assert got == corners
 
     def test_from_matrix_matches_expected_payoffs(self):
         game = bos(5, 3, 1)
@@ -264,10 +272,8 @@ class TestBilinearPayoff:
 
     def test_fraction_corners_give_an_exact_surface(self):
         at_11, at_10, at_01, at_00 = Fraction(4), Fraction(-1, 3), Fraction(5, 2), Fraction(1, 7)
-        bp = BilinearPayoff.from_corner_values(at_11, at_10, at_01, at_00)
-        assert all(
-            type(c) is Fraction for c in (bp.pq_coeff, bp.p_coeff, bp.q_coeff, bp.const)
-        )
+        bp = BilinearPayoff(at_11, at_10, at_01, at_00)
+        assert all(type(c) is Fraction for c in coefficients(bp))
         p, q = Fraction(1, 3), Fraction(2, 5)
         # Bilinear interpolation between the corners, in exact arithmetic.
         want = (
@@ -278,7 +284,8 @@ class TestBilinearPayoff:
         assert bp.slope_p(q) == bp.value(1, q) - bp.value(0, q)
 
     def test_slopes_are_partial_derivatives(self):
-        bp = BilinearPayoff(3.0, -1.0, 2.0, 0.0)
+        # value(p, q) = 3 p q - p + 2 q
+        bp = BilinearPayoff(4.0, -1.0, 2.0, 0.0)
         eps = 1e-7
         q = 0.37
         numeric = (bp.value(0.5 + eps, q) - bp.value(0.5 - eps, q)) / (2 * eps)

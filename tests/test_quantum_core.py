@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_density, random_su2
+from helpers import coefficients, random_density, random_su2
 from qstatic.errors import ConstraintViolation, InternalConsistencyError
 from qstatic.outcomes import _flipped
 from qstatic.game_core import GamePayoffs, MixProbabilities, bos_bimatrix, expected_payoffs
@@ -414,34 +414,21 @@ class TestBilinearCoefficients:
         bp_a, bp_b = bilinear_payoff_coefficients(rho, pa, pb)
         # Row player: slope term alpha+beta-2*gamma; linear terms
         # gamma - alpha*|b|^2 - beta*|a|^2; constant alpha*|b|^2 + beta*|a|^2.
-        assert bp_a.pq_coeff == pytest.approx(3.0, abs=1e-12)
-        assert bp_a.p_coeff == pytest.approx(-1.2, abs=1e-12)
-        assert bp_a.q_coeff == pytest.approx(-1.2, abs=1e-12)
-        assert bp_a.const == pytest.approx(2.2, abs=1e-12)
-        assert bp_b.pq_coeff == pytest.approx(3.0, abs=1e-12)
-        assert bp_b.p_coeff == pytest.approx(-1.8, abs=1e-12)
-        assert bp_b.q_coeff == pytest.approx(-1.8, abs=1e-12)
-        assert bp_b.const == pytest.approx(2.8, abs=1e-12)
+        assert coefficients(bp_a) == pytest.approx((3.0, -1.2, -1.2, 2.2), abs=1e-12)
+        assert coefficients(bp_b) == pytest.approx((3.0, -1.8, -1.8, 2.8), abs=1e-12)
 
     def test_pure_oo_reduces_to_classical_coefficients(self):
         pa, pb = payoff_operators(BOS)
         rho = StateVector.basis("OO").density_matrix()
         bp_a, _ = bilinear_payoff_coefficients(rho, pa, pb)
-        assert bp_a.pq_coeff == pytest.approx(3.0, abs=1e-12)
-        assert bp_a.p_coeff == pytest.approx(-1.0, abs=1e-12)
-        assert bp_a.q_coeff == pytest.approx(-1.0, abs=1e-12)
-        assert bp_a.const == pytest.approx(2.0, abs=1e-12)
+        assert coefficients(bp_a) == pytest.approx((3.0, -1.0, -1.0, 2.0), abs=1e-12)
 
     def test_outcome_probabilities_give_exact_surfaces_on_fractions(self):
         # The superposition-family case above, a2 = 4/5, in exact arithmetic.
         probabilities = (Fraction(4, 5), 0, 0, Fraction(1, 5))
         bp_a, bp_b = payoff_surfaces(probabilities, (3, 1, 1, 2), (2, 1, 1, 3))
-        assert (bp_a.pq_coeff, bp_a.p_coeff, bp_a.q_coeff, bp_a.const) == (
-            3, Fraction(-6, 5), Fraction(-6, 5), Fraction(11, 5)
-        )
-        assert (bp_b.pq_coeff, bp_b.p_coeff, bp_b.q_coeff, bp_b.const) == (
-            3, Fraction(-9, 5), Fraction(-9, 5), Fraction(14, 5)
-        )
+        assert coefficients(bp_a) == (3, Fraction(-6, 5), Fraction(-6, 5), Fraction(11, 5))
+        assert coefficients(bp_b) == (3, Fraction(-9, 5), Fraction(-9, 5), Fraction(14, 5))
 
     def test_flags_imaginary_residue(self):
         # The adapter reads the density's diagonal and keeps the residue check.
