@@ -140,12 +140,10 @@ class MixProbabilities:
 class BilinearPayoff:
     """One player's expected payoff as a bilinear surface over the unit square.
 
-    The surface is held by its values at the four corners: ``at_pq`` is the
-    payoff at (p, q). A bilinear surface, c_pq p q + c_p p + c_q q + c_0, is
-    determined exactly by them, and this is the exact shape of any 2x2
+    It is held by its values at the four corners (``at_pq`` is the payoff at
+    (p, q)), which fix a bilinear surface exactly: the shape of any 2x2
     expected payoff in the two mixing probabilities, classical or quantum.
-    ``value`` interpolates between the corners, so each corner value comes
-    back bit for bit, and ``Fraction`` corners give an exact surface.
+    ``value`` interpolates, so each corner comes back bit for bit.
     """
 
     at_11: float
@@ -173,7 +171,9 @@ class BilinearPayoff:
 
     def value(self, p: float, q: float) -> float:
         r = 1 - q
-        return (1 - p) * (r * self.at_00 + q * self.at_01) + p * (r * self.at_10 + q * self.at_11)
+        return (1 - p) * (r * self.at_00 + q * self.at_01) + p * (
+            r * self.at_10 + q * self.at_11
+        )
 
     def slope_p(self, q: float) -> float:
         """Derivative in p, constant in p because the surface is bilinear."""

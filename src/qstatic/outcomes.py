@@ -109,11 +109,8 @@ _CORNER_FLIPS = tuple(
 
 
 def _corner_means(payoffs: Sequence[float], probabilities: Sequence[float]) -> list[float]:
-    """Mean payoffs at the corners, in ``_CORNER_FLIPS`` order.
-
-    Adding the products in two pairs gives a mirrored payoff vector (the
-    column player's, outcome k ^ 3) the same bits at the mirror corner.
-    """
+    """Mean payoffs at the corners, in ``_CORNER_FLIPS`` order. Pairwise sums
+    give a mirrored payoff vector (outcome k ^ 3) equal bits at the mirror corner."""
     x0, x1, x2, x3 = payoffs
     d = probabilities
     return [(x0 * d[i] + x1 * d[j]) + (x2 * d[k] + x3 * d[m]) for i, j, k, m in _CORNER_FLIPS]
