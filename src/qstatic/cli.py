@@ -270,25 +270,20 @@ def _unit_grid(steps: int) -> list[float]:
 # exact fractions: the enumerator re-run on Fraction surfaces
 
 
-def _simple_fraction(x: float, max_denominator: int = 10**6) -> Fraction | None:
-    """Shortest fraction that rounds back to exactly this float, if small."""
-    frac = Fraction(x).limit_denominator(max_denominator)
-    return frac if float(frac) == x else None
-
-
 def _exact_equilibria(
     points: Sequence[NashPoint], params: GamePayoffs, a2: float = 1.0
 ) -> Sequence[NashPoint] | None:
     """``points`` in exact arithmetic, when the inputs are exact: integer
-    payoff parameters and an a2 that is a simple fraction (by default 1, the
-    classical game). The enumerator reruns on the family state's surfaces in
-    Fractions; None if it finds other kinds of equilibria than ``points``."""
+    payoff parameters and an a2 that a fraction with a denominator up to
+    10^6 rounds to (by default 1, the classical game). The enumerator reruns
+    on the family state's surfaces in Fractions; None if it finds other
+    kinds of equilibria than ``points``."""
     values = (params.alpha, params.beta, params.gamma)
-    a2 = _simple_fraction(a2)
-    if a2 is None or not all(v.is_integer() for v in values):
+    fraction = Fraction(a2).limit_denominator(10**6)
+    if float(fraction) != a2 or not all(v.is_integer() for v in values):
         return None
     exact = GamePayoffs(*(Fraction(v) for v in values))
-    surfaces = payoff_surfaces((a2, 0, 0, 1 - a2), *_bos_table(exact))
+    surfaces = payoff_surfaces((fraction, 0, 0, 1 - fraction), *_bos_table(exact))
     found = enumerate_bilinear_nash(*surfaces)
     return found if [p.kind for p in found] == [p.kind for p in points] else None
 

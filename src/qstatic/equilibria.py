@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import ConstraintViolation
-from .game_core import BilinearPayoff, GamePayoffs, _check_unit_interval
-from .outcomes import StateVector
+from .game_core import BilinearPayoff, GamePayoffs, _bos_table, _check_unit_interval
+from .outcomes import StateVector, payoff_surfaces
 
 if TYPE_CHECKING:
     from .quantum_core import DensityMatrix
@@ -41,14 +41,13 @@ __all__ = [
     "unique_solution",
 ]
 
-#: A best-response slope is treated as exactly zero below this fraction of
-#: the largest payoff coefficient; two candidate points within this
-#: distance coincide.
+#: Two candidate equilibria closer than this in both coordinates coincide.
 SLOPE_TOL = 1e-12
 #: Corner equilibria merge when their unit-trace final densities agree
 #: entrywise this tightly; equal densities give equal payoffs at any scale.
 MERGE_TOL = 1e-12
-# Round-off a difference of corner payoffs can carry, relative to their size.
+# A float slope counts as zero below this fraction of the largest corner,
+# measured from its surface's base: the round-off corners can carry.
 _ROUNDOFF = 32 * sys.float_info.epsilon
 
 
@@ -173,7 +172,7 @@ def entangled_equilibria(
     in q, where both players earn the same amount,
     (alpha*beta + (alpha-beta)^2 a2 b2 - gamma^2)/spread, which is strictly
     below both corner payoffs for both players. Besides the oracle uses,
-    ``sweep --param a2``, ``unique_solution`` and bench/workloads.py call it.
+    ``sweep --param a2``, ``factorizable_equilibria`` and bench/workloads.py call it.
     """
     alpha, beta, gamma = params.alpha, params.beta, params.gamma
     a2, b2 = state.a2, state.b2
@@ -203,25 +202,29 @@ def enumerate_bilinear_nash(
     is reported once, by its midpoint, as a degenerate family; if both
     players are indifferent everywhere the whole square is reported once.
 
-    A slope counts as zero within SLOPE_TOL of the largest pq, p or q
-    coefficient of either surface, so neither rescaling both players'
-    payoffs by one positive factor nor shifting them by one offset changes
-    anything. The coefficients are differences of corner payoffs and carry
-    their float round-off, so when every coefficient is within 32 ulps of
-    the largest constant term, both surfaces are read as flat.
+    Slopes and coefficients are differences of corners, so they carry the
+    corners' float round-off: a slope counts as zero within 32 ulps of the
+    largest corner of either surface, measured from its base. Rescaling both
+    players' payoffs by one positive factor scales the corners and the
+    tolerance alike, and a payoff level held in the bases enters neither,
+    so neither changes the equilibria.
 
     Fraction surfaces are enumerated exactly, with zero slope tolerances and
     Fraction coordinates; float surfaces get float coordinates.
     """
-    a11, a10, a01, a00 = bp_a.at_11, bp_a.at_10, bp_a.at_01, bp_a.at_00
-    b11, b10, b01, b00 = bp_b.at_11, bp_b.at_10, bp_b.at_01, bp_b.at_00
-    exact = isinstance(a00, Fraction) and isinstance(b00, Fraction)
+    exact = isinstance(bp_a.at_00, Fraction) and isinstance(bp_b.at_00, Fraction)
     one, zero = (Fraction(1), Fraction(0)) if exact else (1.0, 0.0)
-    # The coefficients of pq * p * q + p_ * p + q_ * q + const, from the corners.
-    pq_a, p_a, q_a = a11 - a10 - a01 + a00, a10 - a00, a01 - a00
-    pq_b, q_b = b11 - b10 - b01 + b00, b01 - b00
-    coefficient_scale = max(map(abs, (pq_a, p_a, q_a, pq_b, b10 - b00, q_b)))
-    tol = 0 if exact else SLOPE_TOL * coefficient_scale
+    # The row player's slope in p along the edge q = 1 or 0, and the column
+    # player's slope in q along the edge p = 1 or 0.
+    slope_a = {one: bp_a.slope_p(one), zero: bp_a.slope_p(zero)}
+    slope_b = {one: bp_b.slope_q(one), zero: bp_b.slope_q(zero)}
+    # The coefficients of pq * p * q + p_ * p + q_ * q + const; pq is the
+    # change of a slope from one edge to the other.
+    pq_a, p_a = slope_a[one] - slope_a[zero], slope_a[zero]
+    pq_b, q_b = slope_b[one] - slope_b[zero], slope_b[zero]
+    corner_values = (bp_a.at_11, bp_a.at_10, bp_a.at_01, bp_a.at_00,
+                     bp_b.at_11, bp_b.at_10, bp_b.at_01, bp_b.at_00)
+    tol = 0 if exact else _ROUNDOFF * max(map(abs, corner_values))
 
     def flat(slope: float) -> bool:
         return abs(slope) <= tol
@@ -235,16 +238,11 @@ def enumerate_bilinear_nash(
     def point(p: float, q: float, kind: EquilibriumKind) -> NashPoint:
         return NashPoint(p, q, bp_a.value(p, q), bp_b.value(p, q), kind)
 
-    roundoff = 0 if exact else _ROUNDOFF * max(abs(a00), abs(b00))
     fully_indifferent_a = flat(pq_a) and flat(p_a)
     fully_indifferent_b = flat(pq_b) and flat(q_b)
-    if coefficient_scale <= roundoff or (fully_indifferent_a and fully_indifferent_b):
+    if fully_indifferent_a and fully_indifferent_b:
         return (point(one / 2, one / 2, EquilibriumKind.DEGENERATE_FAMILY),)
 
-    # The row player's slope in p along the edge q = 1 or 0, and the column
-    # player's slope in q along the edge p = 1 or 0.
-    slope_a = {one: a11 - a01, zero: p_a}
-    slope_b = {one: b11 - b10, zero: q_b}
     corners = ((one, one), (one, zero), (zero, one), (zero, zero))
     passes = {(p, q): holds(p, slope_a[q]) and holds(q, slope_b[p]) for p, q in corners}
 
@@ -372,21 +370,25 @@ def unique_solution(
     player and its negative for the column player, so merging happens
     exactly at the balanced superposition, where the shared payoff is
     (alpha+beta)/2 and the shared final state is the initial state itself.
-    The corners come from the closed forms, for the family state that
-    bench/workloads.py passes too.
+    The corner payoffs are the corners of the state's payoff surfaces, the
+    values the enumerator reads.
     """
-    corner_keep, corner_flip, _ = entangled_equilibria(params, state)
+    vector = state.state_vector()
+    bp_a, bp_b = payoff_surfaces(vector.probabilities, *_bos_table(params))
+    keep_a, keep_b = bp_a.base + bp_a.at_11, bp_b.base + bp_b.at_11
+    flip_a, flip_b = bp_a.base + bp_a.at_00, bp_b.base + bp_b.at_00
+    corner_keep = NashPoint(1.0, 1.0, keep_a, keep_b, EquilibriumKind.CORNER)
+    corner_flip = NashPoint(0.0, 0.0, flip_a, flip_b, EquilibriumKind.CORNER)
     # Keeping at (1, 1) leaves the initial density a_m conj(a_n); flipping
     # both halves at (0, 0) moves basis index k to k ^ 3, and with it entry
-    # (m, n) to (m ^ 3, n ^ 3).
-    amps = state.state_vector().amplitudes
+    # (m, n) to (m ^ 3, n ^ 3). Entry (m ^ 3, n ^ 3) has the negated gap of
+    # (m, n), so rows 0 and 1 hold every gap.
+    amps = vector.amplitudes
+    conj = [a.conjugate() for a in amps]
     density_gap = max(
-        abs(amps[m] * amps[n].conjugate() - amps[m ^ 3] * amps[n ^ 3].conjugate())
-        for m in range(4)
-        for n in range(4)
+        abs(amps[m] * conj[n] - amps[m ^ 3] * conj[n ^ 3]) for m in range(2) for n in range(4)
     )
-    diff_a = corner_keep.payoff_a - corner_flip.payoff_a
-    diff_b = corner_keep.payoff_b - corner_flip.payoff_b
+    diff_a, diff_b = keep_a - flip_a, keep_b - flip_b
     merged = density_gap <= MERGE_TOL
     return UniqueSolutionReport(
         merged=merged,
@@ -394,6 +396,6 @@ def unique_solution(
         corner_flip=corner_flip,
         payoff_difference_a=diff_a,
         payoff_difference_b=diff_b,
-        solution_payoffs=(corner_keep.payoff_a, corner_keep.payoff_b) if merged else None,
-        final_state=state.state_vector() if merged else None,
+        solution_payoffs=(keep_a, keep_b) if merged else None,
+        final_state=vector if merged else None,
     )

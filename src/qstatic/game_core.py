@@ -140,39 +140,42 @@ class MixProbabilities:
 class BilinearPayoff:
     """One player's expected payoff as a bilinear surface over the unit square.
 
-    It is held by its values at the four corners (``at_pq`` is the payoff at
-    (p, q)), which fix a bilinear surface exactly: the shape of any 2x2
-    expected payoff in the two mixing probabilities, classical or quantum.
-    ``value`` interpolates, so each corner comes back bit for bit.
+    It is held by its values at the four corners, which fix a bilinear
+    surface exactly: the shape of any 2x2 expected payoff in the two mixing
+    probabilities, classical or quantum. The payoff at corner (p, q) is
+    base + at_pq, so a common payoff level held in ``base`` adds no round-off
+    to the corner differences that decide the equilibria. ``value``
+    interpolates, so each corner comes back bit for bit.
     """
 
     at_11: float
     at_10: float
     at_01: float
     at_00: float
+    base: float = 0
 
     def __post_init__(self) -> None:
-        vals = (self.at_11, self.at_10, self.at_01, self.at_00)
-        if not all(math.isfinite(v) for v in vals):
+        vals = (self.at_11, self.at_10, self.at_01, self.at_00, self.base)
+        if not all(map(math.isfinite, vals)):
             raise ConstraintViolation(f"corner payoffs must be finite, got {vals}")
 
     @classmethod
     def from_payoff_matrix(
         cls, matrix: Iterable[Iterable[float]]
     ) -> BilinearPayoff:
-        """Corner values of a 2x2 payoff table, with p = P(row 0), q = P(col 0)."""
+        """Corners of a 2x2 payoff table from its smallest entry; p = P(row 0), q = P(col 0)."""
         m = _float_table(matrix)
         if _table_shape(m) != (2, 2):
             raise ConstraintViolation(
                 f"need a 2x2 payoff table, got shape {_table_shape(m)}"
             )
-        (at_11, at_10), (at_01, at_00) = m
-        return cls(at_11, at_10, at_01, at_00)
+        base = min(m[0] + m[1])
+        return cls(*(x - base for x in m[0] + m[1]), base)
 
     def value(self, p: float, q: float) -> float:
         r = 1 - q
-        return (1 - p) * (r * self.at_00 + q * self.at_01) + p * (
-            r * self.at_10 + q * self.at_11
+        return self.base + (
+            (1 - p) * (r * self.at_00 + q * self.at_01) + p * (r * self.at_10 + q * self.at_11)
         )
 
     def slope_p(self, q: float) -> float:

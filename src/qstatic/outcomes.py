@@ -127,10 +127,13 @@ def payoff_surfaces(
     ``payoffs_a`` and ``payoffs_b`` are each player's payoffs at the outcomes
     (OO, OT, TO, TT). The mixing map makes each payoff bilinear in (p, q),
     and the surface is pinned by its four corner payoffs, each a dot product
-    with the permuted probabilities. The arithmetic is plain, so
+    with the permuted probabilities, measured from the player's smallest
+    payoff: a sum of terms that are never negative, whose differences carry
+    no round-off of a common payoff level. The arithmetic is plain, so
     ``Fraction`` inputs give exact surfaces.
     """
+    base_a, base_b = min(payoffs_a), min(payoffs_b)
     return (
-        BilinearPayoff(*_corner_means(payoffs_a, probabilities)),
-        BilinearPayoff(*_corner_means(payoffs_b, probabilities)),
+        BilinearPayoff(*_corner_means([x - base_a for x in payoffs_a], probabilities), base_a),
+        BilinearPayoff(*_corner_means([x - base_b for x in payoffs_b], probabilities), base_b),
     )

@@ -14,7 +14,7 @@ def coefficients(bp: BilinearPayoff) -> tuple:
         bp.at_11 - bp.at_10 - bp.at_01 + bp.at_00,
         bp.at_10 - bp.at_00,
         bp.at_01 - bp.at_00,
-        bp.at_00,
+        bp.base + bp.at_00,
     )
 
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -267,17 +268,36 @@ class TestClassicalCommand:
         out = capsys.readouterr().out
         assert "2/3" in out and "5/3" in out
 
-    def test_exact_columns_null_when_the_exact_run_finds_other_kinds(self, tmp_path, capsys):
-        # At a common offset of 1e15 the float corner differences are within
-        # the enumerator's round-off rule and the square reads as flat; the
-        # exact run finds three equilibria, so no row gets another's fractions.
+    def test_large_common_offset_keeps_three_exact_equilibria(self, tmp_path, capsys):
+        # The corners are measured from the smallest payoff, so at a common
+        # offset of 1e15 the payoff differences 1 and 2 still decide: for the
+        # table, for the basis state |OO> and for a2 = 0.3, whose corners round.
         big = 10**15
-        path = write_config(
-            tmp_path, {"payoffs": {"alpha": big + 2, "beta": big + 1, "gamma": big}}
+        payoffs = {"alpha": big + 2, "beta": big + 1, "gamma": big}
+        cases = (
+            ("classical", "OO", "mixed_equilibria", ("2/3", "1/3")),
+            ("quantum", "OO", "equilibria", ("2/3", "1/3")),
+            ("quantum", {"a2": 0.3}, "equilibria", ("13/30", "17/30")),
         )
-        doc = run_json(capsys, ["classical", "--config", path])
-        assert [row["kind"] for row in doc["mixed_equilibria"]] == ["degenerate-family"]
-        assert doc["mixed_equilibria"][0]["p_exact"] is None
+        for command, state, key, interior in cases:
+            path = write_config(tmp_path, {"payoffs": payoffs, "initial_state": state})
+            rows = run_json(capsys, [command, "--config", path])[key]
+            assert [row["kind"] for row in rows] == ["corner", "corner", "interior"]
+            assert [(row["p_exact"], row["q_exact"]) for row in rows] == [
+                ("1", "1"), ("0", "0"), interior
+            ]
+            assert rows[2]["p"] == pytest.approx(float(Fraction(interior[0])), abs=1e-12)
+            assert rows[2]["q"] == pytest.approx(float(Fraction(interior[1])), abs=1e-12)
+
+    def test_exact_columns_null_when_the_exact_run_finds_other_kinds(self, tmp_path, capsys):
+        # beta - gamma = 1 is below 32 ulps of alpha - gamma = 4e16, the float
+        # enumerator's round-off allowance, so the float run reads a slope as
+        # flat where the exact run finds the game's three equilibria; no row
+        # gets another's fractions.
+        path = write_config(tmp_path, {"payoffs": {"alpha": 4 * 10**16, "beta": 1, "gamma": 0}})
+        rows = run_json(capsys, ["classical", "--config", path])["mixed_equilibria"]
+        assert [row["kind"] for row in rows] != ["corner", "corner", "interior"]
+        assert all(row["p_exact"] is None for row in rows)
 
     def test_dominant_strategy_bimatrix_has_elimination_trace(self, tmp_path, capsys):
         path = write_config(

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import best_response_defect_grid, endpoint_certificate_holds, random_density
+from helpers import (
+    best_response_defect_grid,
+    coefficients,
+    endpoint_certificate_holds,
+    random_density,
+)
 from qstatic.equilibria import (
     EntangledFamilyState,
     EquilibriumKind,
@@ -344,17 +350,37 @@ class TestEnumerator:
 
     @PROPERTY
     @given(
+        phases=st.lists(st.floats(-np.pi, np.pi), min_size=4, max_size=4),
+        k=st.integers(-6, 6),
+    )
+    def test_uniform_modulus_state_is_flat_when_the_corner_payoffs_cancel(self, phases, k):
+        # Levels 7, 3, -5 average to 0 over the four outcomes, so every corner
+        # payoff is round-off around 0; measured from the smallest payoff the
+        # corners are about 5 and their differences stay round-off of that.
+        params = GamePayoffs(7 * 10.0**k, 3 * 10.0**k, -5 * 10.0**k)
+        state = StateVector(0.5 * np.exp(1j * np.array(phases)))
+        points = enumerate_bilinear_nash(*payoff_surfaces(state.probabilities, *_bos_table(params)))
+        assert [(n.kind, n.p_star, n.q_star) for n in points] == [
+            (EquilibriumKind.DEGENERATE_FAMILY, 0.5, 0.5)
+        ]
+
+    @PROPERTY
+    @given(
         seed=st.integers(0, 2**32 - 1),
-        k=st.integers(-43, 43),
+        k=st.integers(-13, 13),
         m=st.integers(0, 10),
         mixed=st.booleans(),
     )
     def test_positive_affine_rescaling_keeps_the_equilibria(self, seed, k, m, mixed):
         # Both surfaces of a random pure state or random (Ginibre) density
-        # matrix, mapped to c*(x + d) with c = 2^k (about 10^-13 to 10^13)
-        # and an integer shift d of up to 10^(m+1), up to 1e11 times the
-        # payoff differences. The corners are put on a 2^-14 grid first, so
-        # that every shifted and scaled corner is exact.
+        # matrix, mapped to c*x + d with c = 10^k and a shift d of up to
+        # 10^(m+1) times c, up to 1e11 times the payoff differences.
+        # Held apart in the base, the shift rounds only there, and the
+        # equilibria stay within 1e-12. Added to every corner value, it
+        # rounds each corner by up to eps * |x + d| (times c), which moves
+        # the interior coordinates -p_a/pq_a and -q_b/pq_b by at most
+        # 6 eps max|x + d| / |pq| to first order: a slope is the difference
+        # of two corners, pq of four.
         rng = np.random.default_rng(seed)
         if mixed:
             rho = random_density(rng)
@@ -362,25 +388,26 @@ class TestEnumerator:
             amps = rng.normal(size=4) + 1j * rng.normal(size=4)
             rho = StateVector(amps / np.linalg.norm(amps)).density_matrix()
         pa, pb = payoff_operators(GamePayoffs(*np.sort(rng.uniform(0.1, 10.0, 3))[::-1]))
-
-        def on_grid(bp: BilinearPayoff) -> list[float]:
-            return [round(x * 2**14) / 2**14 for x in (bp.at_11, bp.at_10, bp.at_01, bp.at_00)]
-
-        surfaces = [
-            BilinearPayoff(*on_grid(bp))
-            for bp in bilinear_payoff_coefficients(rho, pa, pb)
-        ]
-        c = 2.0**k
-        scaled = []
+        surfaces = bilinear_payoff_coefficients(rho, pa, pb)
+        c = 10.0**k
+        in_base, in_corners, drift = [], [], []
         for bp in surfaces:
-            d = round(rng.uniform(-10.0, 10.0) * 10.0**m)
-            scaled.append(BilinearPayoff(*(c * (x + d) for x in on_grid(bp))))
+            d = rng.uniform(-10.0, 10.0) * 10.0**m
+            corners = [bp.base + x for x in (bp.at_11, bp.at_10, bp.at_01, bp.at_00)]
+            in_base.append(BilinearPayoff(
+                c * bp.at_11, c * bp.at_10, c * bp.at_01, c * bp.at_00, c * (bp.base + d)
+            ))
+            in_corners.append(BilinearPayoff(*(c * (x + d) for x in corners)))
+            pq = abs(coefficients(bp)[0])
+            size = max(abs(x + d) for x in corners)
+            drift.append(6 * sys.float_info.epsilon * size / pq if pq else math.inf)
         base = enumerate_bilinear_nash(*surfaces)
-        moved = enumerate_bilinear_nash(*scaled)
-        assert [n.kind for n in moved] == [n.kind for n in base]
-        for got, want in zip(moved, base):
-            assert abs(got.p_star - want.p_star) <= 1e-12
-            assert abs(got.q_star - want.q_star) <= 1e-12
+        for scaled, (tol_q, tol_p) in ((in_base, (0.0, 0.0)), (in_corners, drift)):
+            moved = enumerate_bilinear_nash(*scaled)
+            assert [n.kind for n in moved] == [n.kind for n in base]
+            for got, want in zip(moved, base):
+                assert abs(got.p_star - want.p_star) <= 1e-12 + tol_p
+                assert abs(got.q_star - want.q_star) <= 1e-12 + tol_q
 
     def test_payoffs_equal_surface_values(self):
         bp_a, bp_b = family_coefficients(BOS, 0.8)
