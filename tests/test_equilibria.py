@@ -334,32 +334,19 @@ class TestEnumerator:
     @given(
         phases=st.lists(st.floats(-np.pi, np.pi), min_size=4, max_size=4),
         k=st.integers(-6, 6),
+        levels=st.sampled_from([(3, 2, 1), (7, 3, -5)]),
     )
-    def test_uniform_modulus_state_leaves_both_players_indifferent(self, phases, k):
+    def test_uniform_modulus_state_leaves_both_players_indifferent(self, phases, k, levels):
         # Every keep/flip combination of a state with four equal moduli gives
         # the same outcome probabilities, so both surfaces are flat and their
-        # coefficients are round-off of the corner payoffs.
+        # coefficients are round-off of the corner payoffs. Levels 7, 3, -5
+        # average to 0 over the four outcomes, so there every corner payoff
+        # is round-off around 0 as well.
         scale = 10.0**k
-        params = GamePayoffs(3 * scale, 2 * scale, 1 * scale)
+        params = GamePayoffs(*(level * scale for level in levels))
         rho = StateVector(0.5 * np.exp(1j * np.array(phases))).density_matrix()
         surfaces = bilinear_payoff_coefficients(rho, *payoff_operators(params))
         points = enumerate_bilinear_nash(*surfaces)
-        assert [(n.kind, n.p_star, n.q_star) for n in points] == [
-            (EquilibriumKind.DEGENERATE_FAMILY, 0.5, 0.5)
-        ]
-
-    @PROPERTY
-    @given(
-        phases=st.lists(st.floats(-np.pi, np.pi), min_size=4, max_size=4),
-        k=st.integers(-6, 6),
-    )
-    def test_uniform_modulus_state_is_flat_when_the_corner_payoffs_cancel(self, phases, k):
-        # Levels 7, 3, -5 average to 0 over the four outcomes, so every corner
-        # payoff is round-off around 0; measured from the smallest payoff the
-        # corners are about 5 and their differences stay round-off of that.
-        params = GamePayoffs(7 * 10.0**k, 3 * 10.0**k, -5 * 10.0**k)
-        state = StateVector(0.5 * np.exp(1j * np.array(phases)))
-        points = enumerate_bilinear_nash(*payoff_surfaces(state.probabilities, *_bos_table(params)))
         assert [(n.kind, n.p_star, n.q_star) for n in points] == [
             (EquilibriumKind.DEGENERATE_FAMILY, 0.5, 0.5)
         ]
