@@ -388,11 +388,11 @@ class TestEnumerator:
             pq = abs(coefficients(bp)[0])
             size = max(abs(x + d) for x in corners)
             drift.append(6 * sys.float_info.epsilon * size / pq if pq else math.inf)
-        base = enumerate_bilinear_nash(*surfaces)
+        original = enumerate_bilinear_nash(*surfaces)
         for scaled, (tol_q, tol_p) in ((in_base, (0.0, 0.0)), (in_corners, drift)):
             moved = enumerate_bilinear_nash(*scaled)
-            assert [n.kind for n in moved] == [n.kind for n in base]
-            for got, want in zip(moved, base):
+            assert [n.kind for n in moved] == [n.kind for n in original]
+            for got, want in zip(moved, original):
                 assert abs(got.p_star - want.p_star) <= 1e-12 + tol_p
                 assert abs(got.q_star - want.q_star) <= 1e-12 + tol_q
 
