@@ -40,6 +40,7 @@ from .game_core import (
     EliminationStep,
     GamePayoffs,
     _bos_table,
+    _check_unit_interval,
     bos_bimatrix,
     eliminate_strictly_dominated,
     pure_nash,
@@ -519,6 +520,14 @@ def cmd_sweep(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
     params = _require_params(cfg, "sweep")
     if args.steps < 2:
         raise ConfigError(f"sweep: steps must be at least 2, got {args.steps}")
+    if args.param != "a2":
+        # The fixed coordinate is checked once, before any row is built.
+        name = "q" if args.param == "p" else "p"
+        fixed = {name: getattr(args, name)}
+        try:
+            _check_unit_interval(name, fixed[name])
+        except ConstraintViolation as exc:
+            raise ConfigError(f"sweep: {exc}") from exc
     values = _unit_grid(args.steps)
     rows: list[dict] = []
     payload = {
@@ -556,9 +565,9 @@ def cmd_sweep(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
         )
     else:
         bp_a, bp_b = payoff_surfaces(cfg.state.probabilities, *_bos_table(params))
-        fixed = payload["fixed"] = {"q": args.q} if args.param == "p" else {"p": args.p}
+        payload["fixed"] = fixed
         for value in values:
-            mix = MixingChoice(**{args.param: value}, **fixed)  # checks fixed p/q
+            mix = MixingChoice(**{args.param: value}, **fixed)
             pay_a, pay_b = bp_a.value(mix.p, mix.q), bp_b.value(mix.p, mix.q)
             rows.append({"p": mix.p, "q": mix.q, "payoff_a": pay_a, "payoff_b": pay_b})
     return payload

@@ -41,7 +41,8 @@ __all__ = [
     "unique_solution",
 ]
 
-#: Two candidate equilibria closer than this in both coordinates coincide.
+#: Two candidate equilibria closer than this in both coordinates coincide,
+#: and so do a candidate this close outside the square and its nearest point.
 SLOPE_TOL = 1e-12
 #: Corner equilibria merge when their unit-trace final densities agree
 #: entrywise this tightly; equal densities give equal payoffs at any scale.
@@ -207,77 +208,93 @@ def enumerate_bilinear_nash(
     largest corner of either surface, measured from its base. Rescaling both
     players' payoffs by one positive factor scales the corners and the
     tolerance alike, and a payoff level held in the bases enters neither,
-    so neither changes the equilibria.
+    so neither changes the equilibria. The same round-off can move a
+    candidate on an edge just off the square; within SLOPE_TOL it is taken
+    at the nearest point of the square.
 
     Fraction surfaces are enumerated exactly, with zero slope tolerances and
     Fraction coordinates; float surfaces get float coordinates.
     """
     exact = isinstance(bp_a.at_00, Fraction) and isinstance(bp_b.at_00, Fraction)
     one, zero = (Fraction(1), Fraction(0)) if exact else (1.0, 0.0)
+    half = one / 2
     # The row player's slope in p along the edge q = 1 or 0, and the column
     # player's slope in q along the edge p = 1 or 0.
-    slope_a = {one: bp_a.slope_p(one), zero: bp_a.slope_p(zero)}
-    slope_b = {one: bp_b.slope_q(one), zero: bp_b.slope_q(zero)}
+    a1, a0 = bp_a.slope_p(one), bp_a.slope_p(zero)
+    b1, b0 = bp_b.slope_q(one), bp_b.slope_q(zero)
     # The coefficients of pq * p * q + p_ * p + q_ * q + const; pq is the
-    # change of a slope from one edge to the other.
-    pq_a, p_a = slope_a[one] - slope_a[zero], slope_a[zero]
-    pq_b, q_b = slope_b[one] - slope_b[zero], slope_b[zero]
-    corner_values = (bp_a.at_11, bp_a.at_10, bp_a.at_01, bp_a.at_00,
-                     bp_b.at_11, bp_b.at_10, bp_b.at_01, bp_b.at_00)
-    tol = 0 if exact else _ROUNDOFF * max(map(abs, corner_values))
-
-    def flat(slope: float) -> bool:
-        return abs(slope) <= tol
-
-    def holds(coordinate: float, slope: float) -> bool:
-        # Payoff is affine in the player's own coordinate: it is a best
-        # response iff the slope is (near) zero, or the coordinate sits at
-        # the end the slope pushes toward.
-        return flat(slope) or coordinate == (one if slope > 0 else zero)
-
-    def point(p: float, q: float, kind: EquilibriumKind) -> NashPoint:
-        return NashPoint(p, q, bp_a.value(p, q), bp_b.value(p, q), kind)
-
-    fully_indifferent_a = flat(pq_a) and flat(p_a)
-    fully_indifferent_b = flat(pq_b) and flat(q_b)
-    if fully_indifferent_a and fully_indifferent_b:
-        return (point(one / 2, one / 2, EquilibriumKind.DEGENERATE_FAMILY),)
-
-    corners = ((one, one), (one, zero), (zero, one), (zero, zero))
-    passes = {(p, q): holds(p, slope_a[q]) and holds(q, slope_b[p]) for p, q in corners}
-
-    # Edges along which one player is indifferent, with their two corners.
-    edges = (
-        (((zero, one), (one, one)), flat(slope_a[one])),
-        (((zero, zero), (one, zero)), flat(slope_a[zero])),
-        (((one, zero), (one, one)), flat(slope_b[one])),
-        (((zero, zero), (zero, one)), flat(slope_b[zero])),
+    # change of a slope from one edge to the other, p_a and q_b are a0 and b0.
+    pq_a, pq_b = a1 - a0, b1 - b0
+    tol = 0 if exact else _ROUNDOFF * max(
+        abs(bp_a.at_11), abs(bp_a.at_10), abs(bp_a.at_01), abs(bp_a.at_00),
+        abs(bp_b.at_11), abs(bp_b.at_10), abs(bp_b.at_01), abs(bp_b.at_00),
     )
-    found: list[NashPoint] = []
-    merged: set[tuple[float, float]] = set()
-    for (c1, c2), indifferent in edges:
-        if indifferent and passes[c1] and passes[c2]:
-            mid_p = (c1[0] + c2[0]) / 2
-            mid_q = (c1[1] + c2[1]) / 2
-            found.append(point(mid_p, mid_q, EquilibriumKind.DEGENERATE_FAMILY))
-            merged.update((c1, c2))
+    flat_a1, flat_a0 = abs(a1) <= tol, abs(a0) <= tol
+    flat_b1, flat_b0 = abs(b1) <= tol, abs(b0) <= tol
+    bilinear_a, bilinear_b = abs(pq_a) > tol, abs(pq_b) > tol
+    if not (bilinear_a or bilinear_b) and flat_a0 and flat_b0:
+        return (
+            NashPoint(
+                half, half, bp_a.value(half, half), bp_b.value(half, half),
+                EquilibriumKind.DEGENERATE_FAMILY,
+            ),
+        )
 
-    for corner in corners:
-        if passes[corner] and corner not in merged:
-            found.append(point(*corner, EquilibriumKind.CORNER))
+    # Payoff is affine in the player's own coordinate: a coordinate is a best
+    # response iff the slope is (near) zero, or it sits at the end the slope
+    # pushes toward. Each corner (p, q) needs both players' best responses.
+    up_a1, up_a0, up_b1, up_b0 = a1 > 0, a0 > 0, b1 > 0, b0 > 0
+    ok_11 = (flat_a1 or up_a1) and (flat_b1 or up_b1)
+    ok_10 = (flat_a0 or up_a0) and (flat_b1 or not up_b1)
+    ok_01 = (flat_a1 or not up_a1) and (flat_b0 or up_b0)
+    ok_00 = (flat_a0 or not up_a0) and (flat_b0 or not up_b0)
+    # An edge along which one player is indifferent, with both its corners
+    # equilibria, is one degenerate family, reported at its midpoint in place
+    # of its corners: q = 1, q = 0, p = 1, p = 0.
+    edge_q1 = flat_a1 and ok_01 and ok_11
+    edge_q0 = flat_a0 and ok_00 and ok_10
+    edge_p1 = flat_b1 and ok_10 and ok_11
+    edge_p0 = flat_b0 and ok_00 and ok_01
+    candidates = (
+        (edge_q1, half, one, EquilibriumKind.DEGENERATE_FAMILY),
+        (edge_q0, half, zero, EquilibriumKind.DEGENERATE_FAMILY),
+        (edge_p1, one, half, EquilibriumKind.DEGENERATE_FAMILY),
+        (edge_p0, zero, half, EquilibriumKind.DEGENERATE_FAMILY),
+        (ok_11 and not (edge_q1 or edge_p1), one, one, EquilibriumKind.CORNER),
+        (ok_10 and not (edge_q0 or edge_p1), one, zero, EquilibriumKind.CORNER),
+        (ok_01 and not (edge_q1 or edge_p0), zero, one, EquilibriumKind.CORNER),
+        (ok_00 and not (edge_q0 or edge_p0), zero, zero, EquilibriumKind.CORNER),
+    )
+    found = [
+        NashPoint(p, q, bp_a.value(p, q), bp_b.value(p, q), kind)
+        for listed, p, q, kind in candidates
+        if listed
+    ]
 
-    if not flat(pq_a) and not flat(pq_b):
-        q_star = -p_a / pq_a
-        p_star = -q_b / pq_b
+    if bilinear_a and bilinear_b:
+        q_star = -a0 / pq_a
+        p_star = -b0 / pq_b
         inside = 0 <= p_star <= 1 and 0 <= q_star <= 1
+        lo, hi = -SLOPE_TOL, 1 + SLOPE_TOL
+        if not inside and lo <= p_star <= hi and lo <= q_star <= hi:
+            # Round-off can push a candidate on an edge off the square; within
+            # SLOPE_TOL it coincides with the nearest point of the square.
+            p_star, q_star = min(max(p_star, zero), one), min(max(q_star, zero), one)
+            inside = True
         if inside and not any(
             abs(p_star - f.p_star) <= SLOPE_TOL and abs(q_star - f.q_star) <= SLOPE_TOL
             for f in found
         ):
-            if holds(p_star, bp_a.slope_p(q_star)) and holds(
-                q_star, bp_b.slope_q(p_star)
+            slope_a, slope_b = bp_a.slope_p(q_star), bp_b.slope_q(p_star)
+            if (abs(slope_a) <= tol or p_star == (one if slope_a > 0 else zero)) and (
+                abs(slope_b) <= tol or q_star == (one if slope_b > 0 else zero)
             ):
-                found.append(point(p_star, q_star, EquilibriumKind.INTERIOR))
+                found.append(
+                    NashPoint(
+                        p_star, q_star, bp_a.value(p_star, q_star),
+                        bp_b.value(p_star, q_star), EquilibriumKind.INTERIOR,
+                    )
+                )
 
     return tuple(found)
 
@@ -309,22 +326,20 @@ def rank_equilibria(points: Iterable[NashPoint]) -> EquilibriumRanking:
     pts = list(points)
     if not pts:
         raise ConstraintViolation("cannot rank an empty set of equilibria")
+    # ``min_payoff`` and ``payoff_sum``, read off the fields.
     ordered = tuple(
         sorted(
             pts,
-            key=lambda n: (n.min_payoff, n.payoff_sum, n.p_star, n.q_star),
+            key=lambda n: (
+                min(n.payoff_a, n.payoff_b), n.payoff_a + n.payoff_b, n.p_star, n.q_star
+            ),
             reverse=True,
         )
     )
     gaps = tuple(
-        PairwiseGap(
-            better=i,
-            worse=j,
-            delta_a=ordered[i].payoff_a - ordered[j].payoff_a,
-            delta_b=ordered[i].payoff_b - ordered[j].payoff_b,
-        )
-        for i in range(len(ordered))
-        for j in range(i + 1, len(ordered))
+        PairwiseGap(i, j, better.payoff_a - worse.payoff_a, better.payoff_b - worse.payoff_b)
+        for i, better in enumerate(ordered)
+        for j, worse in enumerate(ordered[i + 1:], i + 1)
     )
     return EquilibriumRanking(ordered, gaps)
 
@@ -386,7 +401,7 @@ def unique_solution(
     amps = vector.amplitudes
     conj = [a.conjugate() for a in amps]
     density_gap = max(
-        abs(amps[m] * conj[n] - amps[m ^ 3] * conj[n ^ 3]) for m in range(2) for n in range(4)
+        [abs(amps[m] * conj[n] - amps[m ^ 3] * conj[n ^ 3]) for m in (0, 1) for n in (0, 1, 2, 3)]
     )
     diff_a, diff_b = keep_a - flip_a, keep_b - flip_b
     merged = density_gap <= MERGE_TOL

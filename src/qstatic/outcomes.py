@@ -41,7 +41,8 @@ def _flipped(values: Sequence[Any], row_flips: bool, col_flips: bool) -> tuple:
     A flip swaps one player's symbol: basis index k = 2 r + c becomes k ^ s,
     with s = 2 for a row flip, 1 for a column flip and 3 for both. This is
     the only definition of "flip": the outcome probabilities here and the
-    density conjugation in ``quantum_core`` both permute through it.
+    density conjugation in ``quantum_core`` both permute through it, and
+    ``_corner_means`` writes out its four permutations.
     """
     s = 2 * int(row_flips) + int(col_flips)
     return tuple(values[k ^ s] for k in range(4))
@@ -99,21 +100,21 @@ class StateVector:
         return DensityMatrix(np.outer(amps, amps.conj()))
 
 
-#: Outcome index maps at the corners (1,1), (1,0), (0,1) and (0,0) of the
-#: keep probabilities: nobody flips, the column player flips, the row player
-#: flips, both flip.
-_CORNER_FLIPS = tuple(
-    _flipped(range(4), row_flips, col_flips)
-    for row_flips, col_flips in ((False, False), (False, True), (True, False), (True, True))
-)
-
-
 def _corner_means(payoffs: Sequence[float], probabilities: Sequence[float]) -> list[float]:
-    """Mean payoffs at the corners, in ``_CORNER_FLIPS`` order. Pairwise sums
-    give a mirrored payoff vector (outcome k ^ 3) equal bits at the mirror corner."""
+    """Mean payoffs at the corners (1,1), (1,0), (0,1) and (0,0) of the keep
+    probabilities. Nobody flips at the first; the column player, the row
+    player and both flip at the others. That is ``_flipped`` with s = 0, 1,
+    2, 3, so payoff k meets probability k ^ s; the four dot products are
+    written out in that order. Pairwise sums give a mirrored payoff vector
+    (outcome k ^ 3) equal bits at the mirror corner."""
     x0, x1, x2, x3 = payoffs
-    d = probabilities
-    return [(x0 * d[i] + x1 * d[j]) + (x2 * d[k] + x3 * d[m]) for i, j, k, m in _CORNER_FLIPS]
+    d0, d1, d2, d3 = probabilities
+    return [
+        (x0 * d0 + x1 * d1) + (x2 * d2 + x3 * d3),
+        (x0 * d1 + x1 * d0) + (x2 * d3 + x3 * d2),
+        (x0 * d2 + x1 * d3) + (x2 * d0 + x3 * d1),
+        (x0 * d3 + x1 * d2) + (x2 * d1 + x3 * d0),
+    ]
 
 
 def payoff_surfaces(

@@ -12,6 +12,7 @@ squared moduli (the density diagonal) ever enter a payoff.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,14 +169,15 @@ class PayoffOperator:
     diagonal: np.ndarray
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.diagonal, dtype=float)
+        # One copy, so the caller's array can change without changing this one.
+        d = np.array(self.diagonal, dtype=float)
         if d.shape != (4,):
             raise ConstraintViolation(
                 f"a payoff operator needs 4 diagonal entries, got shape {d.shape}"
             )
-        if not np.isfinite(d).all():
+        # Four Python floats test faster than numpy's isfinite on a small array.
+        if not all(map(math.isfinite, d.tolist())):
             raise ConstraintViolation("payoff operator entries must be finite")
-        d = d.copy()
         d.setflags(write=False)
         object.__setattr__(self, "diagonal", d)
         # trace_payoffs dots the diagonal with a complex one; numpy would cast
@@ -284,6 +286,8 @@ def bilinear_payoff_coefficients(
     diagonal = rho_in.entries.diagonal().tolist()
     payoffs_a, payoffs_b = pa.diagonal.tolist(), pb.diagonal.tolist()
     imaginary = [d.imag for d in diagonal]
-    residues = _corner_means(payoffs_a, imaginary) + _corner_means(payoffs_b, imaginary)
-    _check_imaginary_residue(max(map(abs, residues)), "corner", pa, pb)
+    # With every imaginary part exactly zero every residue is exactly zero.
+    if any(imaginary):
+        residues = _corner_means(payoffs_a, imaginary) + _corner_means(payoffs_b, imaginary)
+        _check_imaginary_residue(max(map(abs, residues)), "corner", pa, pb)
     return payoff_surfaces([d.real for d in diagonal], payoffs_a, payoffs_b)

@@ -589,6 +589,23 @@ class TestSweepCommand:
         assert captured.out == ""
         assert f"{name} must lie in [0, 1]" in captured.err
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--param", "p", "--q", "nan"], "sweep: q must lie in [0, 1], got nan"),
+            (["--param", "q", "--p", "1.5"], "sweep: p must lie in [0, 1], got 1.5"),
+        ],
+    )
+    def test_bad_fixed_mix_is_rejected_before_the_grid(
+        self, capsys, bos_config, monkeypatch, options, message
+    ):
+        # One prefixed error line, as simulate gives, and no grid is built.
+        monkeypatch.setattr(cli, "_unit_grid", lambda steps: pytest.fail("grid built"))
+        assert main(["sweep", "--config", bos_config, "--steps", "3", *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("param", ["p", "q"])
     def test_payoff_sweep_builds_no_density(self, capsys, bos_config, monkeypatch, param):
         built = []

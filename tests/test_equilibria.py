@@ -442,6 +442,56 @@ class TestEnumerator:
         floats = enumerate_bilinear_nash(*payoff_surfaces(probabilities, *_bos_table(params)))
         assert [n.kind for n in floats] == [n.kind for n in enumerated]
 
+    def test_candidate_rounded_off_an_edge_stays_on_it(self):
+        # Weights 0, 0, 2/5, 3/5 on levels 3, -1, -9: the row player is
+        # indifferent along q = 1 and the mutual-indifference point is
+        # (2/5, 1). In floats q* rounds to 1 + 2^-52; it is the same point.
+        params = GamePayoffs(3.0, -1.0, -9.0)
+        points = enumerate_bilinear_nash(*payoff_surfaces((0, 0, 0.4, 0.6), *_bos_table(params)))
+        assert [(n.kind, n.q_star) for n in points] == [
+            (EquilibriumKind.CORNER, 1.0),
+            (EquilibriumKind.CORNER, 0.0),
+            (EquilibriumKind.INTERIOR, 1.0),
+        ]
+        assert points[2].p_star == pytest.approx(0.4, abs=1e-15)
+
+    @PROPERTY
+    @given(
+        levels=st.lists(st.integers(-10, 10), min_size=3, max_size=3, unique=True),
+        weights=st.lists(st.integers(0, 5), min_size=4, max_size=4).filter(
+            lambda w: w[1] + w[2] > 0
+        ),
+    )
+    def test_fraction_surfaces_outside_the_family(self, levels, weights):
+        # The exact twin on states with rational squared moduli and weight on
+        # |OT> or |TO>, which no closed form covers. Each exact point must
+        # pass the best-response certificate exactly (degenerate families
+        # included: their representative is an equilibrium too), and the
+        # float run on the rounded probabilities must find the same kinds at
+        # the same coordinates within 1e-12. Small levels and denominators
+        # keep the coordinates' round-off, corner round-off over a bilinear
+        # term of at least 1/20, far below that.
+        total = sum(weights)
+        exact = GamePayoffs(*(Fraction(v) for v in sorted(levels, reverse=True)))
+        probabilities = [Fraction(w, total) for w in weights]
+        bp_a, bp_b = payoff_surfaces(probabilities, *_bos_table(exact))
+        enumerated = enumerate_bilinear_nash(bp_a, bp_b)
+        assert enumerated
+        for n in enumerated:
+            p, q = n.p_star, n.q_star
+            assert type(p) is Fraction and type(q) is Fraction
+            assert (n.payoff_a, n.payoff_b) == (bp_a.value(p, q), bp_b.value(p, q))
+            assert n.payoff_a >= max(bp_a.value(0, q), bp_a.value(1, q))
+            assert n.payoff_b >= max(bp_b.value(p, 0), bp_b.value(p, 1))
+        params = GamePayoffs(*(float(v) for v in (exact.alpha, exact.beta, exact.gamma)))
+        floats = enumerate_bilinear_nash(
+            *payoff_surfaces([float(d) for d in probabilities], *_bos_table(params))
+        )
+        assert [n.kind for n in floats] == [n.kind for n in enumerated]
+        for got, want in zip(floats, enumerated):
+            assert abs(got.p_star - want.p_star) <= 1e-12
+            assert abs(got.q_star - want.q_star) <= 1e-12
+
 
 class TestRanking:
     def test_interior_ranked_strictly_last(self):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import coefficients, random_density, random_su2
 from qstatic.errors import ConstraintViolation, InternalConsistencyError
-from qstatic.outcomes import _flipped
+from qstatic.outcomes import _corner_means, _flipped
 from qstatic.game_core import GamePayoffs, MixProbabilities, bos_bimatrix, expected_payoffs
 from qstatic.quantum_core import (
     BASIS_LABELS,
@@ -28,6 +29,9 @@ from qstatic.quantum_core import (
 )
 
 BOS = GamePayoffs(3, 2, 1)
+
+# Seeded property runs, so tier-1 stays deterministic.
+PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
 
 # Dense keep/flip conjugation operators: the definition of the mixing map,
 # kept here as an oracle independent of the library's index maps.
@@ -325,6 +329,79 @@ class TestPayoffOperators:
     def test_rejects_nonfinite_diagonal(self):
         with pytest.raises(ConstraintViolation):
             PayoffOperator(np.array([1.0, np.inf, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_rejects_nan_and_negative_infinity(self, bad):
+        with pytest.raises(ConstraintViolation, match="^payoff operator entries must be finite$"):
+            PayoffOperator([1.0, 2.0, bad, 0.0])
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 1)])
+    def test_rejects_other_shapes(self, shape):
+        want = f"^a payoff operator needs 4 diagonal entries, got shape {re.escape(str(shape))}$"
+        with pytest.raises(ConstraintViolation, match=want):
+            PayoffOperator(np.ones(shape))
+
+    def test_arrays_are_read_only_copies(self):
+        source = np.array([3.0, 1.0, 1.0, 2.0])
+        op = PayoffOperator(source)
+        source[0] = 99.0
+        np.testing.assert_array_equal(op.diagonal, [3.0, 1.0, 1.0, 2.0])
+        for array in (op.diagonal, op._complex_diagonal):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_complex_diagonal_is_the_complex_cast(self):
+        op = PayoffOperator((3, -1.5, 0.25, 2))
+        assert op.diagonal.dtype == float
+        assert op._complex_diagonal.dtype == complex
+        np.testing.assert_array_equal(op._complex_diagonal, op.diagonal.astype(complex))
+
+
+# (row_flips, col_flips) at the corners (1,1), (1,0), (0,1), (0,0) of the keep
+# probabilities: a player flips where their keep probability is 0.
+_CORNER_FLIP_CHOICES = tuple((p == 0, q == 0) for p, q in ((1, 1), (1, 0), (0, 1), (0, 0)))
+
+
+def _pairwise_flipped_dots(payoffs, probabilities):
+    """Each corner's payoff dot the ``_flipped`` probabilities, summed pairwise."""
+    x = payoffs
+    out = []
+    for row_flips, col_flips in _CORNER_FLIP_CHOICES:
+        d = _flipped(probabilities, row_flips, col_flips)
+        out.append((x[0] * d[0] + x[1] * d[1]) + (x[2] * d[2] + x[3] * d[3]))
+    return out
+
+
+class TestCornerMeans:
+    # _corner_means writes the four corner permutations out by hand; these
+    # hold its indices to the one flip rule.
+
+    @PROPERTY
+    @given(
+        payoffs=st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4),
+        probabilities=st.lists(st.floats(0, 1), min_size=4, max_size=4),
+    )
+    def test_equals_flipped_dot_products_bit_for_bit(self, payoffs, probabilities):
+        got = _corner_means(payoffs, probabilities)
+        assert [x.hex() for x in got] == [
+            x.hex() for x in _pairwise_flipped_dots(payoffs, probabilities)
+        ]
+
+    @PROPERTY
+    @given(
+        payoffs=st.lists(st.fractions(max_denominator=1000), min_size=4, max_size=4),
+        probabilities=st.lists(st.fractions(0, 1, max_denominator=1000), min_size=4, max_size=4),
+    )
+    def test_equals_flipped_dot_products_exactly(self, payoffs, probabilities):
+        got = _corner_means(payoffs, probabilities)
+        assert got == _pairwise_flipped_dots(payoffs, probabilities)
+        assert all(type(x) is Fraction for x in got)
+
+    def test_distinct_weights_tell_every_corner_apart(self):
+        # Powers of ten as payoffs read each probability's position off the
+        # digits, so a wrong index in any corner shows.
+        probabilities = (1, 2, 3, 4)
+        assert _corner_means((1000, 100, 10, 1), probabilities) == [1234, 2143, 3412, 4321]
 
 
 class TestTracePayoffs:
