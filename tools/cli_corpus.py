@@ -29,8 +29,10 @@ one falls in one class, read off the two payloads:
 
 The summary gives, per payoff form, the count in each class and the largest
 float gap over its scale among the mirror and round-off moves; ``--report``
-writes every moved invocation with its class and reason. The standard
-library is all it needs besides the two checkouts.
+writes every moved invocation with its class and reason. The exit code is
+1 when any invocation moved and 0 otherwise, so a byte-identical gate is
+this one command. The standard library is all it needs besides the two
+checkouts.
 """
 
 from __future__ import annotations
@@ -326,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{form:<18} {invocations[form]:>11}  {n[0]:>6}  {n[1]:>9}  {n[2]:>5}  {gap:.3g}")
     if args.report:
         args.report.write_text(json.dumps(moved, indent=1) + "\n")
-    return 0
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
