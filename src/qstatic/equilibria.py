@@ -233,12 +233,8 @@ def enumerate_bilinear_nash(
     flat_b1, flat_b0 = abs(b1) <= tol, abs(b0) <= tol
     bilinear_a, bilinear_b = abs(pq_a) > tol, abs(pq_b) > tol
     if not (bilinear_a or bilinear_b) and flat_a0 and flat_b0:
-        return (
-            NashPoint(
-                half, half, bp_a.value(half, half), bp_b.value(half, half),
-                EquilibriumKind.DEGENERATE_FAMILY,
-            ),
-        )
+        payoffs = bp_a.value(half, half), bp_b.value(half, half)
+        return (NashPoint(half, half, *payoffs, EquilibriumKind.DEGENERATE_FAMILY),)
 
     # Payoff is affine in the player's own coordinate: a coordinate is a best
     # response iff the slope is (near) zero, or it sits at the end the slope
@@ -265,11 +261,7 @@ def enumerate_bilinear_nash(
         (ok_01 and not (edge_q1 or edge_p0), zero, one, EquilibriumKind.CORNER),
         (ok_00 and not (edge_q0 or edge_p0), zero, zero, EquilibriumKind.CORNER),
     )
-    found = [
-        NashPoint(p, q, bp_a.value(p, q), bp_b.value(p, q), kind)
-        for listed, p, q, kind in candidates
-        if listed
-    ]
+    found = [(p, q, kind) for listed, p, q, kind in candidates if listed]
 
     if bilinear_a and bilinear_b:
         q_star = -a0 / pq_a
@@ -282,21 +274,17 @@ def enumerate_bilinear_nash(
             p_star, q_star = min(max(p_star, zero), one), min(max(q_star, zero), one)
             inside = True
         if inside and not any(
-            abs(p_star - f.p_star) <= SLOPE_TOL and abs(q_star - f.q_star) <= SLOPE_TOL
-            for f in found
+            abs(p_star - p) <= SLOPE_TOL and abs(q_star - q) <= SLOPE_TOL for p, q, _ in found
         ):
             slope_a, slope_b = bp_a.slope_p(q_star), bp_b.slope_q(p_star)
             if (abs(slope_a) <= tol or p_star == (one if slope_a > 0 else zero)) and (
                 abs(slope_b) <= tol or q_star == (one if slope_b > 0 else zero)
             ):
-                found.append(
-                    NashPoint(
-                        p_star, q_star, bp_a.value(p_star, q_star),
-                        bp_b.value(p_star, q_star), EquilibriumKind.INTERIOR,
-                    )
-                )
+                found.append((p_star, q_star, EquilibriumKind.INTERIOR))
 
-    return tuple(found)
+    return tuple(
+        [NashPoint(p, q, bp_a.value(p, q), bp_b.value(p, q), kind) for p, q, kind in found]
+    )
 
 
 @dataclass(frozen=True)
