@@ -59,6 +59,11 @@ CONFIGS = {
         "payoffs": {"alpha": 4, "beta": 0, "gamma": -5},
         "initial_state": {"a2": 1 / 3},
     },
+    # Levels 10^15 + {8, 3, 0}: the differences that decide the equilibria
+    # are small against the common level.
+    "large_offset": {
+        "payoffs": {"alpha": 10**15 + 8, "beta": 10**15 + 3, "gamma": 10**15}
+    },
     "bimatrix_2x2": {
         "payoffs": {"payoff_a": [[3, 0], [5, 1]], "payoff_b": [[3, 5], [0, 1]]},
         "labels": {"a": ["C", "D"], "b": ["C", "D"]},
@@ -120,6 +125,8 @@ RUNS = [
     (["classical"], "zero_negative", FORMATS),
     (["quantum", "--mode", "factorizable"], "zero_negative", FORMATS),
     (["quantum"], "zero_negative", FORMATS),
+    (["classical"], "large_offset", FORMATS),
+    (["quantum", "--mode", "factorizable"], "large_offset", FORMATS),
     # The fixed p or q of a sweep is outside input: out of [0, 1] or NaN is exit 2.
     (["sweep", "--param", "p", "--steps", "5", "--q", "1.5"], "bell", ("csv",)),
     (["sweep", "--param", "q", "--steps", "3", "--p", "nan"], "bell", ("json",)),

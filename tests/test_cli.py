@@ -390,20 +390,25 @@ class TestQuantumCommand:
         ranked_last = doc["ranking"]["order"][-1]
         assert doc["equilibria"][ranked_last]["kind"] == "interior"
 
-    def test_factorizable_payoffs_match_classical(self, capsys, bos_config):
-        classical = run_json(capsys, ["classical", "--config", bos_config])
-        quantum = run_json(
-            capsys, ["quantum", "--config", bos_config, "--mode", "factorizable"]
-        )
-        for c_row, q_row in zip(
-            classical["mixed_equilibria"], quantum["equilibria"]
-        ):
-            for key in ("p", "q", "payoff_a", "payoff_b"):
-                assert abs(c_row[key] - q_row[key]) <= 1e-12
-        assert quantum["unique_solution"] is None
-        states = [row["final_state"] for row in quantum["equilibria"]]
-        assert states[0][0] == [1.0, 0.0]
-        assert states[1][3] == [1.0, 0.0]
+    def test_factorizable_payoffs_match_classical(self, tmp_path, capsys):
+        # Independent tactics from |OO> are the classical game, whatever the
+        # configured state: the rows, exact columns included, are the same,
+        # also where a common level dwarfs the differences that decide.
+        offsets = [(10**k + 8, 10**k + 3, 10**k) for k in (3, 9, 12, 15)]
+        for levels in [(3, 2, 1), (4, 0, -5), (3.5, 2.25, -1), (3e-6, 2e-6, 1e-6), *offsets]:
+            payoffs = dict(zip(("alpha", "beta", "gamma"), levels))
+            path = write_config(tmp_path, {"payoffs": payoffs, "initial_state": "bell"})
+            classical = run_json(capsys, ["classical", "--config", path])
+            quantum = run_json(capsys, ["quantum", "--config", path, "--mode", "factorizable"])
+            rows = [
+                {key: value for key, value in row.items() if key != "final_state"}
+                for row in quantum["equilibria"]
+            ]
+            assert rows == classical["mixed_equilibria"], levels
+            assert quantum["unique_solution"] is None
+            states = [row["final_state"] for row in quantum["equilibria"]]
+            assert states[0][0] == [1.0, 0.0]
+            assert states[1][3] == [1.0, 0.0]
 
     def test_state_outside_family_uses_generic_enumeration(self, tmp_path, capsys):
         r = 1 / np.sqrt(2)
