@@ -14,14 +14,12 @@ from .equilibria import (
     EntangledFamilyState,
     EquilibriumKind,
     EquilibriumRanking,
-    FactorizableEquilibrium,
     NashPoint,
     PairwiseGap,
     UniqueSolutionReport,
     classical_mixed_equilibria,
     entangled_equilibria,
     enumerate_bilinear_nash,
-    factorizable_equilibria,
     rank_equilibria,
     unique_solution,
 )
@@ -82,7 +80,6 @@ __all__ = [
     "EntangledFamilyState",
     "EquilibriumKind",
     "EquilibriumRanking",
-    "FactorizableEquilibrium",
     "GamePayoffs",
     "InternalConsistencyError",
     "LocalUnitary",
@@ -103,7 +100,6 @@ __all__ = [
     "entangled_equilibria",
     "enumerate_bilinear_nash",
     "expected_payoffs",
-    "factorizable_equilibria",
     "mixed_final_density",
     "payoff_operators",
     "payoff_surfaces",

@@ -27,15 +27,13 @@ from .equilibria import (
     EquilibriumRanking,
     NashPoint,
     UniqueSolutionReport,
+    _unique_solution,
     entangled_equilibria,
     enumerate_bilinear_nash,
-    factorizable_equilibria,
     rank_equilibria,
-    unique_solution,
 )
 from .errors import ConstraintViolation, InternalConsistencyError
 from .game_core import (
-    BilinearPayoff,
     Bimatrix,
     EliminationStep,
     GamePayoffs,
@@ -52,6 +50,9 @@ __all__ = ["ConfigError", "LoadedConfig", "load_config", "main"]
 
 PRESET_STATES = ("OO", "OT", "TO", "TT", "bell")
 AMPLITUDE_NORM_TOL = 1e-9
+#: Outcome probabilities of |OO>, the family member that is the classical
+#: game: its payoff surfaces have the payoff table's entries as corners.
+CLASSICAL_PROBABILITIES = (1.0, 0.0, 0.0, 0.0)
 
 
 class ConfigError(Exception):
@@ -384,9 +385,9 @@ def cmd_classical(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
     elimination = eliminate_strictly_dominated(cfg.game)
     exact = None
     if cfg.game.is_2x2:
+        (a0, a1), (b0, b1) = cfg.game.payoff_a, cfg.game.payoff_b
         points: Sequence[NashPoint] = enumerate_bilinear_nash(
-            BilinearPayoff.from_payoff_matrix(cfg.game.payoff_a),
-            BilinearPayoff.from_payoff_matrix(cfg.game.payoff_b),
+            *payoff_surfaces(CLASSICAL_PROBABILITIES, a0 + a1, b0 + b1)
         )
         if cfg.params is not None:
             exact = _exact_equilibria(points, cfg.params)
@@ -435,33 +436,43 @@ def cmd_classical(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
     }
 
 
+def _tactic_state(p: float, q: float) -> StateVector:
+    """The joint state two independent tactics make of |OO>, when p and q are
+    the squared moduli of their first coefficients: the product of
+    (sqrt(p), -sqrt(1-p)) and (sqrt(q), -sqrt(1-q))."""
+    row = (math.sqrt(p), -math.sqrt(1 - p))
+    col = (math.sqrt(q), -math.sqrt(1 - q))
+    # Adding 0.0 clears the sign of a zero product, so no -0.0 is reported.
+    return StateVector([r * c + 0.0 for r in row for c in col])
+
+
 def cmd_quantum(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
     params = _require_params(cfg, "quantum")
     notices: list[str] = []
     unique: UniqueSolutionReport | None = None
     exact = None
     final_states = None
+    # Independent tactics played from |OO> are the classical game.
+    factorizable = args.mode == "factorizable"
+    probabilities = CLASSICAL_PROBABILITIES if factorizable else cfg.state.probabilities
+    surfaces = payoff_surfaces(probabilities, *_bos_table(params))
+    points = enumerate_bilinear_nash(*surfaces)
 
-    if args.mode == "factorizable":
-        solutions = factorizable_equilibria(params)
-        points: Sequence[NashPoint] = [sol.point for sol in solutions]
-        final_states = [sol.final_state for sol in solutions]
+    if factorizable:
+        final_states = [_tactic_state(point.p_star, point.q_star) for point in points]
         exact = _exact_equilibria(points, params)
         notices.append(
             "independent-tactic equilibria do not depend on the configured "
             "initial state; coordinates are squared tactic moduli"
         )
+    elif cfg.family is not None:
+        exact = _exact_equilibria(points, params, cfg.family.a2)
+        unique = _unique_solution(surfaces, cfg.state)
     else:
-        surfaces = payoff_surfaces(cfg.state.probabilities, *_bos_table(params))
-        points = enumerate_bilinear_nash(*surfaces)
-        if cfg.family is not None:
-            exact = _exact_equilibria(points, params, cfg.family.a2)
-            unique = unique_solution(params, cfg.family)
-        else:
-            notices.append(
-                "initial state is outside the |OO>/|TT> superposition family; "
-                "equilibria computed by generic bilinear enumeration"
-            )
+        notices.append(
+            "initial state is outside the |OO>/|TT> superposition family; "
+            "equilibria computed by generic bilinear enumeration"
+        )
 
     return {
         "schema": SCHEMA_VERSION,

@@ -3,8 +3,9 @@
 The production path is an exact best-response enumerator for arbitrary
 bilinear payoff surfaces, in floats or Fractions, with equilibrium ranking
 and the merged-corner unique-solution test at maximal entanglement. The
-closed forms for the |OO>/|TT> superposition family, whose |OO> member is
-the classical game, and for independent local tactics are its oracles.
+classical game, and with it play by independent local tactics, is the
+|OO> member of the |OO>/|TT> superposition family; the family's closed
+forms are the enumerator's oracles.
 """
 
 from __future__ import annotations
@@ -29,12 +30,10 @@ __all__ = [
     "EquilibriumKind",
     "NashPoint",
     "EntangledFamilyState",
-    "FactorizableEquilibrium",
     "PairwiseGap",
     "EquilibriumRanking",
     "UniqueSolutionReport",
     "classical_mixed_equilibria",
-    "factorizable_equilibria",
     "entangled_equilibria",
     "enumerate_bilinear_nash",
     "rank_equilibria",
@@ -110,16 +109,6 @@ class EntangledFamilyState:
         return self.state_vector().density_matrix()
 
 
-@dataclass(frozen=True)
-class FactorizableEquilibrium:
-    """An equilibrium in independent-tactic coordinates plus the joint state
-    the two tactics produce. ``point.p_star``/``q_star`` hold the squared
-    moduli of the two players' first tactic coefficients."""
-
-    point: NashPoint
-    final_state: StateVector
-
-
 def classical_mixed_equilibria(
     params: GamePayoffs,
 ) -> tuple[NashPoint, NashPoint, NashPoint]:
@@ -137,30 +126,6 @@ def classical_mixed_equilibria(
     return entangled_equilibria(params, EntangledFamilyState(1))
 
 
-def factorizable_equilibria(
-    params: GamePayoffs,
-) -> tuple[FactorizableEquilibrium, ...]:
-    """Equilibria of the independent-tactic game, numerically identical to
-    the classical mixed ones with (|a|^2, |c|^2) in place of (p, q).
-
-    The corners produce the joint basis states |OO> and |TT>; the interior
-    point produces a product state whose per-player probabilities are the
-    classical interior mixing probabilities. The closed forms stay here
-    because those final states are built from their tactic moduli.
-    """
-    corner_oo, corner_tt, interior = classical_mixed_equilibria(params)
-    alpha, beta, gamma = params.alpha, params.beta, params.gamma
-    root = math.sqrt(params.spread)
-    row_vec = (math.sqrt(alpha - gamma) / root, -math.sqrt(beta - gamma) / root)
-    col_vec = (math.sqrt(beta - gamma) / root, -math.sqrt(alpha - gamma) / root)
-    product_state = StateVector([r * c for r in row_vec for c in col_vec])
-    return (
-        FactorizableEquilibrium(corner_oo, StateVector.basis("OO")),
-        FactorizableEquilibrium(corner_tt, StateVector.basis("TT")),
-        FactorizableEquilibrium(interior, product_state),
-    )
-
-
 def entangled_equilibria(
     params: GamePayoffs, state: EntangledFamilyState
 ) -> tuple[NashPoint, NashPoint, NashPoint]:
@@ -173,7 +138,7 @@ def entangled_equilibria(
     in q, where both players earn the same amount,
     (alpha*beta + (alpha-beta)^2 a2 b2 - gamma^2)/spread, which is strictly
     below both corner payoffs for both players. Besides the oracle uses,
-    ``sweep --param a2``, ``factorizable_equilibria`` and bench/workloads.py call it.
+    ``sweep --param a2`` and bench/workloads.py call it.
     """
     alpha, beta, gamma = params.alpha, params.beta, params.gamma
     a2, b2 = state.a2, state.b2
@@ -373,11 +338,21 @@ def unique_solution(
     player and its negative for the column player, so merging happens
     exactly at the balanced superposition, where the shared payoff is
     (alpha+beta)/2 and the shared final state is the initial state itself.
-    The corner payoffs are the corners of the state's payoff surfaces, the
-    values the enumerator reads.
+    This tests the family's real representative; the amplitudes' phases
+    decide the merge of any other state with these moduli.
     """
     vector = state.state_vector()
-    bp_a, bp_b = payoff_surfaces(vector.probabilities, *_bos_table(params))
+    return _unique_solution(payoff_surfaces(vector.probabilities, *_bos_table(params)), vector)
+
+
+def _unique_solution(
+    surfaces: tuple[BilinearPayoff, BilinearPayoff], vector: StateVector
+) -> UniqueSolutionReport:
+    """The unique-solution test for the initial state ``vector``, whose payoff
+    surfaces are ``surfaces``: the corner payoffs are their corners, the
+    values the enumerator reads, and the merge reads the state's own
+    amplitudes, phases included."""
+    bp_a, bp_b = surfaces
     keep_a, keep_b = bp_a.base + bp_a.at_11, bp_b.base + bp_b.at_11
     flip_a, flip_b = bp_a.base + bp_a.at_00, bp_b.base + bp_b.at_00
     corner_keep = NashPoint(1.0, 1.0, keep_a, keep_b, EquilibriumKind.CORNER)

@@ -34,8 +34,9 @@ class Bimatrix:
 
     ``payoff_a[i][j]`` is the row player's payoff when the row player picks
     strategy ``i`` and the column player picks ``j``; ``payoff_b`` likewise.
-    Both tables share one shape and all entries are finite. Tables are
-    copied into tuples of float rows at construction.
+    Both tables share one shape and all entries are finite, and so is the
+    range of each table: payoffs are measured from a table's smallest entry.
+    Tables are copied into tuples of float rows at construction.
     """
 
     payoff_a: tuple[tuple[float, ...], ...]
@@ -53,6 +54,13 @@ class Bimatrix:
             raise ConstraintViolation("each player needs at least one strategy")
         if not all(math.isfinite(x) for table in (a, b) for row in table for x in row):
             raise ConstraintViolation("payoff entries must be finite")
+        for name, table in (("payoff_a", a), ("payoff_b", b)):
+            entries = [x for row in table for x in row]
+            if not math.isfinite(max(entries) - min(entries)):
+                raise ConstraintViolation(
+                    f"payoff scale too large: the range of {name} overflows a float, "
+                    f"got {min(entries)} to {max(entries)}"
+                )
         object.__setattr__(self, "payoff_a", a)
         object.__setattr__(self, "payoff_b", b)
 
@@ -158,19 +166,6 @@ class BilinearPayoff:
         vals = (self.at_11, self.at_10, self.at_01, self.at_00, self.base)
         if not all(map(math.isfinite, vals)):
             raise ConstraintViolation(f"corner payoffs must be finite, got {vals}")
-
-    @classmethod
-    def from_payoff_matrix(
-        cls, matrix: Iterable[Iterable[float]]
-    ) -> BilinearPayoff:
-        """Corners of a 2x2 payoff table from its smallest entry; p = P(row 0), q = P(col 0)."""
-        m = _float_table(matrix)
-        if _table_shape(m) != (2, 2):
-            raise ConstraintViolation(
-                f"need a 2x2 payoff table, got shape {_table_shape(m)}"
-            )
-        base = min(m[0] + m[1])
-        return cls(*(x - base for x in m[0] + m[1]), base)
 
     def value(self, p: float, q: float) -> float:
         r = 1 - q

@@ -219,6 +219,14 @@ class TestConfigLoading:
         assert f"{path}: payoffs: payoff scale too large" in captured.err
         assert captured.out == ""
 
+    def test_bimatrix_whose_range_overflows_names_payoffs(self, tmp_path, capsys):
+        payoffs = {"payoff_a": [[1e308, -1e308], [0, 0]], "payoff_b": [[0, 0], [0, 0]]}
+        path = write_config(tmp_path, {"payoffs": payoffs})
+        assert main(["classical", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: payoffs: payoff scale too large")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     @pytest.mark.parametrize(
         "payoff_a, field",
         [
@@ -410,6 +418,45 @@ class TestQuantumCommand:
             assert states[0][0] == [1.0, 0.0]
             assert states[1][3] == [1.0, 0.0]
 
+    def test_factorizable_corner_final_states_are_oo_and_tt(self, tmp_path, capsys):
+        # The corner states come from the points' own (p, q), yet print exactly
+        # as basis states, with no negative zero.
+        for levels in [(3, 2, 1), (4, 0, -5), (10**15 + 8, 10**15 + 3, 10**15)]:
+            payoffs = dict(zip(("alpha", "beta", "gamma"), levels))
+            path = write_config(tmp_path, {"payoffs": payoffs})
+            argv = ["quantum", "--config", path, "--mode", "factorizable"]
+            assert main(argv + ["--format", "json"]) == 0
+            out = capsys.readouterr().out
+            assert "-0.0" not in out
+            states = [row["final_state"] for row in json.loads(out)["equilibria"]]
+            zero = [0.0, 0.0]
+            assert states[0] == [[1.0, 0.0], zero, zero, zero]
+            assert states[1] == [zero, zero, zero, [1.0, 0.0]]
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert "(1, 1): 1|OO>\n" in out and "(0, 0): 1|TT>\n" in out
+
+    def test_factorizable_final_states_have_the_product_probabilities(self, tmp_path):
+        # Each final state is the product of the tactics at the point's own
+        # (p, q), read from the payload at full precision.
+        args = cli.build_parser().parse_args(
+            ["quantum", "--config", "unused", "--mode", "factorizable"]
+        )
+        interiors = []
+        for levels in [(3, 2, 1), (3.5, 2.25, -1), (10**12 + 8, 10**12 + 3, 10**12)]:
+            payoffs = dict(zip(("alpha", "beta", "gamma"), levels))
+            cfg = load_config(write_config(tmp_path, {"payoffs": payoffs}))
+            rows = cli.cmd_quantum(cfg, args)["equilibria"]
+            for row in rows:
+                p, q = row["p"], row["q"]
+                want = [p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q)]
+                got = [re * re + im * im for re, im in row["final_state"]]
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+            interiors.append(rows[2]["final_state"])
+        # At 3, 2, 1 the interior is (2/3, 1/3).
+        got = [re * re + im * im for re, im in interiors[0]]
+        np.testing.assert_allclose(got, [2 / 9, 4 / 9, 1 / 9, 2 / 9], rtol=0, atol=1e-15)
+
     def test_state_outside_family_uses_generic_enumeration(self, tmp_path, capsys):
         r = 1 / np.sqrt(2)
         path = write_config(
@@ -456,6 +503,33 @@ class TestQuantumCommand:
         assert main(["quantum", "--config", path]) == 0
         out = capsys.readouterr().out
         assert "no unique solution: A is indifferent, B is indifferent;" in out
+
+    def test_unique_solution_reads_the_configured_phase(self, tmp_path, capsys):
+        # (|OO> + i|TT>)/sqrt(2) has the balanced moduli, but its corner final
+        # densities differ, so the corners do not merge; phase pi merges and
+        # reports its own state.
+        r = 0.7071067811865476
+        path = write_config(
+            tmp_path,
+            {
+                "payoffs": {"alpha": 3, "beta": 2, "gamma": 1},
+                "initial_state": [[r, 0], [0, 0], [0, 0], [0, r]],
+            },
+        )
+        assert run_json(capsys, ["quantum", "--config", path])["unique_solution"]["merged"] is False
+        assert main(["quantum", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert "no unique solution: A is indifferent, B is indifferent;" in out
+        amplitudes = [[r, 0], [0, 0], [0, 0], [-r, 0]]
+        path = write_config(
+            tmp_path,
+            {"payoffs": {"alpha": 3, "beta": 2, "gamma": 1}, "initial_state": amplitudes},
+        )
+        doc = run_json(capsys, ["quantum", "--config", path])
+        assert doc["unique_solution"]["merged"] is True
+        assert doc["unique_solution"]["final_state"] == doc["initial_state"]["amplitudes"]
+        assert main(["quantum", "--config", path]) == 0
+        assert "shared final state: 0.707107|OO> + -0.707107|TT>" in capsys.readouterr().out
 
     def test_bimatrix_payoffs_rejected(self, tmp_path, capsys):
         path = write_config(

@@ -1,10 +1,11 @@
+import cmath
 import math
 import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -19,8 +20,8 @@ from qstatic.equilibria import (
     NashPoint,
     classical_mixed_equilibria,
     entangled_equilibria,
+    _unique_solution,
     enumerate_bilinear_nash,
-    factorizable_equilibria,
     rank_equilibria,
     unique_solution,
 )
@@ -31,7 +32,6 @@ from qstatic.quantum_core import (
     StateVector,
     bilinear_payoff_coefficients,
     payoff_operators,
-    projection_probabilities,
 )
 
 BOS = GamePayoffs(3, 2, 1)
@@ -87,27 +87,6 @@ class TestClassicalClosedForms:
     def test_rejects_bad_ordering(self):
         with pytest.raises(ConstraintViolation):
             classical_mixed_equilibria(GamePayoffs(3, 3, 1))
-
-
-class TestFactorizableClosedForms:
-    def test_same_numbers_as_classical(self):
-        classical = classical_mixed_equilibria(BOS)
-        quantum = factorizable_equilibria(BOS)
-        for c, f in zip(classical, quantum):
-            assert f.point == c
-
-    def test_corner_final_states(self):
-        keep, flip, _ = factorizable_equilibria(BOS)
-        np.testing.assert_array_equal(keep.final_state.amplitudes, [1, 0, 0, 0])
-        np.testing.assert_array_equal(flip.final_state.amplitudes, [0, 0, 0, 1])
-
-    def test_interior_final_state_probabilities(self):
-        _, _, interior = factorizable_equilibria(BOS)
-        np.testing.assert_allclose(
-            projection_probabilities(interior.final_state),
-            [2 / 9, 4 / 9, 1 / 9, 2 / 9],
-            atol=1e-12,
-        )
 
 
 class TestEntangledClosedForms:
@@ -321,8 +300,12 @@ class TestEnumerator:
     def test_common_payoff_offset_keeps_the_equilibria(self, offset):
         # Coefficients (5, -2, -2) and (5, -3, -3) at every offset: only the
         # constant terms grow, so the slopes must not read as flat.
-        bp_a = BilinearPayoff.from_payoff_matrix(np.array([[3.0, 0.0], [0.0, 2.0]]) + offset)
-        bp_b = BilinearPayoff.from_payoff_matrix(np.array([[2.0, 0.0], [0.0, 3.0]]) + offset)
+        # The classical game: the |OO> member's surfaces over the flat table.
+        bp_a, bp_b = payoff_surfaces(
+            StateVector.basis("OO").probabilities,
+            [x + offset for x in (3.0, 0.0, 0.0, 2.0)],
+            [x + offset for x in (2.0, 0.0, 0.0, 3.0)],
+        )
         points = enumerate_bilinear_nash(bp_a, bp_b)
         assert [(n.kind, n.p_star, n.q_star) for n in points] == [
             (EquilibriumKind.CORNER, 1.0, 1.0),
@@ -594,6 +577,24 @@ class TestUniqueSolution:
         for offset, merged in ((1e-14, True), (1e-6, False), (-1e-6, False)):
             report = unique_solution(params, EntangledFamilyState(0.5 + offset))
             assert report.merged is merged
+
+    @PROPERTY
+    @given(phase=st.floats(-math.pi, math.pi))
+    def test_phases_decide_the_merge_at_the_balanced_superposition(self, phase):
+        # (|OO> + e^(i phase)|TT>)/sqrt(2): the corner final densities differ
+        # by |sin(phase)|, so phases 0 and pi merge and no other phase does;
+        # the corner payoffs tie at every phase.
+        assume(phase in (0.0, math.pi, -math.pi) or abs(math.sin(phase)) > 1e-9)
+        r = math.sqrt(0.5)
+        state = StateVector.oo_tt(r, r * cmath.exp(1j * phase))
+        surfaces = payoff_surfaces(state.probabilities, *_bos_table(BOS))
+        report = _unique_solution(surfaces, state)
+        assert report.merged is (phase in (0.0, math.pi, -math.pi))
+        assert report.payoff_difference_a == report.payoff_difference_b == 0.0
+        if report.merged:
+            assert report.final_state is state
+        else:
+            assert report.preferred_by_a is None and report.preferred_by_b is None
 
     def test_merged_state_is_the_initial_superposition(self):
         report = unique_solution(BOS, EntangledFamilyState(0.5))

@@ -17,6 +17,10 @@ from qstatic.game_core import (
     expected_payoffs,
     pure_nash,
 )
+from qstatic.outcomes import StateVector, payoff_surfaces
+
+#: The outcome probabilities of |OO>, whose surfaces are the classical game's.
+OO = StateVector.basis("OO").probabilities
 
 
 def bos(alpha=3.0, beta=2.0, gamma=1.0) -> Bimatrix:
@@ -73,6 +77,15 @@ class TestBimatrixValidation:
     def test_nonfinite_entries(self):
         with pytest.raises(ConstraintViolation):
             Bimatrix(np.array([[np.nan, 0], [0, 0]]), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3)])
+    def test_range_that_overflows_a_float(self, shape):
+        # Every entry is finite, but the largest minus the smallest is not.
+        table = np.zeros(shape)
+        table[0, 0], table[-1, -1] = 1e308, -1e308
+        with pytest.raises(ConstraintViolation, match="payoff scale too large.*payoff_b"):
+            Bimatrix(np.zeros(shape), table)
+        Bimatrix(table / 2, table / 2)
 
     def test_arrays_frozen(self):
         game = bos()
@@ -259,10 +272,23 @@ class TestBilinearPayoff:
         got = [bp.value(1.0, 1.0), bp.value(1.0, 0.0), bp.value(0.0, 1.0), bp.value(0.0, 0.0)]
         assert got == corners
 
+    @given(
+        entries=st.lists(st.floats(-1e300, 1e300), min_size=8, max_size=8),
+    )
+    def test_surfaces_at_oo_hold_the_table_entries(self, entries):
+        # At |OO> each corner is one table entry measured from the smallest:
+        # x - base, with the other three outcomes adding exact zeros.
+        table_a, table_b = entries[:4], entries[4:]
+        for bp, table in zip(payoff_surfaces(OO, table_a, table_b), (table_a, table_b)):
+            base = min(table)
+            corners = (bp.at_11, bp.at_10, bp.at_01, bp.at_00, bp.base)
+            want = (*(x - base for x in table), base)
+            assert [x.hex() for x in corners] == [float(x).hex() for x in want]
+
     def test_from_matrix_matches_expected_payoffs(self):
         game = bos(5, 3, 1)
-        bp_a = BilinearPayoff.from_payoff_matrix(game.payoff_a)
-        bp_b = BilinearPayoff.from_payoff_matrix(game.payoff_b)
+        (a0, a1), (b0, b1) = game.payoff_a, game.payoff_b
+        bp_a, bp_b = payoff_surfaces(OO, a0 + a1, b0 + b1)
         rng = np.random.default_rng(23)
         for _ in range(100):
             p, q = rng.uniform(size=2)
