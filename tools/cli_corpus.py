@@ -28,8 +28,10 @@ one falls in one class, read off the two payloads:
 - ``other``: everything else.
 
 The summary gives, per payoff form, the count in each class and the largest
-float gap over its scale among the mirror and round-off moves; ``--report``
-writes every moved invocation with its class and reason. The exit code is
+float gap over its scale among the mirror and round-off moves, then the
+moved count per command (``classical``, ``quantum entangled``, ``quantum
+factorizable``, ``sweep``, ``simulate``); ``--report`` writes every moved
+invocation with its command, class and reason. The exit code is
 1 when any invocation moved and 0 otherwise, so a byte-identical gate is
 this one command. The standard library is all it needs besides the two
 checkouts.
@@ -138,9 +140,10 @@ def build_corpus(seed: int, n_configs: int, directory: Path) -> list[dict]:
         path = directory / f"config_{i:05d}.json"
         path.write_text(json.dumps(config))
         for command in _commands(rng):
+            name = f"quantum {command[2]}" if command[0] == "quantum" else command[0]
             for fmt in FORMATS:
                 argv = [command[0], "--config", str(path), "--format", fmt, *command[1:]]
-                cases.append({"argv": argv, "scale": scale, "form": form})
+                cases.append({"argv": argv, "scale": scale, "form": form, "command": name})
     return cases
 
 
@@ -304,6 +307,8 @@ def main(argv: list[str] | None = None) -> int:
         argvs = [case["argv"] for case in cases]
         old, new = run_checkout(args.before, argvs), run_checkout(args.after, argvs)
         invocations = Counter(case["form"] for case in cases)
+        per_command = Counter(case["command"] for case in cases)
+        moved_per_command: Counter = Counter()
         counts: Counter = Counter()
         largest: dict[tuple[str, str], float] = {}
         moved = []
@@ -314,8 +319,10 @@ def main(argv: list[str] | None = None) -> int:
             key = (case["form"], kind)
             counts[key] += 1
             largest[key] = max(largest.get(key, 0.0), gap)
+            moved_per_command[case["command"]] += 1
             argv = " ".join(case["argv"]).replace(tmp + "/", "")
-            moved.append({"argv": argv, "form": case["form"], "class": kind, "gap": gap,
+            moved.append({"argv": argv, "form": case["form"], "command": case["command"],
+                          "class": kind, "gap": gap,
                           "reason": reason,
                           "first_difference": _first_difference(before["stdout"], after["stdout"])})
 
@@ -326,6 +333,9 @@ def main(argv: list[str] | None = None) -> int:
         n = [counts[(form, kind)] for kind in ("mirror", "round-off", "other")]
         gap = max(largest.get((form, kind), 0.0) for kind in ("mirror", "round-off"))
         print(f"{form:<18} {invocations[form]:>11}  {n[0]:>6}  {n[1]:>9}  {n[2]:>5}  {gap:.3g}")
+    print("command               invocations  moved")
+    for command in per_command:
+        print(f"{command:<21} {per_command[command]:>11}  {moved_per_command[command]:>5}")
     if args.report:
         args.report.write_text(json.dumps(moved, indent=1) + "\n")
     return 1 if moved else 0
