@@ -18,9 +18,9 @@ from qstatic.equilibria import (
     EntangledFamilyState,
     EquilibriumKind,
     NashPoint,
+    _unique_solution,
     classical_mixed_equilibria,
     entangled_equilibria,
-    _unique_solution,
     enumerate_bilinear_nash,
     rank_equilibria,
     unique_solution,

@@ -272,9 +272,7 @@ class TestBilinearPayoff:
         got = [bp.value(1.0, 1.0), bp.value(1.0, 0.0), bp.value(0.0, 1.0), bp.value(0.0, 0.0)]
         assert got == corners
 
-    @given(
-        entries=st.lists(st.floats(-1e300, 1e300), min_size=8, max_size=8),
-    )
+    @given(entries=st.lists(st.floats(-1e300, 1e300), min_size=8, max_size=8))
     def test_surfaces_at_oo_hold_the_table_entries(self, entries):
         # At |OO> each corner is one table entry measured from the smallest:
         # x - base, with the other three outcomes adding exact zeros.
@@ -283,7 +281,7 @@ class TestBilinearPayoff:
             base = min(table)
             corners = (bp.at_11, bp.at_10, bp.at_01, bp.at_00, bp.base)
             want = (*(x - base for x in table), base)
-            assert [x.hex() for x in corners] == [float(x).hex() for x in want]
+            assert [x.hex() for x in corners] == [x.hex() for x in want]
 
     def test_from_matrix_matches_expected_payoffs(self):
         game = bos(5, 3, 1)
