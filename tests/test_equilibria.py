@@ -89,6 +89,18 @@ class TestClassicalClosedForms:
             classical_mixed_equilibria(GamePayoffs(3, 3, 1))
 
 
+class TestFactorizableClosedForms:
+    def test_same_numbers_as_classical(self):
+        # Factorizable play is the |OO> member of the family: its surfaces,
+        # solved by the enumerator, give the classical closed forms exactly.
+        classical = classical_mixed_equilibria(BOS)
+        surfaces = payoff_surfaces(StateVector.basis("OO").probabilities, *_bos_table(BOS))
+        quantum = enumerate_bilinear_nash(*surfaces)
+        assert len(quantum) == len(classical)
+        for c, f in zip(classical, quantum):
+            assert f == c
+
+
 class TestEntangledClosedForms:
     def test_a2_08_points_and_payoffs(self):
         keep, flip, interior = entangled_equilibria(BOS, EntangledFamilyState(0.8))
