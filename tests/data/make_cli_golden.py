@@ -64,6 +64,8 @@ CONFIGS = {
     "large_offset": {
         "payoffs": {"alpha": 10**15 + 8, "beta": 10**15 + 3, "gamma": 10**15}
     },
+    # Payoff differences 4e16 and 1: slopes that span sixteen decades.
+    "wide_span": {"payoffs": {"alpha": 40000000000000000, "beta": 1, "gamma": 0}},
     "bimatrix_2x2": {
         "payoffs": {"payoff_a": [[3, 0], [5, 1]], "payoff_b": [[3, 5], [0, 1]]},
         "labels": {"a": ["C", "D"], "b": ["C", "D"]},
@@ -89,6 +91,7 @@ CONFIGS = {
 FORMATS = ("table", "json", "csv")
 SIMULATE = ["--rounds", "1000", "--seed", "3", "--p", "0.3", "--q", "0.9"]
 SWEEP_A2 = ["--steps", "11"]
+SWEEP_A2_SHORT = ["--steps", "5"]
 SWEEP_P = ["--param", "p", "--steps", "5", "--q", "0.2"]
 SWEEP_Q = ["--param", "q", "--steps", "5", "--p", "0.7"]
 
@@ -127,6 +130,9 @@ RUNS = [
     (["quantum"], "zero_negative", FORMATS),
     (["classical"], "large_offset", FORMATS),
     (["quantum", "--mode", "factorizable"], "large_offset", FORMATS),
+    (["sweep", *SWEEP_A2_SHORT], "large_offset", ("csv", "json")),
+    (["classical"], "wide_span", ("json",)),
+    (["sweep", *SWEEP_A2_SHORT], "wide_span", ("csv",)),
     # The fixed p or q of a sweep is outside input: out of [0, 1] or NaN is exit 2.
     (["sweep", "--param", "p", "--steps", "5", "--q", "1.5"], "bell", ("csv",)),
     (["sweep", "--param", "q", "--steps", "3", "--p", "nan"], "bell", ("json",)),
