@@ -28,7 +28,6 @@ from .equilibria import (
     NashPoint,
     UniqueSolutionReport,
     _unique_solution,
-    entangled_equilibria,
     enumerate_bilinear_nash,
     rank_equilibria,
 )
@@ -552,12 +551,17 @@ def cmd_sweep(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
     }
 
     if args.param == "a2":
-        # The family's closed forms tabulate it directly; the enumerator at
-        # every grid point would make large sweeps much slower.
+        table = _bos_table(params)
         for value in values:
-            keep, flip, interior = entangled_equilibria(
-                params, EntangledFamilyState(value)
-            )
+            points = enumerate_bilinear_nash(*payoff_surfaces((value, 0.0, 0.0, 1 - value), *table))
+            found = [(n.kind.value, n.p_star, n.q_star) for n in points]
+            others = [kind for kind, _, _ in found[2:]]
+            if found[:2] != [("corner", 1, 1), ("corner", 0, 0)] or others != ["interior"]:
+                raise InternalConsistencyError(
+                    f"a2 = {value}: the family state has corners (1,1), (0,0) and an "
+                    f"interior point, the enumerator found {found}"
+                )
+            keep, flip, interior = points
             rows.append(
                 {
                     "a2": value,

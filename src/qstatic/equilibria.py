@@ -46,9 +46,10 @@ SLOPE_TOL = 1e-12
 #: Corner equilibria merge when their unit-trace final densities agree
 #: entrywise this tightly; equal densities give equal payoffs at any scale.
 MERGE_TOL = 1e-12
-# A float slope counts as zero below this fraction of the largest corner,
-# measured from its surface's base: the round-off corners can carry.
-_ROUNDOFF = 32 * sys.float_info.epsilon
+# A float slope counts as zero below this fraction of the sum of the corners
+# it subtracts, measured from their surface's base: each corner carries
+# round-off of a few ulps of its own size.
+_ROUNDOFF = 8 * sys.float_info.epsilon
 
 
 class EquilibriumKind(enum.Enum):
@@ -81,10 +82,6 @@ class NashPoint:
     @property
     def min_payoff(self) -> float:
         return min(self.payoff_a, self.payoff_b)
-
-    @property
-    def payoff_sum(self) -> float:
-        return self.payoff_a + self.payoff_b
 
 
 @dataclass(frozen=True)
@@ -137,8 +134,8 @@ def entangled_equilibria(
     p* = ((alpha-gamma) a2 + (beta-gamma) b2)/spread and its mirror image
     in q, where both players earn the same amount,
     (alpha*beta + (alpha-beta)^2 a2 b2 - gamma^2)/spread, which is strictly
-    below both corner payoffs for both players. Besides the oracle uses,
-    ``sweep --param a2`` and bench/workloads.py call it.
+    below both corner payoffs for both players. It is an oracle only: tests
+    and bench/workloads.py check the enumerator against it.
     """
     alpha, beta, gamma = params.alpha, params.beta, params.gamma
     a2, b2 = state.a2, state.b2
@@ -169,13 +166,17 @@ def enumerate_bilinear_nash(
     players are indifferent everywhere the whole square is reported once.
 
     Slopes and coefficients are differences of corners, so they carry the
-    corners' float round-off: a slope counts as zero within 32 ulps of the
-    largest corner of either surface, measured from its base. Rescaling both
-    players' payoffs by one positive factor scales the corners and the
-    tolerance alike, and a payoff level held in the bases enters neither,
-    so neither changes the equilibria. The same round-off can move a
-    candidate on an edge just off the square; within SLOPE_TOL it is taken
-    at the nearest point of the square.
+    corners' float round-off: a slope counts as zero within 8 ulps of the sum
+    of the corners it subtracts, measured from their base. An edge slope
+    subtracts its edge's two corners; the bilinear coefficient and the
+    slopes at the interior candidate use all four of their surface. So a
+    small slope is not lost to another slope's large corners, whatever the
+    span of the payoff differences. Rescaling both players' payoffs by one
+    positive factor scales the corners and the tolerances alike, and a
+    payoff level held in the bases enters neither, so neither changes the
+    equilibria. The same round-off can move a candidate on an edge just off
+    the square; within SLOPE_TOL it is taken at the nearest point of the
+    square.
 
     Fraction surfaces are enumerated exactly, with zero slope tolerances and
     Fraction coordinates; float surfaces get float coordinates.
@@ -190,13 +191,13 @@ def enumerate_bilinear_nash(
     # The coefficients of pq * p * q + p_ * p + q_ * q + const; pq is the
     # change of a slope from one edge to the other, p_a and q_b are a0 and b0.
     pq_a, pq_b = a1 - a0, b1 - b0
-    tol = 0 if exact else _ROUNDOFF * max(
-        abs(bp_a.at_11), abs(bp_a.at_10), abs(bp_a.at_01), abs(bp_a.at_00),
-        abs(bp_b.at_11), abs(bp_b.at_10), abs(bp_b.at_01), abs(bp_b.at_00),
-    )
-    flat_a1, flat_a0 = abs(a1) <= tol, abs(a0) <= tol
-    flat_b1, flat_b0 = abs(b1) <= tol, abs(b0) <= tol
-    bilinear_a, bilinear_b = abs(pq_a) > tol, abs(pq_b) > tol
+    r = 0 if exact else _ROUNDOFF
+    a11, a10, a01, a00 = abs(bp_a.at_11), abs(bp_a.at_10), abs(bp_a.at_01), abs(bp_a.at_00)
+    b11, b10, b01, b00 = abs(bp_b.at_11), abs(bp_b.at_10), abs(bp_b.at_01), abs(bp_b.at_00)
+    tol_a, tol_b = r * (a11 + a10 + a01 + a00), r * (b11 + b10 + b01 + b00)
+    flat_a1, flat_a0 = abs(a1) <= r * (a11 + a01), abs(a0) <= r * (a10 + a00)
+    flat_b1, flat_b0 = abs(b1) <= r * (b11 + b10), abs(b0) <= r * (b01 + b00)
+    bilinear_a, bilinear_b = abs(pq_a) > tol_a, abs(pq_b) > tol_b
     if not (bilinear_a or bilinear_b) and flat_a0 and flat_b0:
         payoffs = bp_a.value(half, half), bp_b.value(half, half)
         return (NashPoint(half, half, *payoffs, EquilibriumKind.DEGENERATE_FAMILY),)
@@ -242,8 +243,8 @@ def enumerate_bilinear_nash(
             abs(p_star - p) <= SLOPE_TOL and abs(q_star - q) <= SLOPE_TOL for p, q, _ in found
         ):
             slope_a, slope_b = bp_a.slope_p(q_star), bp_b.slope_q(p_star)
-            if (abs(slope_a) <= tol or p_star == (one if slope_a > 0 else zero)) and (
-                abs(slope_b) <= tol or q_star == (one if slope_b > 0 else zero)
+            if (abs(slope_a) <= tol_a or p_star == (one if slope_a > 0 else zero)) and (
+                abs(slope_b) <= tol_b or q_star == (one if slope_b > 0 else zero)
             ):
                 found.append((p_star, q_star, EquilibriumKind.INTERIOR))
 
@@ -279,7 +280,6 @@ def rank_equilibria(points: Iterable[NashPoint]) -> EquilibriumRanking:
     pts = list(points)
     if not pts:
         raise ConstraintViolation("cannot rank an empty set of equilibria")
-    # ``min_payoff`` and ``payoff_sum``, read off the fields.
     ordered = tuple(
         sorted(
             pts,

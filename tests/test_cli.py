@@ -19,7 +19,14 @@ from hypothesis import strategies as st
 import qstatic
 import qstatic.cli as cli
 from qstatic.cli import load_config, main
+from qstatic.equilibria import (
+    EntangledFamilyState,
+    EquilibriumKind,
+    NashPoint,
+    entangled_equilibria,
+)
 from qstatic.errors import InternalConsistencyError
+from qstatic.game_core import GamePayoffs
 from qstatic.quantum_core import (
     DensityMatrix,
     MixingChoice,
@@ -297,15 +304,30 @@ class TestClassicalCommand:
             assert rows[2]["p"] == pytest.approx(float(Fraction(interior[0])), abs=1e-12)
             assert rows[2]["q"] == pytest.approx(float(Fraction(interior[1])), abs=1e-12)
 
-    def test_exact_columns_null_when_the_exact_run_finds_other_kinds(self, tmp_path, capsys):
-        # beta - gamma = 1 is below 32 ulps of alpha - gamma = 4e16, the float
-        # enumerator's round-off allowance, so the float run reads a slope as
-        # flat where the exact run finds the game's three equilibria; no row
-        # gets another's fractions.
+    def test_wide_span_keeps_three_exact_equilibria(self, tmp_path, capsys):
+        # beta - gamma = 1 against alpha - gamma = 4e16: each slope's round-off
+        # allowance is measured on its own corners, so the small slopes are
+        # not read as flat and the float run finds the exact run's points.
         path = write_config(tmp_path, {"payoffs": {"alpha": 4 * 10**16, "beta": 1, "gamma": 0}})
         rows = run_json(capsys, ["classical", "--config", path])["mixed_equilibria"]
-        assert [row["kind"] for row in rows] != ["corner", "corner", "interior"]
-        assert all(row["p_exact"] is None for row in rows)
+        assert [row["kind"] for row in rows] == ["corner", "corner", "interior"]
+        interior = ("40000000000000000/40000000000000001", "1/40000000000000001")
+        assert [(row["p_exact"], row["q_exact"]) for row in rows] == [
+            ("1", "1"), ("0", "0"), interior
+        ]
+
+    def test_exact_columns_null_when_the_exact_run_finds_other_kinds(self):
+        # The exact run finds two corners and an interior point; a float run
+        # that found other kinds gets no exact columns, so no row is paired
+        # with another point's fractions.
+        params = GamePayoffs(3.0, 2.0, 1.0)
+        corner = NashPoint(1.0, 1.0, 3.0, 2.0, EquilibriumKind.CORNER)
+        family = NashPoint(0.5, 1.0, 2.0, 1.5, EquilibriumKind.DEGENERATE_FAMILY)
+        assert cli._exact_equilibria([corner, corner, family], params) is None
+        assert cli._exact_equilibria([corner, corner], params) is None
+        interior = NashPoint(2 / 3, 1 / 3, 5 / 3, 5 / 3, EquilibriumKind.INTERIOR)
+        exact = cli._exact_equilibria([corner, corner, interior], params)
+        assert (exact[2].p_star, exact[2].q_star) == (Fraction(2, 3), Fraction(1, 3))
 
     def test_dominant_strategy_bimatrix_has_elimination_trace(self, tmp_path, capsys):
         path = write_config(
@@ -957,6 +979,50 @@ def test_sweep_and_simulate_read_the_surface_at_any_scale(tmp_path, scale):
     args = parser.parse_args(["simulate", "--config", path, "--p", "0.3", "--q", "0.6"])
     analytic = cli.cmd_simulate(cfg, args)["analytic"]
     check(0.3, 0.6, analytic["payoff_a"], analytic["payoff_b"])
+
+
+# Three payoff forms: levels at scales 1e-6 to 1e12, a common offset 10^3 to
+# 10^15 over differences up to 8, and slopes 4e14 to 4e17 against 1 to 5.
+_SWEEP_LEVELS = st.one_of(
+    st.builds(
+        lambda hundredths, k: [h / 100 * 10.0**k for h in sorted(hundredths, reverse=True)],
+        st.lists(st.integers(-1000, 1000), min_size=3, max_size=3, unique=True),
+        st.integers(-6, 12),
+    ),
+    st.builds(
+        lambda diffs, k: [10**k + d for d in sorted(diffs, reverse=True)],
+        st.lists(st.integers(0, 8), min_size=3, max_size=3, unique=True),
+        st.integers(3, 15),
+    ),
+    st.builds(lambda d, k: [4 * 10**k, d, 0], st.integers(1, 5), st.integers(14, 17)),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(levels=_SWEEP_LEVELS, steps=st.integers(2, 21))
+def test_a2_sweep_rows_match_the_exact_family_equilibria(tmp_path_factory, levels, steps):
+    """Every a2 sweep row lies within 1e-15 of the payoff scale (of 1 for
+    coordinates) of the family's closed forms run on Fraction inputs."""
+    path = tmp_path_factory.mktemp("sweep") / "game.json"
+    path.write_text(json.dumps({"payoffs": dict(zip(("alpha", "beta", "gamma"), levels))}))
+    cfg = load_config(str(path))
+    args = cli.build_parser().parse_args(["sweep", "--config", str(path), "--steps", str(steps)])
+    params = cfg.params
+    exact = GamePayoffs(*map(Fraction, (params.alpha, params.beta, params.gamma)))
+    scale = max(map(abs, levels))
+    for row in cli.cmd_sweep(cfg, args)["rows"]:
+        keep, flip, interior = entangled_equilibria(exact, EntangledFamilyState(Fraction(row["a2"])))
+        want = {
+            "corner_11_payoff_a": keep.payoff_a,
+            "corner_11_payoff_b": keep.payoff_b,
+            "corner_00_payoff_a": flip.payoff_a,
+            "corner_00_payoff_b": flip.payoff_b,
+            "interior_payoff": interior.payoff_a,
+        }
+        for key, value in want.items():
+            assert abs(Fraction(row[key]) - value) <= 1e-15 * scale, (key, row)
+        assert abs(Fraction(row["interior_p"]) - interior.p_star) <= 1e-15, row
+        assert abs(Fraction(row["interior_q"]) - interior.q_star) <= 1e-15, row
 
 
 def _sometimes(broken, valid):

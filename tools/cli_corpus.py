@@ -12,9 +12,13 @@ the report payload that ``main`` renders, at full float precision. The
 corpus draws ``--configs`` configs covering every payoff form (levels at
 scales 1e-6 to 1e12, small integers, a large common offset, 2x2 and 3x3
 bimatrices) and every state form (presets, ``{a2}`` objects, in-family and
-out-of-family amplitudes); each config runs ``classical``, ``quantum`` in both
-modes, ``sweep`` over a2, p or q, and ``simulate``, each in table, json and
-csv: 15 invocations per config.
+out-of-family amplitudes), then ``--configs // 10`` more in the
+``levels-wide`` stratum: levels 4*10^k, 1..5 and 0 with k from 14 to 17,
+whose slopes span 14 to 18 decades. That stratum draws from its own
+``random.Random``, so every other stratum draws the same configs for a seed
+as it did before the stratum was added. Each config runs ``classical``,
+``quantum`` in both modes, ``sweep`` over a2, p or q, and ``simulate``, each
+in table, json and csv: 15 invocations per config.
 
 An invocation moved when its exit code, stdout or stderr differ. Each moved
 one falls in one class, read off the two payloads:
@@ -85,6 +89,12 @@ def _levels(rng: random.Random) -> tuple[dict, float, str]:
     return payoffs, max(abs(float(x)) for x in payoffs.values()), f"levels-{form}"
 
 
+def _wide_levels(rng: random.Random) -> tuple[dict, float, str]:
+    """Levels 4*10^k, 1..5 and 0 (k = 14..17), their scale and their form."""
+    alpha = 4 * 10 ** rng.randint(14, 17)
+    return {"alpha": alpha, "beta": rng.randint(1, 5), "gamma": 0}, float(alpha), "levels-wide"
+
+
 def _bimatrix(rng: random.Random) -> tuple[dict, float, str]:
     n = rng.choice((2, 2, 2, 3))
     table = lambda: [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]  # noqa: E731
@@ -130,10 +140,14 @@ def _commands(rng: random.Random) -> list[list[str]]:
 
 def build_corpus(seed: int, n_configs: int, directory: Path) -> list[dict]:
     """Write the configs under ``directory``; return one case per invocation."""
-    rng = random.Random(seed)
+    main_rng, wide_rng = random.Random(seed), random.Random(f"levels-wide {seed}")
     cases = []
-    for i in range(n_configs):
-        payoffs, scale, form = _bimatrix(rng) if rng.random() < 0.15 else _levels(rng)
+    for i in range(n_configs + n_configs // 10):
+        rng = main_rng if i < n_configs else wide_rng
+        if rng is wide_rng:
+            payoffs, scale, form = _wide_levels(rng)
+        else:
+            payoffs, scale, form = _bimatrix(rng) if rng.random() < 0.15 else _levels(rng)
         config: dict[str, Any] = {"payoffs": payoffs, "initial_state": _state(rng)}
         if rng.random() < 0.2 and "alpha" in payoffs:
             config["labels"] = {"a": ["Opera", "TV"], "b": ["Opera", "TV"]}
@@ -293,7 +307,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--before", type=Path, help="checkout with the old code")
     parser.add_argument("--after", type=Path, help="checkout with the new code")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--configs", type=int, default=600, help="15 invocations each")
+    parser.add_argument("--configs", type=int, default=600,
+                        help="15 invocations each, plus a tenth as many levels-wide configs")
     parser.add_argument("--report", type=Path, help="write every moved case here as JSON")
     args = parser.parse_args(argv)
     if args.worker:
@@ -326,7 +341,8 @@ def main(argv: list[str] | None = None) -> int:
                           "reason": reason,
                           "first_difference": _first_difference(before["stdout"], after["stdout"])})
 
-    print(f"invocations: {len(cases)} ({args.configs} configs, seed {args.seed}); "
+    print(f"invocations: {len(cases)} ({args.configs} configs and {args.configs // 10} "
+          f"levels-wide, seed {args.seed}); "
           f"moved: {len(moved)}")
     print("payoff form        invocations  mirror  round-off  other  largest round-off gap")
     for form in sorted(invocations):
