@@ -557,10 +557,7 @@ def cmd_sweep(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
             found = [(n.kind.value, n.p_star, n.q_star) for n in points]
             others = [kind for kind, _, _ in found[2:]]
             if found[:2] != [("corner", 1, 1), ("corner", 0, 0)] or others != ["interior"]:
-                raise InternalConsistencyError(
-                    f"a2 = {value}: the family state has corners (1,1), (0,0) and an "
-                    f"interior point, the enumerator found {found}"
-                )
+                raise InternalConsistencyError(f"a2 = {value}: not the family's points: {found}")
             keep, flip, interior = points
             rows.append(
                 {

@@ -47,8 +47,7 @@ SLOPE_TOL = 1e-12
 #: entrywise this tightly; equal densities give equal payoffs at any scale.
 MERGE_TOL = 1e-12
 # A float slope counts as zero below this fraction of the sum of the corners
-# it subtracts, measured from their surface's base: each corner carries
-# round-off of a few ulps of its own size.
+# it subtracts: each corner carries round-off of a few ulps of its own size.
 _ROUNDOFF = 8 * sys.float_info.epsilon
 
 
@@ -166,17 +165,14 @@ def enumerate_bilinear_nash(
     players are indifferent everywhere the whole square is reported once.
 
     Slopes and coefficients are differences of corners, so they carry the
-    corners' float round-off: a slope counts as zero within 8 ulps of the sum
-    of the corners it subtracts, measured from their base. An edge slope
-    subtracts its edge's two corners; the bilinear coefficient and the
-    slopes at the interior candidate use all four of their surface. So a
-    small slope is not lost to another slope's large corners, whatever the
-    span of the payoff differences. Rescaling both players' payoffs by one
-    positive factor scales the corners and the tolerances alike, and a
-    payoff level held in the bases enters neither, so neither changes the
-    equilibria. The same round-off can move a candidate on an edge just off
-    the square; within SLOPE_TOL it is taken at the nearest point of the
-    square.
+    corners' float round-off: a slope counts as zero within 8 ulps of the
+    sum of the corners it subtracts (an edge's two, or its surface's four),
+    measured from their base, so no slope is lost to another's large
+    corners. Rescaling both players' payoffs by one positive factor scales
+    the corners and the tolerances alike, and a payoff level held in the
+    bases enters neither, so neither changes the equilibria. The same
+    round-off can move a candidate on an edge just off the square; within
+    SLOPE_TOL it is taken at the nearest point of the square.
 
     Fraction surfaces are enumerated exactly, with zero slope tolerances and
     Fraction coordinates; float surfaces get float coordinates.

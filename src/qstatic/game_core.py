@@ -106,8 +106,7 @@ class GamePayoffs:
                 f"alpha={self.alpha}, beta={self.beta}, gamma={self.gamma}"
             )
         # The closed-form oracles multiply levels together; a scale at which
-        # that overflows a float is rejected here, so the oracles can check
-        # every valid game, rather than printed as inf or nan.
+        # that overflows a float is rejected here rather than printed as inf or nan.
         # (alpha-gamma)^2 bounds every squared difference and the spread;
         # gamma^2 and alpha*beta + (alpha-beta)^2 bound the interior payoff's
         # numerator for every a2.

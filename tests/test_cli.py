@@ -668,6 +668,26 @@ class TestSweepCommand:
         rows = cli.cmd_sweep(load_config(bos_config), args)["rows"]
         assert [row["a2"] for row in rows] == np.linspace(0.0, 1.0, steps).tolist()
 
+    @pytest.mark.parametrize(
+        "found",
+        [
+            lambda keep, flip, interior: (flip, keep, interior),
+            lambda keep, flip, interior: (keep, flip),
+            lambda keep, flip, interior: (keep, flip, interior, interior),
+        ],
+    )
+    def test_a2_sweep_never_mislabels_a_row(self, capsys, bos_config, monkeypatch, found):
+        # Rows are labelled by position: other points than the corners (1,1)
+        # and (0,0) and one interior point, in that order, are an internal error.
+        enumerate_nash = cli.enumerate_bilinear_nash
+        monkeypatch.setattr(
+            cli, "enumerate_bilinear_nash", lambda *surfaces: found(*enumerate_nash(*surfaces))
+        )
+        assert main(["sweep", "--config", bos_config, "--steps", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: a2 = 0.0: not the family's points")
+
     def test_p_sweep_tabulates_payoff_slice(self, capsys, bos_config):
         doc = run_json(
             capsys,
