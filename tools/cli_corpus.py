@@ -143,11 +143,12 @@ def build_corpus(seed: int, n_configs: int, directory: Path) -> list[dict]:
     main_rng, wide_rng = random.Random(seed), random.Random(f"levels-wide {seed}")
     cases = []
     for i in range(n_configs + n_configs // 10):
-        rng = main_rng if i < n_configs else wide_rng
-        if rng is wide_rng:
-            payoffs, scale, form = _wide_levels(rng)
-        else:
+        if i < n_configs:
+            rng = main_rng
             payoffs, scale, form = _bimatrix(rng) if rng.random() < 0.15 else _levels(rng)
+        else:
+            rng = wide_rng
+            payoffs, scale, form = _wide_levels(rng)
         config: dict[str, Any] = {"payoffs": payoffs, "initial_state": _state(rng)}
         if rng.random() < 0.2 and "alpha" in payoffs:
             config["labels"] = {"a": ["Opera", "TV"], "b": ["Opera", "TV"]}
