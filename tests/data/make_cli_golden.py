@@ -80,6 +80,20 @@ CONFIGS = {
         },
         "labels": {"a": ["U", "M", "D"], "b": ["L", "C", "R"]},
     },
+    # Outcome probabilities 9/25, 0, 16/25, 0: rational, outside the family.
+    "outside_rational": {
+        "payoffs": BOS,
+        "initial_state": [[0.6, 0.0], [0.0, 0.0], [0.8, 0.0], [0.0, 0.0]],
+    },
+    # A middle amplitude just inside and just outside the family's 1e-12.
+    "middle_1e-13": {
+        "payoffs": BOS,
+        "initial_state": [[0.6, 0.0], [1e-13, 0.0], [0.0, 0.0], [0.8, 0.0]],
+    },
+    "middle_1e-11": {
+        "payoffs": BOS,
+        "initial_state": [[0.6, 0.0], [1e-11, 0.0], [0.0, 0.0], [0.8, 0.0]],
+    },
     "dominated_3x3": {
         "payoffs": {
             "payoff_a": [[3, 2, 1], [1, 1, 0], [2, 3, 2]],
@@ -139,6 +153,9 @@ RUNS = [
     # One simulate case per binomial branch: n p below 10 and far above it.
     (["simulate", "--rounds", "5", *SIMULATE[2:]], "bell", ("json",)),
     (["simulate", "--rounds", "10000000", *SIMULATE[2:]], "complex_out_of_family", ("json",)),
+    (["quantum"], "outside_rational", ("json", "csv")),
+    (["quantum"], "middle_1e-13", ("json",)),
+    (["quantum"], "middle_1e-11", ("json",)),
 ]
 
 
