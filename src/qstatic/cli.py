@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .equilibria import (
-    EntangledFamilyState,
     EquilibriumRanking,
     NashPoint,
     UniqueSolutionReport,
@@ -52,6 +51,10 @@ AMPLITUDE_NORM_TOL = 1e-9
 #: Outcome probabilities of |OO>, the family member that is the classical
 #: game: its payoff surfaces have the payoff table's entries as corners.
 CLASSICAL_PROBABILITIES = (1.0, 0.0, 0.0, 0.0)
+#: How far squared normalized amplitudes miss an exact probability such as 1/2.
+PROBABILITY_ROUNDOFF = 4 * sys.float_info.epsilon
+#: Largest ``sweep --steps``; a json a2 sweep this long takes about 1.8 s and 300 MB.
+SWEEP_MAX_STEPS = 100_001
 
 
 class ConfigError(Exception):
@@ -68,7 +71,6 @@ class LoadedConfig:
     state: StateVector
     state_form: str
     preset_name: str | None
-    family: EntangledFamilyState | None
 
 
 def _fail(path: str, where: str, message: str) -> ConfigError:
@@ -123,9 +125,7 @@ def _load_payoffs(
     )
 
 
-def _load_state(
-    path: str, raw: Any
-) -> tuple[StateVector, str, str | None, EntangledFamilyState | None]:
+def _load_state(path: str, raw: Any) -> tuple[StateVector, str, str | None]:
     if isinstance(raw, str):
         if raw not in PRESET_STATES:
             raise _fail(
@@ -133,16 +133,15 @@ def _load_state(
                 "initial_state",
                 f"unknown preset {raw!r}; choose one of {', '.join(PRESET_STATES)}",
             )
-        family_a2 = {"OO": 1.0, "TT": 0.0, "bell": 0.5}.get(raw)
-        family = EntangledFamilyState(family_a2) if family_a2 is not None else None
-        state = family.state_vector() if family else StateVector.basis(raw)
-        return state, "preset", raw, family
+        half = math.sqrt(0.5)
+        state = StateVector.oo_tt(half, half) if raw == "bell" else StateVector.basis(raw)
+        return state, "preset", raw
     if isinstance(raw, dict):
         if set(raw) != {"a2"}:
             raise _fail(path, "initial_state", "object form needs exactly the key a2")
         a2 = _as_number(path, "initial_state.a2", raw["a2"])
-        family = EntangledFamilyState(a2)
-        return family.state_vector(), "family", None, family
+        _check_unit_interval("a2", a2)
+        return StateVector.oo_tt(math.sqrt(a2), math.sqrt(1 - a2)), "family", None
     if isinstance(raw, list):
         if len(raw) != 4:
             raise _fail(path, "initial_state", "amplitude form needs 4 [re, im] pairs")
@@ -165,12 +164,7 @@ def _load_state(
                 f"norm is {norm!r}",
             )
         scale = 1.0 / norm
-        state = StateVector([a * scale for a in amps])
-        family = None
-        if abs(state.amplitudes[1]) <= 1e-12 and abs(state.amplitudes[2]) <= 1e-12:
-            # |a0|^2 of a normalized state can round above 1.
-            family = EntangledFamilyState(min(abs(state.amplitudes[0]) ** 2, 1.0))
-        return state, "amplitudes", None, family
+        return StateVector([a * scale for a in amps]), "amplitudes", None
     raise _fail(
         path,
         "initial_state",
@@ -234,7 +228,7 @@ def load_config(path: str) -> LoadedConfig:
     except ConstraintViolation as exc:
         raise _fail(path, "payoffs", str(exc)) from exc
     try:
-        state, form, preset, family = _load_state(path, doc.get("initial_state", "OO"))
+        state, form, preset = _load_state(path, doc.get("initial_state", "OO"))
     except ConstraintViolation as exc:
         raise _fail(path, "initial_state", str(exc)) from exc
     labels_a, labels_b = _load_labels(path, doc.get("labels"), game.shape)
@@ -247,7 +241,6 @@ def load_config(path: str) -> LoadedConfig:
         state=state,
         state_form=form,
         preset_name=preset,
-        family=family,
     )
 
 
@@ -271,21 +264,26 @@ def _unit_grid(steps: int) -> list[float]:
 # exact fractions: the enumerator re-run on Fraction surfaces
 
 
+def _fraction(x: float, tol: float = 0.0) -> Fraction | None:
+    """The nearest fraction with a denominator up to 10^6, if x is its float or within tol."""
+    near = Fraction(x).limit_denominator(10**6)
+    return near if float(near) == x or abs(near - x) <= tol else None
+
+
 def _exact_equilibria(
-    points: Sequence[NashPoint], params: GamePayoffs, a2: float = 1.0
+    points: Sequence[NashPoint],
+    probabilities: Sequence[float],
+    payoffs_a: Sequence[float],
+    payoffs_b: Sequence[float],
 ) -> Sequence[NashPoint] | None:
-    """``points`` in exact arithmetic, when the inputs are exact: integer
-    payoff parameters and an a2 that a fraction with a denominator up to
-    10^6 rounds to (by default 1, the classical game). The enumerator reruns
-    on the family state's surfaces in Fractions; None if it finds other
-    kinds of equilibria than ``points``."""
-    values = (params.alpha, params.beta, params.gamma)
-    fraction = Fraction(a2).limit_denominator(10**6)
-    if float(fraction) != a2 or not all(v.is_integer() for v in values):
+    """``points`` rerun on the Fraction surfaces of the input as ``_fraction``
+    reads it, probabilities within PROBABILITY_ROUNDOFF; None if a number does
+    not read, the probabilities do not sum to 1, or other kinds come back."""
+    exact = [_fraction(x, PROBABILITY_ROUNDOFF) for x in probabilities]
+    table = [[_fraction(x) for x in payoffs] for payoffs in (payoffs_a, payoffs_b)]
+    if None in exact + table[0] + table[1] or sum(exact) != 1:
         return None
-    exact = GamePayoffs(*(Fraction(v) for v in values))
-    surfaces = payoff_surfaces((fraction, 0, 0, 1 - fraction), *_bos_table(exact))
-    found = enumerate_bilinear_nash(*surfaces)
+    found = enumerate_bilinear_nash(*payoff_surfaces(exact, *table))
     return found if [p.kind for p in found] == [p.kind for p in points] else None
 
 
@@ -311,11 +309,14 @@ def _game_json(cfg: LoadedConfig) -> dict:
 
 
 def _state_json(cfg: LoadedConfig) -> dict:
+    """The configured state; ``family_a2`` is null outside the |OO>/|TT>
+    family, whose middle amplitudes have moduli of at most 1e-12."""
+    d0, d1, d2, _ = cfg.state.probabilities
     return {
         "form": cfg.state_form,
         "name": cfg.preset_name,
         "amplitudes": _amp_pairs(cfg.state),
-        "family_a2": cfg.family.a2 if cfg.family is not None else None,
+        "family_a2": d0 if max(d1, d2) <= 1e-24 else None,
     }
 
 
@@ -337,8 +338,7 @@ def _eq_rows(
         row = {"kind": point.kind.value}
         row.update({key: getattr(point, field) for key, field in EQ_FIELDS.items()})
         for key, field in EQ_FIELDS.items():
-            value = getattr(exact[i], field) if exact else None
-            row[f"{key}_exact"] = None if value is None else str(Fraction(value))
+            row[f"{key}_exact"] = str(Fraction(getattr(exact[i], field))) if exact else None
         if final_states:
             row["final_state"] = _amp_pairs(final_states[i])
         rows.append(row)
@@ -385,12 +385,10 @@ def cmd_classical(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
     exact = None
     if cfg.game.is_2x2:
         (a0, a1), (b0, b1) = cfg.game.payoff_a, cfg.game.payoff_b
-        points: Sequence[NashPoint] = enumerate_bilinear_nash(
-            *payoff_surfaces(CLASSICAL_PROBABILITIES, a0 + a1, b0 + b1)
-        )
-        if cfg.params is not None:
-            exact = _exact_equilibria(points, cfg.params)
-        else:
+        outcomes = (CLASSICAL_PROBABILITIES, a0 + a1, b0 + b1)
+        points: Sequence[NashPoint] = enumerate_bilinear_nash(*payoff_surfaces(*outcomes))
+        exact = _exact_equilibria(points, *outcomes)
+        if cfg.params is None:
             notices.append("mixed equilibria computed by generic bilinear enumeration")
     else:
         points = ()
@@ -449,23 +447,23 @@ def cmd_quantum(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
     params = _require_params(cfg, "quantum")
     notices: list[str] = []
     unique: UniqueSolutionReport | None = None
-    exact = None
     final_states = None
+    initial_state = _state_json(cfg)
     # Independent tactics played from |OO> are the classical game.
     factorizable = args.mode == "factorizable"
     probabilities = CLASSICAL_PROBABILITIES if factorizable else cfg.state.probabilities
-    surfaces = payoff_surfaces(probabilities, *_bos_table(params))
+    outcomes = (probabilities, *_bos_table(params))
+    surfaces = payoff_surfaces(*outcomes)
     points = enumerate_bilinear_nash(*surfaces)
+    exact = _exact_equilibria(points, *outcomes)
 
     if factorizable:
         final_states = [_tactic_state(point.p_star, point.q_star) for point in points]
-        exact = _exact_equilibria(points, params)
         notices.append(
             "independent-tactic equilibria do not depend on the configured "
             "initial state; coordinates are squared tactic moduli"
         )
-    elif cfg.family is not None:
-        exact = _exact_equilibria(points, params, cfg.family.a2)
+    elif initial_state["family_a2"] is not None:
         unique = _unique_solution(surfaces, cfg.state)
     else:
         notices.append(
@@ -478,7 +476,7 @@ def cmd_quantum(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
         "command": "quantum",
         "mode": args.mode,
         "game": _game_json(cfg),
-        "initial_state": _state_json(cfg),
+        "initial_state": initial_state,
         "equilibria": _eq_rows(points, exact, final_states),
         "ranking": _ranking_json(rank_equilibria(points), points),
         "unique_solution": _unique_json(unique),
@@ -528,8 +526,8 @@ def cmd_simulate(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
 
 def cmd_sweep(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
     params = _require_params(cfg, "sweep")
-    if args.steps < 2:
-        raise ConfigError(f"sweep: steps must be at least 2, got {args.steps}")
+    if not 2 <= args.steps <= SWEEP_MAX_STEPS:
+        raise ConfigError(f"sweep: steps must be from 2 to {SWEEP_MAX_STEPS}, got {args.steps}")
     if args.param != "a2":
         # The fixed coordinate is checked once, before any row is built.
         name = "q" if args.param == "p" else "p"
@@ -876,7 +874,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--param", choices=("a2", "p", "q"), default="a2", help="parameter to sweep"
     )
-    sweep.add_argument("--steps", type=int, default=11, help="number of grid points")
+    sweep.add_argument(
+        "--steps", type=int, default=11, help=f"number of grid points, 2 to {SWEEP_MAX_STEPS}"
+    )
     sweep.add_argument(
         "--p", type=float, default=0.5, help="fixed p for a q sweep (default 0.5)"
     )

@@ -26,7 +26,7 @@ from qstatic.equilibria import (
     entangled_equilibria,
 )
 from qstatic.errors import InternalConsistencyError
-from qstatic.game_core import GamePayoffs
+from qstatic.game_core import GamePayoffs, _bos_table
 from qstatic.quantum_core import (
     DensityMatrix,
     MixingChoice,
@@ -73,6 +73,13 @@ def run_csv(capsys, argv):
     out = capsys.readouterr().out
     assert code == 0
     return [line.split(",") for line in out.strip().splitlines()]
+
+
+def family_facts(capsys, path):
+    """``initial_state.family_a2`` of the quantum report on ``path``, and
+    whether it carries the unique-solution verdict."""
+    doc = run_json(capsys, ["quantum", "--config", path])
+    return doc["initial_state"]["family_a2"], doc["unique_solution"] is not None
 
 
 class TestConfigLoading:
@@ -150,7 +157,7 @@ class TestConfigLoading:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "initial_state: amplitudes must be normalized" in err
 
-    def test_slightly_denormalized_amplitudes_accepted(self, tmp_path):
+    def test_slightly_denormalized_amplitudes_accepted(self, tmp_path, capsys):
         r = 1 / np.sqrt(2) + 1e-10
         path = write_config(
             tmp_path,
@@ -163,8 +170,9 @@ class TestConfigLoading:
         assert np.sum(np.abs(cfg.state.amplitudes) ** 2) == pytest.approx(
             1.0, abs=1e-12
         )
-        assert cfg.family is not None
-        assert cfg.family.a2 == pytest.approx(0.5, abs=1e-9)
+        family_a2, verdict = family_facts(capsys, path)
+        assert family_a2 == pytest.approx(0.5, abs=1e-9)
+        assert verdict
 
     @pytest.mark.parametrize(
         "command", [["classical"], ["quantum"], ["sweep"], ["simulate", "--rounds", "100"]]
@@ -179,17 +187,15 @@ class TestConfigLoading:
             tmp_path,
             {"payoffs": {"alpha": 3, "beta": 2, "gamma": 1}, "initial_state": amps},
         )
-        assert load_config(path).family.a2 == 1.0
-        assert main([command[0], "--config", path, *command[1:]]) == 0
-        capsys.readouterr()
+        assert family_facts(capsys, path) == (1.0, True)
+        run_json(capsys, [command[0], "--config", path, *command[1:]])
 
-    def test_family_form(self, tmp_path):
+    def test_family_form(self, tmp_path, capsys):
         path = write_config(
             tmp_path,
             {"payoffs": {"alpha": 3, "beta": 2, "gamma": 1}, "initial_state": {"a2": 0.8}},
         )
-        cfg = load_config(path)
-        assert cfg.family.a2 == 0.8
+        assert family_facts(capsys, path) == (0.8, True)
 
     @pytest.mark.parametrize("command", ["classical", "quantum"])
     def test_nan_amplitude_names_its_field(self, tmp_path, capsys, command):
@@ -320,13 +326,13 @@ class TestClassicalCommand:
         # The exact run finds two corners and an interior point; a float run
         # that found other kinds gets no exact columns, so no row is paired
         # with another point's fractions.
-        params = GamePayoffs(3.0, 2.0, 1.0)
+        game = (cli.CLASSICAL_PROBABILITIES, *_bos_table(GamePayoffs(3.0, 2.0, 1.0)))
         corner = NashPoint(1.0, 1.0, 3.0, 2.0, EquilibriumKind.CORNER)
         family = NashPoint(0.5, 1.0, 2.0, 1.5, EquilibriumKind.DEGENERATE_FAMILY)
-        assert cli._exact_equilibria([corner, corner, family], params) is None
-        assert cli._exact_equilibria([corner, corner], params) is None
+        assert cli._exact_equilibria([corner, corner, family], *game) is None
+        assert cli._exact_equilibria([corner, corner], *game) is None
         interior = NashPoint(2 / 3, 1 / 3, 5 / 3, 5 / 3, EquilibriumKind.INTERIOR)
-        exact = cli._exact_equilibria([corner, corner, interior], params)
+        exact = cli._exact_equilibria([corner, corner, interior], *game)
         assert (exact[2].p_star, exact[2].q_star) == (Fraction(2, 3), Fraction(1, 3))
 
     def test_dominant_strategy_bimatrix_has_elimination_trace(self, tmp_path, capsys):
@@ -740,6 +746,26 @@ class TestSweepCommand:
     def test_steps_below_two_exit_2(self, capsys, bos_config):
         assert main(["sweep", "--config", bos_config, "--steps", "1"]) == 2
 
+    @pytest.mark.parametrize("steps", [cli.SWEEP_MAX_STEPS + 1, 200_000_000])
+    def test_steps_above_the_maximum_exit_2_before_the_grid(
+        self, capsys, bos_config, monkeypatch, steps
+    ):
+        monkeypatch.setattr(cli, "_unit_grid", lambda steps: pytest.fail("grid built"))
+        assert main(["sweep", "--config", bos_config, "--steps", str(steps)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: sweep: steps must be from 2 to {cli.SWEEP_MAX_STEPS}, got {steps}\n"
+        )
+
+    def test_maximum_steps_accepted_and_in_help(self, capsys, bos_config):
+        argv = ["sweep", "--config", bos_config, "--param", "p"]
+        rows = run_csv(capsys, [*argv, "--steps", str(cli.SWEEP_MAX_STEPS)])
+        assert len(rows) == 1 + cli.SWEEP_MAX_STEPS
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        assert f"2 to {cli.SWEEP_MAX_STEPS}" in capsys.readouterr().out
+
     def test_unknown_parameter_rejected_by_parser(self, bos_config):
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "--config", bos_config, "--param", "zz"])
@@ -1043,6 +1069,47 @@ def test_a2_sweep_rows_match_the_exact_family_equilibria(tmp_path_factory, level
             assert abs(Fraction(row[key]) - value) <= 1e-15 * scale, (key, row)
         assert abs(Fraction(row["interior_p"]) - interior.p_star) <= 1e-15, row
         assert abs(Fraction(row["interior_q"]) - interior.q_star) <= 1e-15, row
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    levels=st.lists(st.integers(-10**15, 10**15), min_size=3, max_size=3, unique=True),
+    a2=st.integers(1, 1000).flatmap(lambda n: st.integers(0, n).map(lambda k: k / n)),
+)
+def test_one_game_in_any_input_form_prints_the_same_exact_columns(
+    tmp_path_factory, levels, a2
+):
+    """Integer levels and their bimatrix, and a rational a2 and its amplitudes,
+    print the same exact columns; each float column lies within 1e-12 of the
+    payoff scale (of 1 for coordinates) of its exact value."""
+    alpha, beta, gamma = sorted(levels, reverse=True)
+    scale = max(map(abs, levels))
+    bimatrix = {
+        "payoff_a": [[alpha, gamma], [gamma, beta]],
+        "payoff_b": [[beta, gamma], [gamma, alpha]],
+    }
+    amplitudes = [[math.sqrt(a2), 0], [0, 0], [0, 0], [math.sqrt(1 - a2), 0]]
+
+    def exact_columns(command, payoffs, state="OO"):
+        path = tmp_path_factory.mktemp("forms") / "game.json"
+        path.write_text(json.dumps({"payoffs": payoffs, "initial_state": state}))
+        args = cli.build_parser().parse_args([command, "--config", str(path)])
+        report = cli._COMMANDS[command](load_config(str(path)), args)
+        rows = report["mixed_equilibria" if command == "classical" else "equilibria"]
+        columns = []
+        for row in rows:
+            for key in cli.EQ_FIELDS:
+                exact = Fraction(row[f"{key}_exact"])
+                unit = 1 if key in ("p", "q") else scale
+                assert abs(row[key] - float(exact)) <= 1e-12 * unit, (key, row)
+                columns.append(exact)
+        return columns
+
+    levels_form = {"alpha": alpha, "beta": beta, "gamma": gamma}
+    assert exact_columns("classical", levels_form) == exact_columns("classical", bimatrix)
+    assert exact_columns("quantum", levels_form, {"a2": a2}) == exact_columns(
+        "quantum", levels_form, amplitudes
+    )
 
 
 def _sometimes(broken, valid):
