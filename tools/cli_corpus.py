@@ -23,6 +23,11 @@ in table, json and csv: 15 invocations per config.
 An invocation moved when its exit code, stdout or stderr differ. Each moved
 one falls in one class, read off the two payloads:
 
+- ``exact``: the payloads are byte-identical once every ``*_exact`` field
+  that was null before is read as null after, and every float is read at
+  the 12 significant digits that the json and csv views print: only exact
+  columns filled in. The table's widths change with them, so the text
+  cannot decide this;
 - ``mirror``: a quantum ranking in which only mirror corners, (1,1) and
   (0,0) or (1,0) and (0,1), traded places; with the gaps recomputed for the
   traded order, the payloads agree within the round-off bound below;
@@ -272,6 +277,22 @@ def _mirror_swaps(payload: dict) -> list[dict]:
     return versions
 
 
+def _printed(before: Any, after: Any) -> Any:
+    """``after`` with floats at 12 significant digits, and with every
+    ``*_exact`` field that is null in ``before`` read as null."""
+    if isinstance(before, dict) and isinstance(after, dict):
+        return {
+            k: None if k.endswith("_exact") and k in before and before[k] is None
+            else _printed(before.get(k), v)
+            for k, v in after.items()
+        }
+    if isinstance(after, list):
+        if not (isinstance(before, list) and len(before) == len(after)):
+            before = [None] * len(after)
+        return [_printed(b, a) for b, a in zip(before, after)]
+    return float(f"{after:.12g}") if type(after) is float else after
+
+
 def classify(before: dict, after: dict, scale: float) -> tuple[str, float, str]:
     """(class, largest float gap over its scale, reason) of one moved output."""
     if before["exit"] != after["exit"] or before["stderr"] != after["stderr"]:
@@ -279,6 +300,8 @@ def classify(before: dict, after: dict, scale: float) -> tuple[str, float, str]:
     old, new = before["payload"], after["payload"]
     if old is None or new is None:
         return "other", math.inf, "stdout changed without a payload"
+    if json.dumps(_printed(old, old)) == json.dumps(_printed(old, new)):
+        return "exact", 0.0, ""
     try:
         gap = _float_gap(old, new, scale)
         kind = "round-off"
@@ -345,11 +368,12 @@ def main(argv: list[str] | None = None) -> int:
     print(f"invocations: {len(cases)} ({args.configs} configs and {args.configs // 10} "
           f"levels-wide, seed {args.seed}); "
           f"moved: {len(moved)}")
-    print("payoff form        invocations  mirror  round-off  other  largest round-off gap")
+    print("payoff form        invocations  exact  mirror  round-off  other  largest round-off gap")
     for form in sorted(invocations):
-        n = [counts[(form, kind)] for kind in ("mirror", "round-off", "other")]
+        n = [counts[(form, kind)] for kind in ("exact", "mirror", "round-off", "other")]
         gap = max(largest.get((form, kind), 0.0) for kind in ("mirror", "round-off"))
-        print(f"{form:<18} {invocations[form]:>11}  {n[0]:>6}  {n[1]:>9}  {n[2]:>5}  {gap:.3g}")
+        print(f"{form:<18} {invocations[form]:>11}  {n[0]:>5}  {n[1]:>6}  {n[2]:>9}  {n[3]:>5}  "
+              f"{gap:.3g}")
     print("command               invocations  moved")
     for command in per_command:
         print(f"{command:<21} {per_command[command]:>11}  {moved_per_command[command]:>5}")
