@@ -53,7 +53,7 @@ AMPLITUDE_NORM_TOL = 1e-9
 CLASSICAL_PROBABILITIES = (1.0, 0.0, 0.0, 0.0)
 #: How far squared normalized amplitudes miss an exact probability such as 1/2.
 PROBABILITY_ROUNDOFF = 4 * sys.float_info.epsilon
-#: Largest ``sweep --steps``; a json a2 sweep this long takes about 1.8 s and 300 MB.
+#: Largest ``sweep --steps``: a json a2 sweep this long took 1.8 s and 300 MB on a 2-core EPYC.
 SWEEP_MAX_STEPS = 100_001
 
 

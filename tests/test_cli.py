@@ -188,7 +188,8 @@ class TestConfigLoading:
             {"payoffs": {"alpha": 3, "beta": 2, "gamma": 1}, "initial_state": amps},
         )
         assert family_facts(capsys, path) == (1.0, True)
-        run_json(capsys, [command[0], "--config", path, *command[1:]])
+        assert main([command[0], "--config", path, *command[1:]]) == 0
+        capsys.readouterr()
 
     def test_family_form(self, tmp_path, capsys):
         path = write_config(
