@@ -11,7 +11,7 @@ oracle. The first tensor slot belongs to the row player.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import ConstraintViolation
@@ -53,6 +53,9 @@ class StateVector:
     """Normalized joint strategy state: 4 complex amplitudes over BASIS_LABELS."""
 
     amplitudes: tuple[complex, complex, complex, complex]
+    #: Outcome probabilities |a_k|^2 of a measurement in the joint basis; the
+    #: norm check sums them.
+    probabilities: tuple[float, float, float, float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         amps = tuple(map(complex, self.amplitudes))
@@ -60,8 +63,10 @@ class StateVector:
             raise ConstraintViolation(
                 f"a joint state needs exactly 4 amplitudes, got {len(amps)}"
             )
+        probabilities = tuple([a.real * a.real + a.imag * a.imag for a in amps])
         object.__setattr__(self, "amplitudes", amps)
-        norm_sq = sum(self.probabilities)
+        object.__setattr__(self, "probabilities", probabilities)
+        norm_sq = sum(probabilities)
         if not abs(norm_sq - 1.0) <= STATE_NORM_TOL:
             raise ConstraintViolation(
                 f"state vector is not normalized: sum of squared moduli = {norm_sq!r}"
@@ -84,11 +89,6 @@ class StateVector:
     def bell(cls) -> StateVector:
         """The maximally entangled state (|OO> + |TT>) / sqrt(2)."""
         return cls.oo_tt(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
-
-    @property
-    def probabilities(self) -> tuple[float, float, float, float]:
-        """Outcome probabilities |a_k|^2 of a measurement in the joint basis."""
-        return tuple([a.real * a.real + a.imag * a.imag for a in self.amplitudes])
 
     def density_matrix(self) -> DensityMatrix:
         """The projector |psi><psi| as a numpy-backed ``DensityMatrix``."""

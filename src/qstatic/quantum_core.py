@@ -77,10 +77,6 @@ def _flip_index(row_flips: bool, col_flips: bool) -> np.ndarray:
 _MIX_INDEX = np.stack(
     [_flip_index(row, col) for row in (False, True) for col in (False, True)]
 )
-#: Flat positions of each entry (i, j) on or above the diagonal and of its
-#: mirror (j, i); then the flat positions off the diagonal.
-_UPPER_PAIRS = tuple((4 * i + j, 4 * j + i) for i in range(4) for j in range(i, 4))
-_OFF_DIAGONAL = tuple(k for k in range(16) if k % 5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,26 +92,47 @@ class DensityMatrix:
                 f"a joint density matrix must be 4x4, got shape {m.shape}"
             )
         # Sixteen Python complex numbers test faster than small numpy arrays.
-        v = m.ravel().tolist()
+        (
+            v00, v01, v02, v03,
+            v10, v11, v12, v13,
+            v20, v21, v22, v23,
+            v30, v31, v32, v33,
+        ) = m.ravel().tolist()
         # |m[i, j] - conj(m[j, i])| for j >= i covers every entry of m - m^H.
-        if not all(abs(v[i] - v[j].conjugate()) <= HERMITIAN_TOL for i, j in _UPPER_PAIRS):
-            hermitian_gap = float(np.abs(m - m.conj().T).max())
+        tol = HERMITIAN_TOL
+        if not (
+            abs(v00 - v00.conjugate()) <= tol
+            and abs(v01 - v10.conjugate()) <= tol
+            and abs(v02 - v20.conjugate()) <= tol
+            and abs(v03 - v30.conjugate()) <= tol
+            and abs(v11 - v11.conjugate()) <= tol
+            and abs(v12 - v21.conjugate()) <= tol
+            and abs(v13 - v31.conjugate()) <= tol
+            and abs(v22 - v22.conjugate()) <= tol
+            and abs(v23 - v32.conjugate()) <= tol
+            and abs(v33 - v33.conjugate()) <= tol
+        ):
+            # A non-finite conjugate pair makes the gap NaN: say so, not warn.
+            with np.errstate(invalid="ignore"):
+                hermitian_gap = float(np.abs(m - m.conj().T).max())
             raise ConstraintViolation(
                 f"density matrix is not Hermitian (max asymmetry {hermitian_gap:.3e})"
             )
         # The trace, summed pairwise in the order numpy's add.reduce uses.
-        d0, d1, d2, d3 = v[0], v[5], v[10], v[15]
-        trace_gap = abs((d0 + d1) + (d2 + d3) - 1.0)
+        trace_gap = abs((v00 + v11) + (v22 + v33) - 1.0)
         if not trace_gap <= TRACE_TOL:
             raise ConstraintViolation(
                 f"density matrix trace deviates from 1 by {trace_gap:.3e}"
             )
-        if any(v[k] for k in _OFF_DIAGONAL):
+        if (
+            v01 or v02 or v03 or v10 or v12 or v13
+            or v20 or v21 or v23 or v30 or v31 or v32
+        ):
             smallest = float(np.linalg.eigvalsh(m)[0])
         else:
             # A diagonal matrix's eigenvalues are its diagonal; eigvalsh reads
             # only the real parts and returns this same value.
-            smallest = min(d0.real, d1.real, d2.real, d3.real)
+            smallest = min(v00.real, v11.real, v22.real, v33.real)
         if not smallest >= EIGENVALUE_FLOOR:
             raise ConstraintViolation(
                 f"density matrix has a negative eigenvalue ({smallest:.3e})"
@@ -143,7 +160,7 @@ class LocalUnitary:
     def __post_init__(self) -> None:
         a = complex(self.a)
         b = complex(self.b)
-        norm = abs(a) ** 2 + abs(b) ** 2
+        norm = a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
         if not abs(norm - 1.0) <= STATE_NORM_TOL:
             raise ConstraintViolation(
                 f"|a|^2 + |b|^2 must be 1 for a local tactic, got {norm!r}"
@@ -175,16 +192,14 @@ class PayoffOperator:
             raise ConstraintViolation(
                 f"a payoff operator needs 4 diagonal entries, got shape {d.shape}"
             )
-        # Four Python floats test faster than numpy's isfinite on a small array.
-        if not all(map(math.isfinite, d.tolist())):
+        # Four Python floats test faster than numpy's isfinite on a small
+        # array; trace_payoffs and bilinear_payoff_coefficients read them too.
+        values = tuple(d.tolist())
+        if not all(map(math.isfinite, values)):
             raise ConstraintViolation("payoff operator entries must be finite")
         d.setflags(write=False)
         object.__setattr__(self, "diagonal", d)
-        # trace_payoffs dots the diagonal with a complex one; numpy would cast
-        # the real diagonal to this same complex copy on every call.
-        d_complex = d.astype(complex)
-        d_complex.setflags(write=False)
-        object.__setattr__(self, "_complex_diagonal", d_complex)
+        object.__setattr__(self, "_values", values)
 
 
 def apply_local_unitaries(
@@ -213,7 +228,7 @@ def apply_local_unitaries(
 
 def projection_probabilities(psi: StateVector) -> np.ndarray:
     """Squared moduli of the projections onto the canonical basis."""
-    return np.abs(psi.amplitudes) ** 2
+    return np.array(psi.probabilities)
 
 
 def mixed_final_density(rho_in: DensityMatrix, mix: MixingChoice) -> DensityMatrix:
@@ -254,7 +269,7 @@ def _check_imaginary_residue(
     """
     # The scale is taken only past the absolute bound, off the common path.
     if residue > IMAG_PART_TOL and residue > IMAG_PART_TOL * max(
-        1.0, *np.abs(pa.diagonal), *np.abs(pb.diagonal)
+        1.0, *map(abs, pa._values), *map(abs, pb._values)
     ):
         raise InternalConsistencyError(
             f"{what} payoff has imaginary residue {residue:.3e}"
@@ -266,10 +281,12 @@ def trace_payoffs(
 ) -> tuple[float, float]:
     """Mean values tr(P rho) for both diagonal payoff operators; only the
     diagonal of rho contributes."""
-    diag = rho.entries.diagonal()
-    # ndarray.dot runs the same dot loop as ``@`` without the gufunc set-up.
-    value_a = complex(pa._complex_diagonal.dot(diag))
-    value_b = complex(pb._complex_diagonal.dot(diag))
+    # Four Python complex numbers sum faster than a numpy dot on them.
+    d0, d1, d2, d3 = rho.entries.diagonal().tolist()
+    x0, x1, x2, x3 = pa._values
+    y0, y1, y2, y3 = pb._values
+    value_a = (x0 * d0 + x1 * d1) + (x2 * d2 + x3 * d3)
+    value_b = (y0 * d0 + y1 * d1) + (y2 * d2 + y3 * d3)
     _check_imaginary_residue(max(abs(value_a.imag), abs(value_b.imag)), "trace", pa, pb)
     return value_a.real, value_b.real
 
@@ -284,7 +301,7 @@ def bilinear_payoff_coefficients(
     IMAG_PART_TOL of the payoff scale.
     """
     diagonal = rho_in.entries.diagonal().tolist()
-    payoffs_a, payoffs_b = pa.diagonal.tolist(), pb.diagonal.tolist()
+    payoffs_a, payoffs_b = pa._values, pb._values
     imaginary = [d.imag for d in diagonal]
     # With every imaginary part exactly zero every residue is exactly zero.
     if any(imaginary):

@@ -4,8 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from qstatic.errors import ConstraintViolation
 from qstatic.game_core import BilinearPayoff
-from qstatic.quantum_core import DensityMatrix, LocalUnitary
+from qstatic.outcomes import _corner_means, payoff_surfaces
+from qstatic.quantum_core import (
+    EIGENVALUE_FLOOR,
+    HERMITIAN_TOL,
+    TRACE_TOL,
+    DensityMatrix,
+    LocalUnitary,
+    PayoffOperator,
+    _check_imaginary_residue,
+)
 
 
 def coefficients(bp: BilinearPayoff) -> tuple:
@@ -118,3 +128,67 @@ def endpoint_certificate_holds(
         and own_b >= bp_b.value(p, 0.0) - tol
         and own_b >= bp_b.value(p, 1.0) - tol
     )
+
+
+# Reference copies of earlier implementations of the oracle routes' checks
+# and payoffs, written pair by pair and through numpy; the production code
+# must accept, reject and compute as they do.
+
+_UPPER_PAIRS = tuple((4 * i + j, 4 * j + i) for i in range(4) for j in range(i, 4))
+_OFF_DIAGONAL = tuple(k for k in range(16) if k % 5)
+
+
+def reference_density_check(entries) -> np.ndarray:
+    """``DensityMatrix`` validation through index tables: returns the checked
+    complex matrix or raises ``ConstraintViolation`` with the same message.
+    A non-finite conjugate pair warns in numpy on the rejection path."""
+    m = np.array(entries, dtype=complex)
+    if m.shape != (4, 4):
+        raise ConstraintViolation(
+            f"a joint density matrix must be 4x4, got shape {m.shape}"
+        )
+    v = m.ravel().tolist()
+    if not all(abs(v[i] - v[j].conjugate()) <= HERMITIAN_TOL for i, j in _UPPER_PAIRS):
+        hermitian_gap = float(np.abs(m - m.conj().T).max())
+        raise ConstraintViolation(
+            f"density matrix is not Hermitian (max asymmetry {hermitian_gap:.3e})"
+        )
+    d0, d1, d2, d3 = v[0], v[5], v[10], v[15]
+    trace_gap = abs((d0 + d1) + (d2 + d3) - 1.0)
+    if not trace_gap <= TRACE_TOL:
+        raise ConstraintViolation(
+            f"density matrix trace deviates from 1 by {trace_gap:.3e}"
+        )
+    if any(v[k] for k in _OFF_DIAGONAL):
+        smallest = float(np.linalg.eigvalsh(m)[0])
+    else:
+        smallest = min(d0.real, d1.real, d2.real, d3.real)
+    if not smallest >= EIGENVALUE_FLOOR:
+        raise ConstraintViolation(
+            f"density matrix has a negative eigenvalue ({smallest:.3e})"
+        )
+    return m
+
+
+def reference_trace_payoffs(
+    pa: PayoffOperator, pb: PayoffOperator, rho: DensityMatrix
+) -> tuple[float, float]:
+    """tr(P rho) as numpy's dot of the complex-cast payoff diagonal with the
+    density's diagonal."""
+    diag = rho.entries.diagonal()
+    value_a = complex(pa.diagonal.astype(complex).dot(diag))
+    value_b = complex(pb.diagonal.astype(complex).dot(diag))
+    return value_a.real, value_b.real
+
+
+def reference_bilinear_payoff_coefficients(
+    rho_in: DensityMatrix, pa: PayoffOperator, pb: PayoffOperator
+) -> tuple[BilinearPayoff, BilinearPayoff]:
+    """Payoff surfaces with the payoffs read off the operators' arrays."""
+    diagonal = rho_in.entries.diagonal().tolist()
+    payoffs_a, payoffs_b = pa.diagonal.tolist(), pb.diagonal.tolist()
+    imaginary = [d.imag for d in diagonal]
+    if any(imaginary):
+        residues = _corner_means(payoffs_a, imaginary) + _corner_means(payoffs_b, imaginary)
+        _check_imaginary_residue(max(map(abs, residues)), "corner", pa, pb)
+    return payoff_surfaces([d.real for d in diagonal], payoffs_a, payoffs_b)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -244,11 +245,35 @@ class TestExpectedPayoffs:
         pay_mid = expected_payoffs(game, MixProbabilities(mid, q))[0]
         assert pay_mid == pytest.approx((pay0 + pay1) / 2, abs=1e-12)
 
+    def test_distinct_entries_tell_the_four_weights_apart(self):
+        # The coordination game pays both off-diagonal cells alike, so only a
+        # general table shows a weight paired with the wrong cell. Dyadic
+        # probabilities keep every product and sum exact.
+        game = Bimatrix([[1000, 100], [10, 1]], [[1, 10], [100, 1000]])
+        assert expected_payoffs(game, MixProbabilities(0.25, 0.125)) == (
+            1751 / 32,
+            21371 / 32,
+        )
+
     def test_rejects_probabilities_outside_unit_interval(self):
         with pytest.raises(ConstraintViolation):
             MixProbabilities(1.2, 0.5)
         with pytest.raises(ConstraintViolation):
             MixProbabilities(0.5, -0.1)
+
+    @pytest.mark.parametrize(
+        "p, q, name, bad",
+        [
+            (math.nan, 0.5, "p", "nan"),
+            (0.5, math.nan, "q", "nan"),
+            (-0.0, 1.5, "q", "1.5"),
+            (-1e-300, 2.0, "p", "-1e-300"),
+            (1.0, -math.inf, "q", "-inf"),
+        ],
+    )
+    def test_rejection_names_the_first_parameter_outside(self, p, q, name, bad):
+        with pytest.raises(ConstraintViolation, match=rf"^{name} must lie in \[0, 1\], got {bad}$"):
+            MixProbabilities(p, q)
 
     def test_rejects_larger_games(self):
         game = Bimatrix(np.zeros((3, 2)), np.zeros((3, 2)))

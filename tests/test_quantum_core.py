@@ -1,19 +1,29 @@
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import coefficients, random_density, random_su2
+from helpers import (
+    coefficients,
+    random_density,
+    random_su2,
+    reference_bilinear_payoff_coefficients,
+    reference_density_check,
+    reference_trace_payoffs,
+)
 from qstatic.errors import ConstraintViolation, InternalConsistencyError
 from qstatic.outcomes import _corner_means, _flipped
 from qstatic.game_core import GamePayoffs, MixProbabilities, bos_bimatrix, expected_payoffs
 from qstatic.quantum_core import (
     BASIS_LABELS,
     EIGENVALUE_FLOOR,
+    HERMITIAN_TOL,
+    TRACE_TOL,
     DensityMatrix,
     LocalUnitary,
     MixingChoice,
@@ -87,6 +97,19 @@ class TestStateVector:
         rho = StateVector.bell().density_matrix()
         assert rho.fidelity(StateVector.bell()) == pytest.approx(1.0, abs=1e-12)
 
+    @PROPERTY
+    @given(parts=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
+    def test_probabilities_are_the_squared_moduli_bit_for_bit(self, parts):
+        amps = [complex(parts[k], parts[k + 1]) for k in range(0, 8, 2)]
+        norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+        assume(norm > 0.1)
+        psi = StateVector([a / norm for a in amps])
+        want = [a.real * a.real + a.imag * a.imag for a in psi.amplitudes]
+        assert type(psi.probabilities) is tuple
+        assert [x.hex() for x in psi.probabilities] == [x.hex() for x in want]
+        probs = projection_probabilities(psi)
+        assert [x.hex() for x in probs.tolist()] == [x.hex() for x in want]
+
 
 #: Diagonal entries on either side of the eigenvalue floor.
 _JUST_ABOVE_FLOOR = float(np.nextafter(EIGENVALUE_FLOOR, 0.0))
@@ -118,6 +141,38 @@ class TestDensityMatrix:
         # value - conj(value) is NaN, which no gap test may let through.
         m = np.eye(4, dtype=complex) / 4
         m[0, 1] = m[1, 0] = value
+        with pytest.raises(ConstraintViolation, match="not Hermitian"):
+            DensityMatrix(m)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_conjugate_pair_rejected_without_a_warning(self, value):
+        # Under warnings-as-errors a numpy warning on the rejection path
+        # would replace the ConstraintViolation.
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = m[1, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConstraintViolation, match="not Hermitian"):
+                DensityMatrix(m)
+
+    @pytest.mark.parametrize("i, j", [(i, j) for i in range(4) for j in range(4)])
+    def test_rejects_an_asymmetry_at_every_position(self, i, j):
+        # Off the diagonal one entry without its mirror; on it an imaginary
+        # part, which the Hermitian test reports before the trace test.
+        m = np.eye(4, dtype=complex) / 4
+        if i == j:
+            m[i, i] += 0.05j
+        else:
+            m[i, j] = 0.1
+        with pytest.raises(ConstraintViolation, match=r"not Hermitian \(max asymmetry 1\.0+e-01"):
+            DensityMatrix(m)
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (2, 3), (3, 1)])
+    def test_asymmetry_accepted_at_the_tolerance_and_rejected_past_it(self, i, j):
+        m = np.eye(4, dtype=complex) / 4
+        m[i, j] = HERMITIAN_TOL
+        DensityMatrix(m)
+        m[i, j] = np.nextafter(HERMITIAN_TOL, 1.0)
         with pytest.raises(ConstraintViolation, match="not Hermitian"):
             DensityMatrix(m)
 
@@ -178,6 +233,90 @@ class TestDensityMatrix:
             assert rho.diagonal_probabilities().sum() == pytest.approx(1.0, abs=1e-12)
 
 
+#: Asymmetries and trace deviations on both sides of the tolerances.
+_STRADDLE = (0.5, 1.0 - 2.0**-52, 1.0, 1.0 + 2.0**-52, 2.0)
+_NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def perturbed_densities(draw):
+    """A valid density, diagonal or not, then up to two perturbations: an
+    asymmetry or a trace deviation near its tolerance, a non-finite real or
+    imaginary part, or weight moved between diagonal entries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        m = random_density(rng).entries.copy()
+    else:
+        m = np.diag(rng.dirichlet(np.ones(4))).astype(complex)
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        kind = draw(st.sampled_from(["asymmetry", "trace", "non_finite", "move"]))
+        if kind in ("asymmetry", "trace"):
+            tol = HERMITIAN_TOL if kind == "asymmetry" else TRACE_TOL
+            size = tol * draw(st.sampled_from(_STRADDLE) | st.floats(0.5, 2.0))
+            direction = draw(st.sampled_from([1, -1, 1j, -1j]))
+            if kind == "trace":
+                m[i, i] += size * direction.real
+            elif i == j:
+                # m[i, i] - conj(m[i, i]) is twice the imaginary part.
+                m[i, i] += 0.5j * size * (direction.real + direction.imag)
+            else:
+                m[i, j] = np.conj(m[j, i]) + size * direction
+        elif kind == "non_finite":
+            value = draw(st.sampled_from(_NON_FINITE))
+            z = m[i, j]
+            m[i, j] = complex(value, z.imag) if draw(st.booleans()) else complex(z.real, value)
+        else:
+            amount = draw(st.floats(0.0, 1.0))
+            m[i, i] -= amount
+            m[j, j] += amount
+    return m
+
+
+def _verdict(check, m) -> str | None:
+    """The rejection message of ``check(m)``, or None when it accepts."""
+    try:
+        check(m)
+    except ConstraintViolation as exc:
+        return str(exc)
+    return None
+
+
+class TestDensityValidatorMatchesReference:
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(m=perturbed_densities())
+    def test_accepts_and_rejects_as_the_reference(self, m):
+        with np.errstate(invalid="ignore"):
+            want = _verdict(reference_density_check, m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _verdict(DensityMatrix, m)
+        assert got == want
+
+    def test_draws_cover_each_outcome(self):
+        # The property above only means something if its draws reach every
+        # verdict; count them on the same seeded examples.
+        seen = set()
+
+        @settings(derandomize=True, max_examples=600, deadline=None)
+        @given(m=perturbed_densities())
+        def collect(m):
+            with np.errstate(invalid="ignore"):
+                verdict = _verdict(reference_density_check, m) or "accepted"
+            seen.add(verdict.partition(" (")[0].partition(" by ")[0])
+            seen.add("non-diagonal" if np.any(m[~np.eye(4, dtype=bool)]) else "diagonal")
+
+        collect()
+        assert seen >= {
+            "accepted",
+            "density matrix is not Hermitian",
+            "density matrix trace deviates from 1",
+            "density matrix has a negative eigenvalue",
+            "diagonal",
+            "non-diagonal",
+        }
+
+
 class TestLocalUnitaries:
     def test_identity_fixes_basis_state(self):
         state = apply_local_unitaries(
@@ -206,6 +345,12 @@ class TestLocalUnitaries:
     def test_rejects_nan_tactic(self):
         with pytest.raises(ConstraintViolation):
             LocalUnitary(np.nan, 0.0)
+
+    @pytest.mark.parametrize("a, b", [(1e200, 0.0), (0.6, 1e200j), (1e155, 1e155)])
+    def test_rejects_overflowing_tactic(self, a, b):
+        # Squared moduli past the float range read as inf, not OverflowError.
+        with pytest.raises(ConstraintViolation, match=r"must be 1 for a local tactic, got inf$"):
+            LocalUnitary(a, b)
 
     def test_matches_kron_definition_for_complex_tactics(self):
         # Complex b and d on both sides and non-basis states: a transposed,
@@ -346,15 +491,18 @@ class TestPayoffOperators:
         op = PayoffOperator(source)
         source[0] = 99.0
         np.testing.assert_array_equal(op.diagonal, [3.0, 1.0, 1.0, 2.0])
-        for array in (op.diagonal, op._complex_diagonal):
-            with pytest.raises(ValueError):
-                array[0] = 0.0
+        assert op._values == (3.0, 1.0, 1.0, 2.0)
+        with pytest.raises(ValueError):
+            op.diagonal[0] = 0.0
+        with pytest.raises(TypeError):
+            op._values[0] = 0.0
 
-    def test_complex_diagonal_is_the_complex_cast(self):
-        op = PayoffOperator((3, -1.5, 0.25, 2))
+    def test_kept_values_are_the_diagonal_floats(self):
+        op = PayoffOperator((3, -1.5, 0.1, -0.0))
         assert op.diagonal.dtype == float
-        assert op._complex_diagonal.dtype == complex
-        np.testing.assert_array_equal(op._complex_diagonal, op.diagonal.astype(complex))
+        assert type(op._values) is tuple
+        assert all(type(x) is float for x in op._values)
+        assert [x.hex() for x in op._values] == [x.hex() for x in op.diagonal.tolist()]
 
 
 # (row_flips, col_flips) at the corners (1,1), (1,0), (0,1), (0,0) of the keep
@@ -429,6 +577,21 @@ class TestTracePayoffs:
         pa, pb = payoff_operators(BOS)
         with pytest.raises(InternalConsistencyError):
             trace_payoffs(pa, pb, rho)
+
+    def test_within_four_ulp_of_the_complex_dot(self):
+        # Pairwise Python sums against numpy's complex dot, on densities and
+        # payoffs at many scales.
+        rng = np.random.default_rng(37)
+        for _ in range(3000):
+            rho = random_density(rng)
+            if rng.uniform() < 0.5:
+                rho = mixed_final_density(rho, MixingChoice(*rng.uniform(size=2)))
+            pa, pb = (PayoffOperator(rng.normal(size=4) * 10.0 ** rng.uniform(-3, 9)) for _ in "ab")
+            got = trace_payoffs(pa, pb, rho)
+            want = reference_trace_payoffs(pa, pb, rho)
+            for op, g, w in zip((pa, pb), got, want):
+                scale = max(map(abs, op.diagonal.tolist()))
+                assert abs(g - w) <= 4 * math.ulp(scale)
 
     def test_flags_imaginary_residue_at_large_payoff_scale(self):
         # The residue is judged against the payoff scale; a forged one that
@@ -513,6 +676,14 @@ class TestBilinearCoefficients:
         object.__setattr__(rho, "entries", np.diag([1j, 0, 0, 1 - 1j]))
         with pytest.raises(InternalConsistencyError, match="corner payoff"):
             bilinear_payoff_coefficients(rho, *payoff_operators(BOS))
+
+    def test_repr_identical_to_reading_the_payoff_arrays(self):
+        rng = np.random.default_rng(41)
+        for _ in range(3000):
+            rho = random_density(rng)
+            pa, pb = (PayoffOperator(rng.normal(size=4) * 10.0 ** rng.uniform(-3, 9)) for _ in "ab")
+            got = bilinear_payoff_coefficients(rho, pa, pb)
+            assert repr(got) == repr(reference_bilinear_payoff_coefficients(rho, pa, pb))
 
     def test_corner_evaluations_return_corner_payoffs(self):
         rng = np.random.default_rng(19)
