@@ -282,15 +282,14 @@ def expected_payoffs(game: Bimatrix, mix: MixProbabilities) -> tuple[float, floa
     At pure corners the weights are exactly (1, 0, 0, 0)-like, so the result
     equals the corresponding bimatrix entry with no rounding.
     """
-    table_a, table_b = game.payoff_a, game.payoff_b
     # Both tables share one rectangular shape, so the first shows it.
-    if len(table_a) != 2 or len(table_a[0]) != 2:
+    if len(game.payoff_a) != 2 or len(game.payoff_a[0]) != 2:
         raise ConstraintViolation(
             f"expected payoffs are defined for 2x2 games, got shape {game.shape}"
         )
     p, q = mix.p, mix.q
-    (a11, a10), (a01, a00) = table_a
-    (b11, b10), (b01, b00) = table_b
+    (a11, a10), (a01, a00) = game.payoff_a
+    (b11, b10), (b01, b00) = game.payoff_b
     w11, w10, w01, w00 = p * q, p * (1.0 - q), (1.0 - p) * q, (1.0 - p) * (1.0 - q)
     return (
         w11 * a11 + w10 * a10 + w01 * a01 + w00 * a00,

@@ -53,8 +53,7 @@ class StateVector:
     """Normalized joint strategy state: 4 complex amplitudes over BASIS_LABELS."""
 
     amplitudes: tuple[complex, complex, complex, complex]
-    #: Outcome probabilities |a_k|^2 of a measurement in the joint basis; the
-    #: norm check sums them.
+    #: Outcome probabilities |a_k|^2 in the joint basis, as the norm check sums them.
     probabilities: tuple[float, float, float, float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:

@@ -92,12 +92,8 @@ class DensityMatrix:
                 f"a joint density matrix must be 4x4, got shape {m.shape}"
             )
         # Sixteen Python complex numbers test faster than small numpy arrays.
-        (
-            v00, v01, v02, v03,
-            v10, v11, v12, v13,
-            v20, v21, v22, v23,
-            v30, v31, v32, v33,
-        ) = m.ravel().tolist()
+        (v00, v01, v02, v03, v10, v11, v12, v13,
+         v20, v21, v22, v23, v30, v31, v32, v33) = m.ravel().tolist()
         # |m[i, j] - conj(m[j, i])| for j >= i covers every entry of m - m^H.
         tol = HERMITIAN_TOL
         if not (
@@ -124,10 +120,7 @@ class DensityMatrix:
             raise ConstraintViolation(
                 f"density matrix trace deviates from 1 by {trace_gap:.3e}"
             )
-        if (
-            v01 or v02 or v03 or v10 or v12 or v13
-            or v20 or v21 or v23 or v30 or v31 or v32
-        ):
+        if v01 or v02 or v03 or v10 or v12 or v13 or v20 or v21 or v23 or v30 or v31 or v32:
             smallest = float(np.linalg.eigvalsh(m)[0])
         else:
             # A diagonal matrix's eigenvalues are its diagonal; eigvalsh reads
@@ -192,8 +185,7 @@ class PayoffOperator:
             raise ConstraintViolation(
                 f"a payoff operator needs 4 diagonal entries, got shape {d.shape}"
             )
-        # Four Python floats test faster than numpy's isfinite on a small
-        # array; trace_payoffs and bilinear_payoff_coefficients read them too.
+        # Python floats test faster than numpy's isfinite; the payoff routes read them too.
         values = tuple(d.tolist())
         if not all(map(math.isfinite, values)):
             raise ConstraintViolation("payoff operator entries must be finite")

@@ -86,8 +86,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "off-diagonal test always false",
         _QUANTUM,
-        "        if (\n            v01 or v02",
-        "        if False and (\n            v01 or v02",
+        "        if v01 or v02 or v03 or v10 or v12 or v13 or v20 or v21 or v23 or v30 or v31 or v32:\n",
+        "        if False:\n",
         _DENSITY_TESTS,
     ),
     Mutant(
