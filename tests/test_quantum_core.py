@@ -346,9 +346,12 @@ class TestLocalUnitaries:
         with pytest.raises(ConstraintViolation):
             LocalUnitary(np.nan, 0.0)
 
-    @pytest.mark.parametrize("a, b", [(1e200, 0.0), (0.6, 1e200j), (1e155, 1e155)])
+    @pytest.mark.parametrize(
+        "a, b", [(1e200, 0.0), (0.6, 1e200j), (1e155, 1e155), (complex(1.5e308, 1.5e308), 0.0)]
+    )
     def test_rejects_overflowing_tactic(self, a, b):
-        # Squared moduli past the float range read as inf, not OverflowError.
+        # Squared moduli past the float range read as inf, not OverflowError;
+        # abs() of the last a raises OverflowError itself.
         with pytest.raises(ConstraintViolation, match=r"must be 1 for a local tactic, got inf$"):
             LocalUnitary(a, b)
 

@@ -11,7 +11,8 @@ exports the committed tree at ``HEAD`` with ``git archive`` into a
 temporary directory, runs every listed test once unmutated, and then, for
 each mutant, exports a fresh copy, applies the replacement and runs that
 mutant's tests with ``pytest -x -q``. A mutant is killed when pytest reports
-a failing test (exit code 1) and survives when every test passes.
+a failing test (exit code 1) and survives when every test passes; each line
+gives the time its tests took.
 
 The exit code is 1 when a mutant survives, when an original text does not
 occur exactly once in its file, when the unmutated tests fail, or when
@@ -195,14 +196,16 @@ def main() -> int:
             export(archive, root)
             path = root / mutant.file
             path.write_text(path.read_text().replace(mutant.original, mutant.replacement))
+            began = time.monotonic()
             code, detail = run_tests(root, mutant.tests)
+            took = f"({time.monotonic() - began:.1f} s)"
             if code == 1:
-                print(f"killed   {mutant.name}\n         by {detail}")
+                print(f"killed   {mutant.name} {took}\n         by {detail}")
             elif code == 0:
-                print(f"SURVIVED {mutant.name}")
+                print(f"SURVIVED {mutant.name} {took}")
                 faults += 1
             else:
-                print(f"error    {mutant.name}: pytest exit {code}: {detail}")
+                print(f"error    {mutant.name} {took}: pytest exit {code}: {detail}")
                 faults += 1
     print(
         f"{len(MUTANTS) - faults} of {len(MUTANTS)} mutants killed "
