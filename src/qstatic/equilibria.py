@@ -49,6 +49,12 @@ MERGE_TOL = 1e-12
 # A float slope counts as zero below this fraction of the sum of the corners
 # it subtracts: each corner carries round-off of a few ulps of its own size.
 _ROUNDOFF = 8 * sys.float_info.epsilon
+# Corner sums from 2^-900 to 2^1020 keep every slope, allowance, product and
+# payoff of a float enumeration finite and normal. Outside that range the
+# corners are scaled by the power of two that puts the largest just below
+# 2^_SCALED_EXPONENT, and the payoffs are scaled back: exact in binary.
+_LEAST_ALLOWANCE, _MOST_ALLOWANCE = _ROUNDOFF * 2.0**-900, _ROUNDOFF * 2.0**1020
+_SCALED_EXPONENT = 1017
 
 
 class EquilibriumKind(enum.Enum):
@@ -191,6 +197,10 @@ def enumerate_bilinear_nash(
     a11, a10, a01, a00 = abs(bp_a.at_11), abs(bp_a.at_10), abs(bp_a.at_01), abs(bp_a.at_00)
     b11, b10, b01, b00 = abs(bp_b.at_11), abs(bp_b.at_10), abs(bp_b.at_01), abs(bp_b.at_00)
     tol_a, tol_b = r * (a11 + a10 + a01 + a00), r * (b11 + b10 + b01 + b00)
+    if not _LEAST_ALLOWANCE <= tol_a + tol_b <= _MOST_ALLOWANCE and not exact:
+        largest = max(a11, a10, a01, a00, b11, b10, b01, b00)
+        if largest:
+            return _rescaled(bp_a, bp_b, _SCALED_EXPONENT - math.frexp(largest)[1])
     flat_a1, flat_a0 = abs(a1) <= r * (a11 + a01), abs(a0) <= r * (a10 + a00)
     flat_b1, flat_b0 = abs(b1) <= r * (b11 + b10), abs(b0) <= r * (b01 + b00)
     bilinear_a, bilinear_b = abs(pq_a) > tol_a, abs(pq_b) > tol_b
@@ -246,6 +256,26 @@ def enumerate_bilinear_nash(
 
     return tuple(
         [NashPoint(p, q, bp_a.value(p, q), bp_b.value(p, q), kind) for p, q, kind in found]
+    )
+
+
+def _rescaled(bp_a: BilinearPayoff, bp_b: BilinearPayoff, shift: int) -> tuple[NashPoint, ...]:
+    """``enumerate_bilinear_nash`` on both surfaces' corners times 2^shift,
+    with each payoff's corner part scaled back onto the surface's base."""
+    # A base of -0.0 adds nothing to a payoff, not even to the sign of a zero.
+    scaled = [
+        BilinearPayoff(*[math.ldexp(x, shift) for x in (b.at_11, b.at_10, b.at_01, b.at_00)], -0.0)
+        for b in (bp_a, bp_b)
+    ]
+    return tuple(
+        NashPoint(
+            n.p_star,
+            n.q_star,
+            bp_a.base + math.ldexp(n.payoff_a, -shift),
+            bp_b.base + math.ldexp(n.payoff_b, -shift),
+            n.kind,
+        )
+        for n in enumerate_bilinear_nash(*scaled)
     )
 
 

@@ -391,6 +391,48 @@ class TestEnumerator:
                 assert abs(got.p_star - want.p_star) <= 1e-12 + tol_p
                 assert abs(got.q_star - want.q_star) <= 1e-12 + tol_q
 
+    @PROPERTY
+    @given(
+        sixteenths=st.lists(st.integers(-120, 120), min_size=8, max_size=8),
+        k=st.integers(-1000, 1020),
+    )
+    def test_power_of_two_scale_changes_no_equilibrium(self, sixteenths, k):
+        # A 2x2 bimatrix with entries on a grid of 1/16 in [-7.5, 7.5], and
+        # the same game times 2^k. Every range stays below 2^1024, every
+        # nonzero coordinate is at least 2^-10 and every nonzero payoff term
+        # at least 2^-24 of the unit, so no exact result leaves the normal
+        # floats: the kinds and coordinates must be the same bits, and each
+        # payoff exactly 2^k times the unit game's.
+        unit = [x / 16 for x in sixteenths]
+
+        def solve(shift):
+            scaled = [math.ldexp(x, shift) for x in unit]
+            return enumerate_bilinear_nash(
+                *payoff_surfaces((1.0, 0.0, 0.0, 0.0), scaled[:4], scaled[4:])
+            )
+
+        want, got = solve(0), solve(k)
+        assert [(n.kind, n.p_star, n.q_star) for n in got] == [
+            (n.kind, n.p_star, n.q_star) for n in want
+        ]
+        assert [(n.payoff_a, n.payoff_b) for n in got] == [
+            (math.ldexp(n.payoff_a, k), math.ldexp(n.payoff_b, k)) for n in want
+        ]
+
+    def test_corners_near_the_largest_float_keep_the_interior_point(self):
+        # Corners 1.5e308 and 1e308: the slopes' difference and the sum of
+        # the corners overflow a float unless the corners are scaled first.
+        a, b = (1.5e308, 0.0, 0.0, 1e308), (1e308, 0.0, 0.0, 1.5e308)
+        points = enumerate_bilinear_nash(*payoff_surfaces((1.0, 0.0, 0.0, 0.0), a, b))
+        assert [(n.kind, n.p_star, n.q_star) for n in points] == [
+            (EquilibriumKind.CORNER, 1.0, 1.0),
+            (EquilibriumKind.CORNER, 0.0, 0.0),
+            (EquilibriumKind.INTERIOR, 0.6, 0.4),
+        ]
+        payoffs = [1.5e308, 1e308, 1e308, 1.5e308, 6e307, 6e307]
+        got = [x for n in points for x in (n.payoff_a, n.payoff_b)]
+        assert all(math.isclose(g, w, rel_tol=1e-15) for g, w in zip(got, payoffs))
+
     def test_payoffs_equal_surface_values(self):
         bp_a, bp_b = family_coefficients(BOS, 0.8)
         for point in enumerate_bilinear_nash(bp_a, bp_b):
