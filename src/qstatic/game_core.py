@@ -27,6 +27,9 @@ __all__ = [
     "expected_payoffs",
 ]
 
+#: The grid path's frozen value types write each validated field once, with this.
+_set_field = object.__setattr__
+
 
 @dataclass(frozen=True, eq=False)
 class Bimatrix:
@@ -129,7 +132,7 @@ def _check_unit_interval(name: str, value: float) -> None:
         raise ConstraintViolation(f"{name} must lie in [0, 1], got {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MixProbabilities:
     """Independent mixing probabilities: p for the row player's strategy 0,
     q for the column player's strategy 0. In the quantum scheme the same pair
@@ -139,10 +142,15 @@ class MixProbabilities:
     p: float
     q: float
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.p <= 1.0 and 0.0 <= self.q <= 1.0):
-            _check_unit_interval("p", self.p)
-            _check_unit_interval("q", self.q)
+    def __init__(self, p: float, q: float) -> None:
+        self.__post_init__(p, q)
+
+    def __post_init__(self, p: float, q: float) -> None:
+        if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
+            _check_unit_interval("p", p)
+            _check_unit_interval("q", q)
+        _set_field(self, "p", p)
+        _set_field(self, "q", q)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import ConstraintViolation
-from .game_core import BilinearPayoff, MixProbabilities
+from .game_core import BilinearPayoff, MixProbabilities, _set_field
 
 if TYPE_CHECKING:
     from .quantum_core import DensityMatrix
@@ -48,7 +48,7 @@ def _flipped(values: Sequence[Any], row_flips: bool, col_flips: bool) -> tuple:
     return tuple(values[k ^ s] for k in range(4))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class StateVector:
     """Normalized joint strategy state: 4 complex amplitudes over BASIS_LABELS."""
 
@@ -56,20 +56,23 @@ class StateVector:
     #: Outcome probabilities |a_k|^2 in the joint basis, as the norm check sums them.
     probabilities: tuple[float, float, float, float] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        amps = tuple(map(complex, self.amplitudes))
+    def __init__(self, amplitudes: Sequence[complex]) -> None:
+        self.__post_init__(amplitudes)
+
+    def __post_init__(self, amplitudes: Sequence[complex]) -> None:
+        amps = tuple(map(complex, amplitudes))
         if len(amps) != 4:
             raise ConstraintViolation(
                 f"a joint state needs exactly 4 amplitudes, got {len(amps)}"
             )
         probabilities = tuple([a.real * a.real + a.imag * a.imag for a in amps])
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "probabilities", probabilities)
         norm_sq = sum(probabilities)
         if not abs(norm_sq - 1.0) <= STATE_NORM_TOL:
             raise ConstraintViolation(
                 f"state vector is not normalized: sum of squared moduli = {norm_sq!r}"
             )
+        _set_field(self, "amplitudes", amps)
+        _set_field(self, "probabilities", probabilities)
 
     @classmethod
     def basis(cls, which: int | str) -> StateVector:

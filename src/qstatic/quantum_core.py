@@ -13,12 +13,12 @@ squared moduli (the density diagonal) ever enter a payoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConstraintViolation, InternalConsistencyError
-from .game_core import BilinearPayoff, GamePayoffs, _bos_table
+from .game_core import BilinearPayoff, GamePayoffs, _bos_table, _set_field
 from .outcomes import (
     BASIS_LABELS,
     STATE_NORM_TOL,
@@ -79,14 +79,21 @@ _MIX_INDEX = np.stack(
 )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class DensityMatrix:
     """4x4 Hermitian, unit-trace, positive-semidefinite joint strategy state."""
 
     entries: np.ndarray
+    #: The diagonal entries as the checks unpack them; only they enter a payoff.
+    _diagonal: tuple[complex, ...] = field(init=False, repr=False, compare=False)
+    #: ``mixed_final_density``'s gather of the entries, kept from the first mixing.
+    _conjugations: np.ndarray | None = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        m = np.array(self.entries, dtype=complex)
+    def __init__(self, entries: np.ndarray) -> None:
+        self.__post_init__(entries)
+
+    def __post_init__(self, entries: np.ndarray) -> None:
+        m = np.array(entries, dtype=complex)
         if m.shape != (4, 4):
             raise ConstraintViolation(
                 f"a joint density matrix must be 4x4, got shape {m.shape}"
@@ -131,11 +138,13 @@ class DensityMatrix:
                 f"density matrix has a negative eigenvalue ({smallest:.3e})"
             )
         m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
+        _set_field(self, "entries", m)
+        _set_field(self, "_diagonal", (v00, v11, v22, v33))
+        _set_field(self, "_conjugations", None)
 
     def diagonal_probabilities(self) -> np.ndarray:
         """Real diagonal; these are the joint measurement probabilities."""
-        return np.real(np.diagonal(self.entries)).copy()
+        return np.array([d.real for d in self._diagonal])
 
     def fidelity(self, psi: StateVector) -> float:
         """Overlap <psi| rho |psi>, real for a valid density matrix."""
@@ -143,23 +152,25 @@ class DensityMatrix:
         return float(np.real(amps.conj() @ self.entries @ amps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LocalUnitary:
     """Single-player SU(2) tactic [[a, b], [-conj(b), conj(a)]]."""
 
     a: complex
     b: complex
 
-    def __post_init__(self) -> None:
-        a = complex(self.a)
-        b = complex(self.b)
+    def __init__(self, a: complex, b: complex) -> None:
+        self.__post_init__(a, b)
+
+    def __post_init__(self, a: complex, b: complex) -> None:
+        a, b = complex(a), complex(b)
         norm = a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
         if not abs(norm - 1.0) <= STATE_NORM_TOL:
             raise ConstraintViolation(
                 f"|a|^2 + |b|^2 must be 1 for a local tactic, got {norm!r}"
             )
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        _set_field(self, "a", a)
+        _set_field(self, "b", b)
 
     @classmethod
     def identity(cls) -> LocalUnitary:
@@ -172,15 +183,19 @@ class LocalUnitary:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class PayoffOperator:
     """Observable diagonal in the canonical basis; entries are payoffs."""
 
     diagonal: np.ndarray
+    _values: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __init__(self, diagonal: np.ndarray) -> None:
+        self.__post_init__(diagonal)
+
+    def __post_init__(self, diagonal: np.ndarray) -> None:
         # One copy, so the caller's array can change without changing this one.
-        d = np.array(self.diagonal, dtype=float)
+        d = np.array(diagonal, dtype=float)
         if d.shape != (4,):
             raise ConstraintViolation(
                 f"a payoff operator needs 4 diagonal entries, got shape {d.shape}"
@@ -190,8 +205,8 @@ class PayoffOperator:
         if not all(map(math.isfinite, values)):
             raise ConstraintViolation("payoff operator entries must be finite")
         d.setflags(write=False)
-        object.__setattr__(self, "diagonal", d)
-        object.__setattr__(self, "_values", values)
+        _set_field(self, "diagonal", d)
+        _set_field(self, "_values", values)
 
 
 def apply_local_unitaries(
@@ -231,14 +246,18 @@ def mixed_final_density(rho_in: DensityMatrix, mix: MixingChoice) -> DensityMatr
     (1-p)(1-q). All density-matrix invariants are preserved and re-checked
     on the output.
 
-    One gather stacks the four conjugations of the flattened input, and one
-    product with the weight vector sums them.
+    One gather, kept on the input, stacks the four conjugations of its
+    flattened entries, and one product with the weight vector sums them.
     """
+    stack = rho_in._conjugations
+    if stack is None:
+        stack = rho_in.entries.ravel()[_MIX_INDEX]
+        _set_field(rho_in, "_conjugations", stack)
     p, q = mix.p, mix.q
     weights = np.array(
         [p * q, p * (1.0 - q), (1.0 - p) * q, (1.0 - p) * (1.0 - q)], dtype=complex
     )
-    out = weights.dot(rho_in.entries.ravel()[_MIX_INDEX])
+    out = weights.dot(stack)
     return DensityMatrix(out.reshape(4, 4))
 
 
@@ -274,7 +293,7 @@ def trace_payoffs(
     """Mean values tr(P rho) for both diagonal payoff operators; only the
     diagonal of rho contributes."""
     # Four Python complex numbers sum faster than a numpy dot on them.
-    d0, d1, d2, d3 = rho.entries.diagonal().tolist()
+    d0, d1, d2, d3 = rho._diagonal
     x0, x1, x2, x3 = pa._values
     y0, y1, y2, y3 = pb._values
     value_a = (x0 * d0 + x1 * d1) + (x2 * d2 + x3 * d3)
@@ -292,7 +311,7 @@ def bilinear_payoff_coefficients(
     The diagonal's imaginary part must leave every corner payoff real within
     IMAG_PART_TOL of the payoff scale.
     """
-    diagonal = rho_in.entries.diagonal().tolist()
+    diagonal = rho_in._diagonal
     payoffs_a, payoffs_b = pa._values, pb._values
     imaginary = [d.imag for d in diagonal]
     # With every imaginary part exactly zero every residue is exactly zero.

@@ -35,6 +35,17 @@ def random_density(rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix(m / np.real(np.trace(m)))
 
 
+def forged_density(entries) -> DensityMatrix:
+    """A ``DensityMatrix`` that skips validation, to exercise the defensive
+    checks downstream: its entries and the diagonal it keeps, not yet mixed."""
+    rho = object.__new__(DensityMatrix)
+    m = np.array(entries, dtype=complex)
+    object.__setattr__(rho, "entries", m)
+    object.__setattr__(rho, "_diagonal", tuple(m.diagonal().tolist()))
+    object.__setattr__(rho, "_conjugations", None)
+    return rho
+
+
 def random_su2(rng: np.random.Generator) -> LocalUnitary:
     v = rng.normal(size=4)
     v = v / np.linalg.norm(v)

@@ -738,7 +738,9 @@ class TestSweepCommand:
     def test_payoff_sweep_builds_no_density(self, capsys, bos_config, monkeypatch, param):
         built = []
         check = DensityMatrix.__post_init__
-        monkeypatch.setattr(DensityMatrix, "__post_init__", lambda rho: built.append(check(rho)))
+        monkeypatch.setattr(
+            DensityMatrix, "__post_init__", lambda rho, *args: built.append(check(rho, *args))
+        )
         argv = ["sweep", "--config", bos_config, "--param", param, "--steps", "2001"]
         assert main(argv) == 0
         capsys.readouterr()

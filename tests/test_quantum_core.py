@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     coefficients,
+    forged_density,
     random_density,
     random_su2,
     reference_bilinear_payoff_coefficients,
@@ -461,6 +463,109 @@ class TestMixedFinalDensity:
             MixingChoice(-0.2, 0.5)
 
 
+#: Each value type built on the grid path: its class, the arguments of one
+#: value, a change that fails its checks, and the repr of that value (None
+#: for a density, whose repr is its array's).
+_ONE_PASS_VALUES = [
+    (LocalUnitary, (0.6, 0.8), {"a": 2.0}, "LocalUnitary(a=(0.6+0j), b=(0.8+0j))"),
+    (
+        StateVector,
+        ((0.6, 0, 0, 0.8j),),
+        {"amplitudes": (1, 1, 0, 0)},
+        "StateVector(amplitudes=((0.6+0j), 0j, 0j, 0.8j))",
+    ),
+    (MixProbabilities, (0.25, 0.5), {"q": 1.5}, "MixProbabilities(p=0.25, q=0.5)"),
+    (DensityMatrix, (np.diag([0.5, 0.5, 0.0, 0.0]),), {"entries": np.eye(4)}, None),
+    (
+        PayoffOperator,
+        ([3.0, 1.0, 1.0, 2.0],),
+        {"diagonal": [3.0, math.nan, 1.0, 2.0]},
+        "PayoffOperator(diagonal=array([3., 1., 1., 2.]))",
+    ),
+]
+
+
+class TestOnePassConstruction:
+    """The five value types built at every grid point check and write their
+    fields in one ``__post_init__`` call, and keep what the generated
+    dataclass methods gave them."""
+
+    @pytest.mark.parametrize("cls, args, invalid, text", _ONE_PASS_VALUES)
+    def test_post_init_runs_once_per_value(self, monkeypatch, cls, args, invalid, text):
+        calls = []
+        check = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self, *a: calls.append(check(self, *a)))
+        value = cls(*args)
+        assert calls == [None]
+        dataclasses.replace(value)
+        assert calls == [None, None]
+
+    @pytest.mark.parametrize("cls, args, invalid, text", _ONE_PASS_VALUES)
+    def test_fields_stay_frozen(self, cls, args, invalid, text):
+        value = cls(*args)
+        for field in dataclasses.fields(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field.name, getattr(value, field.name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, field.name)
+        assert not hasattr(value, "__dict__")
+
+    @pytest.mark.parametrize("cls, args, invalid, text", _ONE_PASS_VALUES)
+    def test_eq_hash_and_repr_are_the_dataclass_methods(self, cls, args, invalid, text):
+        value, twin = cls(*args), cls(*args)
+        if cls in (LocalUnitary, MixProbabilities):
+            assert value == twin and hash(value) == hash(twin)
+            assert hash(value) == hash(dataclasses.astuple(value))
+        else:
+            # Array-backed and state types compare by identity, as before.
+            assert value != twin and value == value
+            assert hash(value) == object.__hash__(value)
+        if text is not None:
+            assert repr(value) == text
+        else:
+            assert repr(value) == f"DensityMatrix(entries={value.entries!r})"
+
+    @pytest.mark.parametrize("cls, args, invalid, text", _ONE_PASS_VALUES)
+    def test_replace_builds_a_checked_value(self, cls, args, invalid, text):
+        value = cls(*args)
+        copy = dataclasses.replace(value)
+        assert type(copy) is cls and copy is not value
+        assert repr(copy) == repr(value)
+        with pytest.raises(ConstraintViolation):
+            dataclasses.replace(value, **invalid)
+        for kept in (f.name for f in dataclasses.fields(cls) if not f.init):
+            with pytest.raises(ValueError, match="init=False"):
+                dataclasses.replace(value, **{kept: None})
+
+    def test_replaced_density_keeps_its_own_diagonal_and_no_gather(self):
+        rho = random_density(np.random.default_rng(5))
+        mixed_final_density(rho, MixingChoice(0.3, 0.6))
+        swapped = dataclasses.replace(rho, entries=rho.entries[::-1, ::-1])
+        assert swapped._diagonal == tuple(rho._diagonal[::-1])
+        assert rho._conjugations is not None and swapped._conjugations is None
+
+    def test_densities_mixed_in_alternation_match_a_fresh_gather(self):
+        # Each density keeps its own gather: mixing two in turn must give,
+        # bit for bit, what a fresh copy of each gives on its first mixing.
+        rng = np.random.default_rng(29)
+        first, second = random_density(rng), random_density(rng)
+        for p, q in rng.uniform(size=(20, 2)):
+            for rho in (first, second, first):
+                got = mixed_final_density(rho, MixingChoice(p, q)).entries
+                fresh = mixed_final_density(DensityMatrix(rho.entries), MixingChoice(p, q)).entries
+                assert got.tobytes() == fresh.tobytes()
+        assert first._conjugations is not second._conjugations
+
+    def test_kept_diagonal_is_the_entries_diagonal(self):
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            rho = random_density(rng)
+            assert rho._diagonal == tuple(rho.entries.diagonal().tolist())
+            want = np.real(np.diagonal(rho.entries)).copy()
+            got = rho.diagonal_probabilities()
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 class TestPayoffOperators:
     def test_row_player_diagonal(self):
         pa, _ = payoff_operators(BOS)
@@ -575,8 +680,7 @@ class TestTracePayoffs:
 
     def test_flags_imaginary_residue(self):
         # Forge an invalid matrix to exercise the defensive check.
-        rho = object.__new__(DensityMatrix)
-        object.__setattr__(rho, "entries", np.diag([1j, 0, 0, 1 - 1j]))
+        rho = forged_density(np.diag([1j, 0, 0, 1 - 1j]))
         pa, pb = payoff_operators(BOS)
         with pytest.raises(InternalConsistencyError):
             trace_payoffs(pa, pb, rho)
@@ -599,8 +703,7 @@ class TestTracePayoffs:
     def test_flags_imaginary_residue_at_large_payoff_scale(self):
         # The residue is judged against the payoff scale; a forged one that
         # grows with the payoffs still fires.
-        rho = object.__new__(DensityMatrix)
-        object.__setattr__(rho, "entries", np.diag([1e-6j, 0, 0, 1 - 1e-6j]))
+        rho = forged_density(np.diag([1e-6j, 0, 0, 1 - 1e-6j]))
         pa, pb = payoff_operators(GamePayoffs(3e9, 2e9, 1e9))
         with pytest.raises(InternalConsistencyError):
             trace_payoffs(pa, pb, rho)
@@ -675,8 +778,7 @@ class TestBilinearCoefficients:
 
     def test_flags_imaginary_residue(self):
         # The adapter reads the density's diagonal and keeps the residue check.
-        rho = object.__new__(DensityMatrix)
-        object.__setattr__(rho, "entries", np.diag([1j, 0, 0, 1 - 1j]))
+        rho = forged_density(np.diag([1j, 0, 0, 1 - 1j]))
         with pytest.raises(InternalConsistencyError, match="corner payoff"):
             bilinear_payoff_coefficients(rho, *payoff_operators(BOS))
 
