@@ -1,5 +1,5 @@
-"""Mutation check of the checks on the oracle routes: each mutant must make
-one of its tests fail.
+"""Mutation check of the test suite: each mutant of the oracle routes' checks,
+the mixing map and the enumerator must make one of its tests fail.
 
 Usage, from the root of a git checkout:
 
@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 
 
 _QUANTUM = "src/qstatic/quantum_core.py"
+_EQUILIBRIA = "src/qstatic/equilibria.py"
 _DENSITY_TESTS = ("tests/test_quantum_core.py::TestDensityMatrix",)
 
 #: The ten comparisons of ``DensityMatrix``'s Hermitian test.
@@ -58,6 +59,14 @@ _HERMITIAN_TEST = """\
             and abs(v23 - v32.conjugate()) <= tol
             and abs(v33 - v33.conjugate()) <= tol
         ):
+"""
+
+#: ``mixed_final_density`` keeps the gather of each input density on it.
+_KEPT_STACK = """\
+    stack = rho_in._conjugations
+    if stack is None:
+        stack = rho_in.entries.ravel()[_MIX_INDEX]
+        _set_field(rho_in, "_conjugations", stack)
 """
 
 MUTANTS: tuple[Mutant, ...] = (
@@ -108,8 +117,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "MixProbabilities drops q from its joint bounds test",
         "src/qstatic/game_core.py",
-        "        if not (0.0 <= self.p <= 1.0 and 0.0 <= self.q <= 1.0):\n",
-        "        if not 0.0 <= self.p <= 1.0:\n",
+        "        if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):\n",
+        "        if not 0.0 <= p <= 1.0:\n",
         ("tests/test_game_core.py::TestExpectedPayoffs",),
     ),
     Mutant(
@@ -146,6 +155,52 @@ MUTANTS: tuple[Mutant, ...] = (
         "payoffs_a, payoffs_b = pa._values, pb._values",
         "payoffs_a, payoffs_b = pa._values, pa._values",
         ("tests/test_quantum_core.py::TestBilinearCoefficients",),
+    ),
+    Mutant(
+        "trace_payoffs reads the kept diagonal out of order",
+        _QUANTUM,
+        "    d0, d1, d2, d3 = rho._diagonal\n",
+        "    d0, d2, d1, d3 = rho._diagonal\n",
+        ("tests/test_quantum_core.py::TestTracePayoffs",),
+    ),
+    Mutant(
+        "mixed_final_density shares one conjugation stack across densities",
+        _QUANTUM,
+        _KEPT_STACK,
+        _KEPT_STACK.replace("rho_in._conjugations", 'globals().get("_SHARED_STACK")')
+        .replace("        stack = rho_in", '        stack = globals()["_SHARED_STACK"] = rho_in')
+        .replace('        _set_field(rho_in, "_conjugations", stack)\n', ""),
+        ("tests/test_quantum_core.py::TestOnePassConstruction",),
+    ),
+    Mutant(
+        "_flipped swaps the row and column bits",
+        "src/qstatic/outcomes.py",
+        "    s = 2 * int(row_flips) + int(col_flips)\n",
+        "    s = int(row_flips) + 2 * int(col_flips)\n",
+        ("tests/test_quantum_core.py::TestMixedFinalDensity",),
+    ),
+    Mutant(
+        "_corner_means lists the corners (1,0) and (0,1) in each other's place",
+        "src/qstatic/outcomes.py",
+        "        (x0 * d1 + x1 * d0) + (x2 * d3 + x3 * d2),\n"
+        "        (x0 * d2 + x1 * d3) + (x2 * d0 + x3 * d1),\n",
+        "        (x0 * d2 + x1 * d3) + (x2 * d0 + x3 * d1),\n"
+        "        (x0 * d1 + x1 * d0) + (x2 * d3 + x3 * d2),\n",
+        ("tests/test_quantum_core.py::TestCornerMeans",),
+    ),
+    Mutant(
+        "an edge slope read against its surface's four corners, not its own two",
+        _EQUILIBRIA,
+        "    flat_a1, flat_a0 = abs(a1) <= r * (a11 + a01), abs(a0) <= r * (a10 + a00)\n",
+        "    flat_a1, flat_a0 = abs(a1) <= tol_a, abs(a0) <= tol_a\n",
+        ("tests/test_equilibria.py::TestEnumerator",),
+    ),
+    Mutant(
+        "MERGE_TOL loosened a thousandfold",
+        _EQUILIBRIA,
+        "MERGE_TOL = 1e-12\n",
+        "MERGE_TOL = 1e-9\n",
+        ("tests/test_equilibria.py::TestUniqueSolution",),
     ),
 )
 
