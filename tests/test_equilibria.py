@@ -433,6 +433,24 @@ class TestEnumerator:
         got = [x for n in points for x in (n.payoff_a, n.payoff_b)]
         assert all(math.isclose(g, w, rel_tol=1e-15) for g, w in zip(got, payoffs))
 
+    @pytest.mark.parametrize(
+        "bp_a, bp_b",
+        [
+            (BilinearPayoff(1.0, 0.0, 0.0, 1e17), BilinearPayoff(1.0, 0.0, 1.0, 0.0)),
+            (BilinearPayoff(1.0, 1.0, 0.0, 0.0), BilinearPayoff(1.0, 0.0, 0.0, 1e17)),
+        ],
+    )
+    def test_an_edge_slope_is_judged_against_its_own_two_corners(self, bp_a, bp_b):
+        # One player gains 1 along the edge through (1, 1), whose corners are
+        # 1 and 0, beside a corner of 1e17 on the far edge; the other player
+        # pushes towards that edge. A slope of 1 is far above the round-off
+        # of its own corners though not of all four, so (1, 1) is the only
+        # equilibrium, as in exact arithmetic, and no edge is indifferent.
+        points = enumerate_bilinear_nash(bp_a, bp_b)
+        assert [(n.kind, n.p_star, n.q_star) for n in points] == [
+            (EquilibriumKind.CORNER, 1.0, 1.0)
+        ]
+
     def test_payoffs_equal_surface_values(self):
         bp_a, bp_b = family_coefficients(BOS, 0.8)
         for point in enumerate_bilinear_nash(bp_a, bp_b):
@@ -623,6 +641,12 @@ class TestUniqueSolution:
             assert unique_solution(BOS, EntangledFamilyState(0.5 + offset)).merged
         for offset in (1e-6, -1e-6, 0.3, -0.3):
             assert not unique_solution(BOS, EntangledFamilyState(0.5 + offset)).merged
+
+    def test_corner_densities_just_past_merge_tol_do_not_merge(self):
+        # Offsets of +-4e-13 and +-1e-12 put the corner densities 8e-13 and
+        # 2e-12 apart, just inside and just outside MERGE_TOL.
+        for offset, merged in ((4e-13, True), (-4e-13, True), (1e-12, False), (-1e-12, False)):
+            assert unique_solution(BOS, EntangledFamilyState(0.5 + offset)).merged is merged
 
     @pytest.mark.parametrize("k", range(-6, 13))
     def test_verdict_does_not_depend_on_payoff_scale(self, k):

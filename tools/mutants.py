@@ -196,10 +196,10 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_equilibria.py::TestEnumerator",),
     ),
     Mutant(
-        "MERGE_TOL loosened a thousandfold",
+        "MERGE_TOL loosened tenfold",
         _EQUILIBRIA,
         "MERGE_TOL = 1e-12\n",
-        "MERGE_TOL = 1e-9\n",
+        "MERGE_TOL = 1e-11\n",
         ("tests/test_equilibria.py::TestUniqueSolution",),
     ),
 )
