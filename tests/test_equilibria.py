@@ -635,18 +635,12 @@ class TestUniqueSolution:
 
     def test_merge_boundary_behaviour(self):
         # The merge certificate compares the corner final densities at
-        # 1e-12; their gap scales like 2 * |a2 - 1/2|, so offsets at 2e-13
-        # merge and 1e-6 must not.
-        for offset in (0.0, 2e-13, -2e-13):
+        # 1e-12; their gap scales like 2 * |a2 - 1/2|, so offsets at 4e-13
+        # merge and 1e-12 must not.
+        for offset in (0.0, 2e-13, -2e-13, 4e-13, -4e-13):
             assert unique_solution(BOS, EntangledFamilyState(0.5 + offset)).merged
-        for offset in (1e-6, -1e-6, 0.3, -0.3):
+        for offset in (1e-12, -1e-12, 1e-6, -1e-6, 0.3, -0.3):
             assert not unique_solution(BOS, EntangledFamilyState(0.5 + offset)).merged
-
-    def test_corner_densities_just_past_merge_tol_do_not_merge(self):
-        # Offsets of +-4e-13 and +-1e-12 put the corner densities 8e-13 and
-        # 2e-12 apart, just inside and just outside MERGE_TOL.
-        for offset, merged in ((4e-13, True), (-4e-13, True), (1e-12, False), (-1e-12, False)):
-            assert unique_solution(BOS, EntangledFamilyState(0.5 + offset)).merged is merged
 
     @pytest.mark.parametrize("k", range(-6, 13))
     def test_verdict_does_not_depend_on_payoff_scale(self, k):
