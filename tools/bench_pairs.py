@@ -26,7 +26,7 @@ run of the same pair), and a verdict:
 
 It also prints each side's failed and attempted ops. ``--out`` receives every
 run's metrics, the figures above and an environment stamp: this host, and the
-stamp that the benchmark printed in each checkout. The exit code is 1 when a
+stamp that the benchmark printed in each checkout, its git commit included. The exit code is 1 when a
 run fails or a verdict is ``worse``, and 0 otherwise. The standard library is
 all it needs besides the two checkouts.
 """
@@ -114,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
     checkouts = {"before": args.before.resolve(), "after": args.after.resolve()}
     record = {"command": spec["command"], "pairs": args.pairs, "seconds": args.seconds,
               "seeds": [args.seed + i for i in range(args.pairs)], "host": host_stamp(),
-              "checkouts": {side: {"path": str(path)} for side, path in checkouts.items()},
+              "checkouts": {},
               "workloads": {}}
     worse = False
     for workload in workloads:
@@ -129,7 +129,7 @@ def main(argv: list[str] | None = None) -> int:
                 except RuntimeError as exc:
                     print(f"bench_pairs: {exc}", file=sys.stderr)
                     return 1
-                record["checkouts"][side].setdefault("env", pair[side].pop("env"))
+                record["checkouts"].setdefault(side, pair[side].pop("env"))
             runs.append(pair)
             print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: " + "  ".join(
                 f"{side} {pair[side]['metrics']['ops_per_s']['value']:.4g} ops/s" for side in SIDES
