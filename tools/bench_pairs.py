@@ -21,14 +21,15 @@ run of the same pair), and a verdict:
 - ``unresolved``: the parent's IQR over its median exceeds the bound, so its
   own spread hides a move of that size;
 - ``worse``: the median moved the wrong way by more than the bound;
-- ``better``: the median moved the right way by more than the parent's IQR;
+- ``better``: the median moved the right way by more than the parent's IQR,
+  and the change won at least nine pairs in ten;
 - ``within bound``: anything else.
 
 It also prints each side's failed and attempted ops. ``--out`` receives every
 run's metrics, the figures above and an environment stamp: this host, and the
-stamp that the benchmark printed in each checkout, its git commit included. The exit code is 1 when a
-run fails or a verdict is ``worse``, and 0 otherwise. The standard library is
-all it needs besides the two checkouts.
+stamp that the benchmark printed in each checkout, its git commit included.
+The exit code is 1 when a run fails or a verdict is ``worse``, and 0
+otherwise. The standard library is all it needs besides the two checkouts.
 """
 
 from __future__ import annotations
@@ -72,15 +73,15 @@ def judge(before: list[float], after: list[float], better: str, bound: float) ->
     sign = 1.0 if better == "higher" else -1.0
     old, new = spread(before), spread(after)
     gain = sign * (new["median"] - old["median"]) / old["median"] if old["median"] else 0.0
+    wins = sum(sign * (a - b) > 0 for b, a in zip(before, after))
     if old["iqr_over_median"] > bound:
         verdict = "unresolved"
     elif gain < -bound:
         verdict = "worse"
-    elif gain > old["iqr_over_median"]:
+    elif gain > old["iqr_over_median"] and 10 * wins >= 9 * len(before):
         verdict = "better"
     else:
         verdict = "within bound"
-    wins = sum(sign * (a - b) > 0 for b, a in zip(before, after))
     return {"before": old, "after": new, "gain": gain, "wins": wins, "pairs": len(before),
             "bound": bound, "verdict": verdict}
 
@@ -97,6 +98,16 @@ def host_stamp() -> dict:
             "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
 
 
+def describe(name: str, j: dict) -> str:
+    old, new = j["before"], j["after"]
+    return (
+        f"  {name:12s} {old['median']:.5g} [{old['q1']:.5g}, {old['q3']:.5g}] -> "
+        f"{new['median']:.5g} [{new['q1']:.5g}, {new['q3']:.5g}]  {j['gain']:+.1%}  "
+        f"{j['wins']}/{j['pairs']}  {j['verdict']} "
+        f"(parent IQR/median {old['iqr_over_median']:.3f}, bound {j['bound']})"
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--before", type=Path, required=True, help="parent checkout")
@@ -109,13 +120,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads(Path("BENCHMARK.json").read_text())
-    metrics = spec["end_to_end"]
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     checkouts = {"before": args.before.resolve(), "after": args.after.resolve()}
     record = {"command": spec["command"], "pairs": args.pairs, "seconds": args.seconds,
               "seeds": [args.seed + i for i in range(args.pairs)], "host": host_stamp(),
-              "checkouts": {},
-              "workloads": {}}
+              "checkouts": {}, "workloads": {}}
     worse = False
     for workload in workloads:
         runs = []
@@ -125,31 +134,28 @@ def main(argv: list[str] | None = None) -> int:
             pair = {"seed": seed, "first": order[0]}
             for side in order:
                 try:
-                    pair[side] = run_once(spec["command"], checkouts[side], workload, seed, args.seconds)
+                    pair[side] = run_once(spec["command"], checkouts[side], workload, seed,
+                                          args.seconds)
                 except RuntimeError as exc:
                     print(f"bench_pairs: {exc}", file=sys.stderr)
                     return 1
                 record["checkouts"].setdefault(side, pair[side].pop("env"))
             runs.append(pair)
-            print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: " + "  ".join(
-                f"{side} {pair[side]['metrics']['ops_per_s']['value']:.4g} ops/s" for side in SIDES
-            ), flush=True)
+            rates = "  ".join(f"{side} {pair[side]['metrics']['ops_per_s']['value']:.4g} ops/s"
+                              for side in SIDES)
+            print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: {rates}", flush=True)
         judged = {}
-        print(f"\n{workload}: median [q1, q3] parent -> change, wins of {args.pairs}, verdict")
-        for metric in metrics:
+        print(f"\n{workload}: median [q1, q3] parent -> change, gain, wins, verdict")
+        for metric in spec["end_to_end"]:
             name = metric["name"]
-            values = {side: [run[side]["metrics"][name]["value"] for run in runs] for side in SIDES}
-            judged[name] = judge(values["before"], values["after"], metric["better"], metric["bound"])
-            j = judged[name]
-            worse |= j["verdict"] == "worse"
-            print(f"  {name:12s} {j['before']['median']:.5g} [{j['before']['q1']:.5g}, "
-                  f"{j['before']['q3']:.5g}] -> {j['after']['median']:.5g} [{j['after']['q1']:.5g}, "
-                  f"{j['after']['q3']:.5g}]  {j['gain']:+.1%}  {j['wins']}/{j['pairs']}  "
-                  f"{j['verdict']} (parent IQR/median {j['before']['iqr_over_median']:.3f}, "
-                  f"bound {j['bound']})")
-        failed = {side: (sum(r[side]["failed"] for r in runs), sum(r[side]["attempted"] for r in runs))
-                  for side in SIDES}
-        print("  failed ops: " + ", ".join(f"{side} {f} of {a}" for side, (f, a) in failed.items()) + "\n")
+            before, after = ([r[side]["metrics"][name]["value"] for r in runs] for side in SIDES)
+            judged[name] = judge(before, after, metric["better"], metric["bound"])
+            worse |= judged[name]["verdict"] == "worse"
+            print(describe(name, judged[name]))
+        failed = {side: (sum(run[side]["failed"] for run in runs),
+                         sum(run[side]["attempted"] for run in runs)) for side in SIDES}
+        print("  failed ops:", ", ".join(f"{side} {f} of {a}" for side, (f, a) in failed.items()))
+        print()
         record["workloads"][workload] = {"metrics": judged, "failed": failed, "runs": runs}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 1 if worse else 0
