@@ -50,9 +50,11 @@ MERGE_TOL = 1e-12
 # it subtracts: each corner carries round-off of a few ulps of its own size.
 _ROUNDOFF = 8 * sys.float_info.epsilon
 # Corner sums from 2^-900 to 2^1020 keep every slope, allowance, product and
-# payoff of a float enumeration finite and normal. Outside that range the
-# corners are scaled by the power of two that puts the largest just below
-# 2^_SCALED_EXPONENT, and the payoffs are scaled back: exact in binary.
+# payoff of a float enumeration finite and normal. A surface whose sum lies
+# outside that range has its corners scaled by the power of two that puts its
+# largest just below 2^_SCALED_EXPONENT, and its payoffs are scaled back:
+# exact in binary. Each player's tests read only that player's surface, so
+# each surface takes its own power.
 _LEAST_ALLOWANCE, _MOST_ALLOWANCE = _ROUNDOFF * 2.0**-900, _ROUNDOFF * 2.0**1020
 _SCALED_EXPONENT = 1017
 
@@ -174,9 +176,9 @@ def enumerate_bilinear_nash(
     corners' float round-off: a slope counts as zero within 8 ulps of the
     sum of the corners it subtracts (an edge's two, or its surface's four),
     measured from their base, so no slope is lost to another's large
-    corners. Rescaling both players' payoffs by one positive factor scales
-    the corners and the tolerances alike, and a payoff level held in the
-    bases enters neither, so neither changes the equilibria. The same
+    corners. Rescaling one player's payoffs by a positive factor scales
+    that player's corners and tolerances alike, and a payoff level held in
+    the bases enters neither, so neither changes the equilibria. The same
     round-off can move a candidate on an edge just off the square; within
     SLOPE_TOL it is taken at the nearest point of the square.
 
@@ -197,10 +199,11 @@ def enumerate_bilinear_nash(
     a11, a10, a01, a00 = abs(bp_a.at_11), abs(bp_a.at_10), abs(bp_a.at_01), abs(bp_a.at_00)
     b11, b10, b01, b00 = abs(bp_b.at_11), abs(bp_b.at_10), abs(bp_b.at_01), abs(bp_b.at_00)
     tol_a, tol_b = r * (a11 + a10 + a01 + a00), r * (b11 + b10 + b01 + b00)
-    if not _LEAST_ALLOWANCE <= tol_a + tol_b <= _MOST_ALLOWANCE and not exact:
-        largest = max(a11, a10, a01, a00, b11, b10, b01, b00)
-        if largest:
-            return _rescaled(bp_a, bp_b, _SCALED_EXPONENT - math.frexp(largest)[1])
+    if not (_LEAST_ALLOWANCE <= tol_a <= _MOST_ALLOWANCE and
+            _LEAST_ALLOWANCE <= tol_b <= _MOST_ALLOWANCE) and not exact:
+        shift_a, shift_b = _shift(tol_a, a11, a10, a01, a00), _shift(tol_b, b11, b10, b01, b00)
+        if shift_a or shift_b:
+            return _rescaled(bp_a, bp_b, shift_a, shift_b)
     flat_a1, flat_a0 = abs(a1) <= r * (a11 + a01), abs(a0) <= r * (a10 + a00)
     flat_b1, flat_b0 = abs(b1) <= r * (b11 + b10), abs(b0) <= r * (b01 + b00)
     bilinear_a, bilinear_b = abs(pq_a) > tol_a, abs(pq_b) > tol_b
@@ -259,20 +262,31 @@ def enumerate_bilinear_nash(
     )
 
 
-def _rescaled(bp_a: BilinearPayoff, bp_b: BilinearPayoff, shift: int) -> tuple[NashPoint, ...]:
-    """``enumerate_bilinear_nash`` on both surfaces' corners times 2^shift,
-    with each payoff's corner part scaled back onto the surface's base."""
+def _shift(allowance: float, *corners: float) -> int:
+    """The power of two that brings a surface's allowance into the safe
+    range; 0 inside it, and for a surface whose corners are all zero."""
+    largest = max(corners)
+    if _LEAST_ALLOWANCE <= allowance <= _MOST_ALLOWANCE or not largest:
+        return 0
+    return _SCALED_EXPONENT - math.frexp(largest)[1]
+
+
+def _rescaled(
+    bp_a: BilinearPayoff, bp_b: BilinearPayoff, shift_a: int, shift_b: int
+) -> tuple[NashPoint, ...]:
+    """``enumerate_bilinear_nash`` on each surface's corners times its own
+    power of two, with each payoff's corner part scaled back onto its base."""
     # A base of -0.0 adds nothing to a payoff, not even to the sign of a zero.
     scaled = [
         BilinearPayoff(*[math.ldexp(x, shift) for x in (b.at_11, b.at_10, b.at_01, b.at_00)], -0.0)
-        for b in (bp_a, bp_b)
+        for b, shift in ((bp_a, shift_a), (bp_b, shift_b))
     ]
     return tuple(
         NashPoint(
             n.p_star,
             n.q_star,
-            bp_a.base + math.ldexp(n.payoff_a, -shift),
-            bp_b.base + math.ldexp(n.payoff_b, -shift),
+            bp_a.base + math.ldexp(n.payoff_a, -shift_a),
+            bp_b.base + math.ldexp(n.payoff_b, -shift_b),
             n.kind,
         )
         for n in enumerate_bilinear_nash(*scaled)

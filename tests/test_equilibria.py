@@ -419,6 +419,51 @@ class TestEnumerator:
             (math.ldexp(n.payoff_a, k), math.ldexp(n.payoff_b, k)) for n in want
         ]
 
+    @PROPERTY
+    @given(
+        sixteenths=st.lists(st.integers(-120, 120), min_size=8, max_size=8),
+        j=st.integers(-1000, 1020),
+        k=st.integers(-1000, 1020),
+    )
+    def test_each_player_may_take_its_own_power_of_two(self, sixteenths, j, k):
+        # The unit game above with the row player's payoffs times 2^j and the
+        # column player's times 2^k: each player's tests read only that
+        # player's surface, so the kinds and coordinates are the same bits,
+        # and each player's payoffs are exactly its own power times the unit's.
+        unit = [x / 16 for x in sixteenths]
+
+        def solve(shift_a, shift_b):
+            a = [math.ldexp(x, shift_a) for x in unit[:4]]
+            b = [math.ldexp(x, shift_b) for x in unit[4:]]
+            return enumerate_bilinear_nash(*payoff_surfaces((1.0, 0.0, 0.0, 0.0), a, b))
+
+        want, got = solve(0, 0), solve(j, k)
+        assert [(n.kind, n.p_star, n.q_star) for n in got] == [
+            (n.kind, n.p_star, n.q_star) for n in want
+        ]
+        assert [(n.payoff_a, n.payoff_b) for n in got] == [
+            (math.ldexp(n.payoff_a, j), math.ldexp(n.payoff_b, k)) for n in want
+        ]
+
+    def test_a_tiny_surface_keeps_its_bits_beside_an_overflowing_one(self):
+        # The row player's corners overflow a float's sums and need scaling
+        # down; the column player's sit near 2^-1016 with every mantissa bit
+        # set to matter. Scaled by the row player's power they would round off
+        # the low bits, so each surface takes its own: the column player's
+        # equilibria are the same bits as at unit scale.
+        a = (1.5e308, 0.0, 0.0, 1e308)
+        unit_b = (1 + 2.0**-52, 0.0, 0.0, 2 - 2.0**-52)
+        tiny_b = [math.ldexp(x, -1016) for x in unit_b]
+        want = enumerate_bilinear_nash(*payoff_surfaces((1.0, 0.0, 0.0, 0.0), a, unit_b))
+        got = enumerate_bilinear_nash(*payoff_surfaces((1.0, 0.0, 0.0, 0.0), a, tiny_b))
+        assert [n.kind for n in got] == [
+            EquilibriumKind.CORNER, EquilibriumKind.CORNER, EquilibriumKind.INTERIOR
+        ]
+        assert [(n.kind, n.p_star, n.q_star, n.payoff_a) for n in got] == [
+            (n.kind, n.p_star, n.q_star, n.payoff_a) for n in want
+        ]
+        assert [n.payoff_b for n in got] == [math.ldexp(n.payoff_b, -1016) for n in want]
+
     def test_corners_near_the_largest_float_keep_the_interior_point(self):
         # Corners 1.5e308 and 1e308: the slopes' difference and the sum of
         # the corners overflow a float unless the corners are scaled first.
