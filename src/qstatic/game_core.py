@@ -27,9 +27,6 @@ __all__ = [
     "expected_payoffs",
 ]
 
-#: The grid path's frozen value types write each validated field once, with this.
-_set_field = object.__setattr__
-
 
 @dataclass(frozen=True, eq=False)
 class Bimatrix:
@@ -149,8 +146,8 @@ class MixProbabilities:
         if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
             _check_unit_interval("p", p)
             _check_unit_interval("q", q)
-        _set_field(self, "p", p)
-        _set_field(self, "q", q)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import ConstraintViolation
-from .game_core import BilinearPayoff, MixProbabilities, _set_field
+from .game_core import BilinearPayoff, MixProbabilities
 
 if TYPE_CHECKING:
     from .quantum_core import DensityMatrix
@@ -71,8 +71,8 @@ class StateVector:
             raise ConstraintViolation(
                 f"state vector is not normalized: sum of squared moduli = {norm_sq!r}"
             )
-        _set_field(self, "amplitudes", amps)
-        _set_field(self, "probabilities", probabilities)
+        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "probabilities", probabilities)
 
     @classmethod
     def basis(cls, which: int | str) -> StateVector:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstraintViolation, InternalConsistencyError
-from .game_core import BilinearPayoff, GamePayoffs, _bos_table, _set_field
+from .game_core import BilinearPayoff, GamePayoffs, _bos_table
 from .outcomes import (
     BASIS_LABELS,
     STATE_NORM_TOL,
@@ -86,8 +86,6 @@ class DensityMatrix:
     entries: np.ndarray
     #: The diagonal entries as the checks unpack them; only they enter a payoff.
     _diagonal: tuple[complex, ...] = field(init=False, repr=False, compare=False)
-    #: ``mixed_final_density``'s gather of the entries, kept from the first mixing.
-    _conjugations: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __init__(self, entries: np.ndarray) -> None:
         self.__post_init__(entries)
@@ -138,9 +136,8 @@ class DensityMatrix:
                 f"density matrix has a negative eigenvalue ({smallest:.3e})"
             )
         m.setflags(write=False)
-        _set_field(self, "entries", m)
-        _set_field(self, "_diagonal", (v00, v11, v22, v33))
-        _set_field(self, "_conjugations", None)
+        object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "_diagonal", (v00, v11, v22, v33))
 
     def diagonal_probabilities(self) -> np.ndarray:
         """Real diagonal; these are the joint measurement probabilities."""
@@ -169,8 +166,8 @@ class LocalUnitary:
             raise ConstraintViolation(
                 f"|a|^2 + |b|^2 must be 1 for a local tactic, got {norm!r}"
             )
-        _set_field(self, "a", a)
-        _set_field(self, "b", b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @classmethod
     def identity(cls) -> LocalUnitary:
@@ -205,8 +202,8 @@ class PayoffOperator:
         if not all(map(math.isfinite, values)):
             raise ConstraintViolation("payoff operator entries must be finite")
         d.setflags(write=False)
-        _set_field(self, "diagonal", d)
-        _set_field(self, "_values", values)
+        object.__setattr__(self, "diagonal", d)
+        object.__setattr__(self, "_values", values)
 
 
 def apply_local_unitaries(
@@ -246,18 +243,14 @@ def mixed_final_density(rho_in: DensityMatrix, mix: MixingChoice) -> DensityMatr
     (1-p)(1-q). All density-matrix invariants are preserved and re-checked
     on the output.
 
-    One gather, kept on the input, stacks the four conjugations of its
-    flattened entries, and one product with the weight vector sums them.
+    One gather stacks the four conjugations of the flattened input, and one
+    product with the weight vector sums them.
     """
-    stack = rho_in._conjugations
-    if stack is None:
-        stack = rho_in.entries.ravel()[_MIX_INDEX]
-        _set_field(rho_in, "_conjugations", stack)
     p, q = mix.p, mix.q
     weights = np.array(
         [p * q, p * (1.0 - q), (1.0 - p) * q, (1.0 - p) * (1.0 - q)], dtype=complex
     )
-    out = weights.dot(stack)
+    out = weights.dot(rho_in.entries.ravel()[_MIX_INDEX])
     return DensityMatrix(out.reshape(4, 4))
 
 

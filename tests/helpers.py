@@ -37,12 +37,11 @@ def random_density(rng: np.random.Generator) -> DensityMatrix:
 
 def forged_density(entries) -> DensityMatrix:
     """A ``DensityMatrix`` that skips validation, to exercise the defensive
-    checks downstream: its entries and the diagonal it keeps, not yet mixed."""
+    checks downstream: its entries and the diagonal it keeps."""
     rho = object.__new__(DensityMatrix)
     m = np.array(entries, dtype=complex)
     object.__setattr__(rho, "entries", m)
     object.__setattr__(rho, "_diagonal", tuple(m.diagonal().tolist()))
-    object.__setattr__(rho, "_conjugations", None)
     return rho
 
 

@@ -61,14 +61,6 @@ _HERMITIAN_TEST = """\
         ):
 """
 
-#: ``mixed_final_density`` keeps the gather of each input density on it.
-_KEPT_STACK = """\
-    stack = rho_in._conjugations
-    if stack is None:
-        stack = rho_in.entries.ravel()[_MIX_INDEX]
-        _set_field(rho_in, "_conjugations", stack)
-"""
-
 MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "Hermitian test written as gap > tol, which lets NaN through",
@@ -162,15 +154,6 @@ MUTANTS: tuple[Mutant, ...] = (
         "    d0, d1, d2, d3 = rho._diagonal\n",
         "    d0, d2, d1, d3 = rho._diagonal\n",
         ("tests/test_quantum_core.py::TestTracePayoffs",),
-    ),
-    Mutant(
-        "mixed_final_density shares one conjugation stack across densities",
-        _QUANTUM,
-        _KEPT_STACK,
-        _KEPT_STACK.replace("rho_in._conjugations", 'globals().get("_SHARED_STACK")')
-        .replace("        stack = rho_in", '        stack = globals()["_SHARED_STACK"] = rho_in')
-        .replace('        _set_field(rho_in, "_conjugations", stack)\n', ""),
-        ("tests/test_quantum_core.py::TestOnePassConstruction",),
     ),
     Mutant(
         "_flipped swaps the row and column bits",
