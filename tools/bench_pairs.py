@@ -4,15 +4,14 @@ end-to-end metric against its bound.
 Usage, from the root of a checkout:
 
     python tools/bench_pairs.py --before OLD_CHECKOUT --after NEW_CHECKOUT \
-        --out BENCH_<n>.json [--pairs 10] [--seconds 30] [--seed 1] \
-        [--workload grid_routes ...]
+        --out BENCH_<n>.json [--pairs 10] [--seed 1]
 
-The workloads, the benchmark command and each end-to-end metric's direction
-and bound come from ``BENCHMARK.json`` in the current directory. For each
-workload, pair i runs the command with ``--seed SEED+i --seconds S --trace 0``
-once in each checkout, one after the other; the parent (``--before``) goes
-first in even pairs and the change (``--after``) in odd ones. Runs never
-overlap.
+The workloads, the benchmark command, its run length and each end-to-end
+metric's direction and bound come from ``BENCHMARK.json`` in the current
+directory. For every workload, pair i runs the command with
+``--seed SEED+i --seconds RUN_SECONDS --trace 0`` once in each checkout, one
+after the other; the parent (``--before``) goes first in even pairs and the
+change (``--after``) in odd ones. Runs never overlap.
 
 For each workload and metric the tool prints each side's median and
 quartiles, how many pairs the change won (strictly better than the parent
@@ -114,15 +113,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--after", type=Path, required=True, help="changed checkout")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--workload", action="append", help="default: every workload")
     args = parser.parse_args(argv)
 
     spec = json.loads(Path("BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     checkouts = {"before": args.before.resolve(), "after": args.after.resolve()}
-    record = {"command": spec["command"], "pairs": args.pairs, "seconds": args.seconds,
+    record = {"command": spec["command"], "pairs": args.pairs, "seconds": seconds,
               "seeds": [args.seed + i for i in range(args.pairs)], "host": host_stamp(),
               "checkouts": {}, "workloads": {}}
     worse = False
@@ -135,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
             for side in order:
                 try:
                     pair[side] = run_once(spec["command"], checkouts[side], workload, seed,
-                                          args.seconds)
+                                          seconds)
                 except RuntimeError as exc:
                     print(f"bench_pairs: {exc}", file=sys.stderr)
                     return 1
