@@ -179,6 +179,13 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_equilibria.py::TestEnumerator",),
     ),
     Mutant(
+        "both surfaces take the row player's power of two",
+        _EQUILIBRIA,
+        "        shift_a, shift_b = _shift(tol_a, a11, a10, a01, a00), _shift(tol_b, b11, b10, b01, b00)\n",
+        "        shift_a = shift_b = _shift(tol_a, a11, a10, a01, a00)\n",
+        ("tests/test_equilibria.py::TestEnumerator",),
+    ),
+    Mutant(
         "MERGE_TOL loosened tenfold",
         _EQUILIBRIA,
         "MERGE_TOL = 1e-12\n",
