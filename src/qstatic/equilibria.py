@@ -141,12 +141,25 @@ def entangled_equilibria(
     p* = ((alpha-gamma) a2 + (beta-gamma) b2)/spread and its mirror image
     in q, where both players earn the same amount,
     (alpha*beta + (alpha-beta)^2 a2 b2 - gamma^2)/spread, which is strictly
-    below both corner payoffs for both players. It is an oracle only: tests
-    and bench/workloads.py check the enumerator against it.
+    below both corner payoffs for both players; spread = alpha + beta - 2*gamma.
+    It is an oracle only: tests and bench/workloads.py check the enumerator
+    against it. It refuses a scale whose products of levels overflow a float.
     """
     alpha, beta, gamma = params.alpha, params.beta, params.gamma
+    # The closed-form oracles multiply levels together; a scale at which
+    # that overflows a float is rejected here rather than printed as inf or nan.
+    # (alpha-gamma)^2 bounds every squared difference and the spread;
+    # gamma^2 and alpha*beta + (alpha-beta)^2 bound the interior payoff's
+    # numerator for every a2.
+    a, b, g = float(alpha), float(beta), float(gamma)
+    products = ((a - g) * (a - g), g * g, a * b + (a - b) * (a - b))
+    if not all(map(math.isfinite, products)):
+        raise ConstraintViolation(
+            "payoff scale too large: products of the levels overflow a float, "
+            f"got alpha={alpha}, beta={beta}, gamma={gamma}"
+        )
     a2, b2 = state.a2, state.b2
-    spread = params.spread
+    spread = alpha + beta - 2 * gamma
     keep_a = alpha * a2 + beta * b2
     keep_b = beta * a2 + alpha * b2
     p_star = ((alpha - gamma) * a2 + (beta - gamma) * b2) / spread
@@ -313,22 +326,20 @@ class EquilibriumRanking:
 def rank_equilibria(points: Iterable[NashPoint]) -> EquilibriumRanking:
     """Sort equilibria best-first and annotate all pairwise payoff gaps.
 
-    Primary key is the smaller of the two players' payoffs, then the payoff
-    sum, both descending. Exact ties (the maximally entangled corners) fall
-    back to coordinates descending, so (1,1) precedes (0,0).
+    Primary key is the smaller of the two players' payoffs, then the larger,
+    both descending: where the smaller ties, the larger orders as the payoff
+    sum does, and it cannot overflow. Exact ties (the maximally entangled
+    corners) fall back to coordinates descending, so (1,1) precedes (0,0).
     """
     pts = list(points)
     if not pts:
         raise ConstraintViolation("cannot rank an empty set of equilibria")
-    ordered = tuple(
-        sorted(
-            pts,
-            key=lambda n: (
-                min(n.payoff_a, n.payoff_b), n.payoff_a + n.payoff_b, n.p_star, n.q_star
-            ),
-            reverse=True,
-        )
-    )
+
+    def key(n: NashPoint) -> tuple[float, float, float, float]:
+        a, b = n.payoff_a, n.payoff_b
+        return (a, b, n.p_star, n.q_star) if a <= b else (b, a, n.p_star, n.q_star)
+
+    ordered = tuple(sorted(pts, key=key, reverse=True))
     gaps = tuple(
         PairwiseGap(i, j, better.payoff_a - worse.payoff_a, better.payoff_b - worse.payoff_b)
         for i, better in enumerate(ordered)

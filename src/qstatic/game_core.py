@@ -52,15 +52,8 @@ class Bimatrix:
             )
         if min(shape_a) < 1:
             raise ConstraintViolation("each player needs at least one strategy")
-        if not all(math.isfinite(x) for table in (a, b) for row in table for x in row):
-            raise ConstraintViolation("payoff entries must be finite")
-        for name, table in (("payoff_a", a), ("payoff_b", b)):
-            entries = [x for row in table for x in row]
-            if not math.isfinite(max(entries) - min(entries)):
-                raise ConstraintViolation(
-                    f"payoff scale too large: the range of {name} overflows a float, "
-                    f"got {min(entries)} to {max(entries)}"
-                )
+        _check_range("payoff_a", [x for row in a for x in row])
+        _check_range("payoff_b", [x for row in b for x in row])
         object.__setattr__(self, "payoff_a", a)
         object.__setattr__(self, "payoff_b", b)
 
@@ -71,6 +64,17 @@ class Bimatrix:
     @property
     def is_2x2(self) -> bool:
         return self.shape == (2, 2)
+
+
+def _check_range(name: str, payoffs: list[float]) -> None:
+    """Both payoff forms' rule: each payoff is finite, and so is their range."""
+    if not all(map(math.isfinite, payoffs)):
+        raise ConstraintViolation(f"{name} must be finite, got {payoffs}")
+    if not math.isfinite(max(payoffs) - min(payoffs)):
+        raise ConstraintViolation(
+            f"payoff scale too large: the range of {name} overflows a float, "
+            f"got {min(payoffs)} to {max(payoffs)}"
+        )
 
 
 def _float_table(table: Iterable[Iterable[float]]) -> tuple[tuple[float, ...], ...]:
@@ -89,7 +93,9 @@ class GamePayoffs:
 
     ``alpha`` is what a player earns at their preferred joint outcome,
     ``beta`` at the opponent's preferred one, ``gamma`` on miscoordination.
-    The strict ordering alpha > beta > gamma is required.
+    The strict ordering alpha > beta > gamma is required, and a finite range
+    alpha - gamma, as for each ``Bimatrix`` table; the closed-form oracles
+    also refuse a scale whose products of levels overflow a float.
     """
 
     alpha: float
@@ -97,31 +103,12 @@ class GamePayoffs:
     gamma: float
 
     def __post_init__(self) -> None:
-        vals = (self.alpha, self.beta, self.gamma)
-        if not all(math.isfinite(v) for v in vals):
-            raise ConstraintViolation(f"payoff parameters must be finite, got {vals}")
+        _check_range("the levels alpha, beta, gamma", [self.alpha, self.beta, self.gamma])
         if not (self.alpha > self.beta > self.gamma):
             raise ConstraintViolation(
                 "payoff parameters must satisfy alpha > beta > gamma, got "
                 f"alpha={self.alpha}, beta={self.beta}, gamma={self.gamma}"
             )
-        # The closed-form oracles multiply levels together; a scale at which
-        # that overflows a float is rejected here rather than printed as inf or nan.
-        # (alpha-gamma)^2 bounds every squared difference and the spread;
-        # gamma^2 and alpha*beta + (alpha-beta)^2 bound the interior payoff's
-        # numerator for every a2.
-        a, b, g = float(self.alpha), float(self.beta), float(self.gamma)
-        products = ((a - g) * (a - g), g * g, a * b + (a - b) * (a - b))
-        if not all(math.isfinite(x) for x in products):
-            raise ConstraintViolation(
-                "payoff scale too large: products of the levels overflow a float, "
-                f"got alpha={self.alpha}, beta={self.beta}, gamma={self.gamma}"
-            )
-
-    @property
-    def spread(self) -> float:
-        """alpha + beta - 2*gamma, the denominator of every closed form."""
-        return self.alpha + self.beta - 2 * self.gamma
 
 
 def _check_unit_interval(name: str, value: float) -> None:

@@ -180,13 +180,14 @@ def simulate(config: SimulationConfig) -> SimulationReport:
     counts.append(left)
 
     def stats(payoffs: tuple[float, ...]) -> tuple[float, float]:
-        mean = math.fsum(c * v for c, v in zip(counts, payoffs)) / config.rounds
-        if config.rounds == 1:
-            return mean, 0.0
-        # Deviations in units of a power of two (exact) cannot overflow squared.
-        unit = 2.0 ** math.frexp(max(map(abs, payoffs)))[1]
-        squares = math.fsum(c * ((v - mean) / unit) ** 2 for c, v in zip(counts, payoffs))
-        return mean, math.sqrt(squares / (config.rounds - 1) / config.rounds) * unit
+        # Sums in units of 2^e, the power of two above every counted payoff, are exact
+        # and cannot overflow. Rounding can carry the mean to 2^e, which may be 2^1024.
+        e = math.frexp(max(abs(v) for c, v in zip(counts, payoffs) if c))[1]
+        units = [(c, math.ldexp(v, -e)) for c, v in zip(counts, payoffs) if c]
+        mean = math.fsum(c * v for c, v in units) / config.rounds
+        mean = min(max(mean, 2**-53 - 1), 1 - 2**-53)
+        var = math.fsum(c * (v - mean) ** 2 for c, v in units) / max(config.rounds - 1, 1)
+        return math.ldexp(mean, e), math.ldexp(math.sqrt(var / config.rounds), e)
 
     (mean_a, se_a), (mean_b, se_b) = map(stats, _bos_table(config.payoffs))
     return SimulationReport(

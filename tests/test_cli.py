@@ -37,6 +37,8 @@ from qstatic.quantum_core import (
 from qstatic.report_schema import REPORT_SCHEMA
 
 DATA = Path(__file__).resolve().parent / "data"
+#: Checks the schema once, where ``jsonschema.validate`` checks it on every call.
+REPORT_VALIDATOR = jsonschema.validators.validator_for(REPORT_SCHEMA)(REPORT_SCHEMA)
 
 
 @pytest.fixture
@@ -57,6 +59,44 @@ def write_config(tmp_path, doc, name="game.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+#: Every command, with each mode and sweep parameter.
+EVERY_COMMAND = (
+    ["classical"],
+    ["quantum", "--mode", "entangled"],
+    ["quantum", "--mode", "factorizable"],
+    ["simulate"],
+    ["sweep", "--param", "a2", "--steps", "5"],
+    ["sweep", "--param", "p", "--steps", "5"],
+    ["sweep", "--param", "q", "--steps", "5"],
+)
+
+
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    """``main`` in process, warnings raised as errors: exit code, stdout, stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def finite_report(out: str, fmt: str) -> bool:
+    """True when the output holds no non-finite number; a json report must
+    also validate against the schema."""
+    if fmt != "json":
+        return not re.search(r"Infinity|NaN|\b(inf|nan)\b", out)
+    doc = json.loads(out)
+    REPORT_VALIDATOR.validate(doc)
+    values = [doc]
+    for value in values:
+        if isinstance(value, float) and not math.isfinite(value):
+            return False
+        values.extend(value.values() if isinstance(value, dict) else
+                      value if isinstance(value, list) else ())
+    return True
 
 
 def run_json(capsys, argv):
@@ -220,7 +260,7 @@ class TestConfigLoading:
     @pytest.mark.parametrize(
         "payoffs",
         [
-            {"alpha": 9.76e299, "beta": 7.00e299, "gamma": -6.64e299},
+            {"alpha": 1.7e308, "beta": 0.0, "gamma": -1e308},
             {"alpha": 1e308, "beta": -1e308, "gamma": -1.7e308},
         ],
     )
@@ -232,6 +272,23 @@ class TestConfigLoading:
         captured = capsys.readouterr()
         assert f"{path}: payoffs: payoff scale too large" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "payoffs",
+        [
+            {"alpha": 1e200, "beta": 5e199, "gamma": 0},
+            {"alpha": 9.76e299, "beta": 7.00e299, "gamma": -6.64e299},
+        ],
+    )
+    def test_levels_whose_products_overflow_run_every_command(self, tmp_path, payoffs):
+        # A finite range is the one payoff-scale rule; only the closed-form
+        # oracles multiply levels, and no command calls them.
+        path = write_config(tmp_path, {"payoffs": payoffs, "initial_state": "bell"})
+        for command in EVERY_COMMAND:
+            for fmt in ("table", "json", "csv"):
+                argv = [command[0], "--config", path, "--format", fmt, *command[1:]]
+                code, out, err = run_main(argv)
+                assert code == 0 and err == "" and finite_report(out, fmt), (argv, err)
 
     def test_bimatrix_whose_range_overflows_names_payoffs(self, tmp_path, capsys):
         payoffs = {"payoff_a": [[1e308, -1e308], [0, 0]], "payoff_b": [[0, 0], [0, 0]]}
@@ -386,6 +443,17 @@ class TestClassicalCommand:
             ("corner", 0.0, 0.0),
             ("interior", 0.6, 0.4),
         ]
+
+    def test_levels_whose_products_overflow_match_their_bimatrix_bit_for_bit(self, tmp_path):
+        levels = write_config(
+            tmp_path, {"payoffs": {"alpha": 1e200, "beta": 5e199, "gamma": 0}}, "levels.json"
+        )
+        table = {"payoff_a": [[1e200, 0], [0, 5e199]], "payoff_b": [[5e199, 0], [0, 1e200]]}
+        bimatrix = write_config(tmp_path, {"payoffs": table}, "bimatrix.json")
+        args = cli.build_parser().parse_args(["classical", "--config", levels])
+        rows = [cli.cmd_classical(load_config(path), args)["mixed_equilibria"]
+                for path in (levels, bimatrix)]
+        assert len(rows[0]) == 3 and repr(rows[0]) == repr(rows[1])
 
     def test_larger_bimatrix_skips_mixed_enumeration(self, tmp_path, capsys):
         path = write_config(
@@ -622,6 +690,19 @@ class TestSimulateCommand:
         empirical = run_json(capsys, ["simulate", "--config", path])["empirical"]
         for player in "ab":
             assert 0.0 < empirical[f"std_error_{player}"] < 1e154
+
+    def test_largest_round_count_at_the_top_of_the_float_range(self, tmp_path, capsys):
+        # 2^63 - 1 rounds times 1.7e308 is far past a float; the sums are
+        # taken in a power-of-two unit of the largest counted level.
+        path = write_config(
+            tmp_path,
+            {"payoffs": {"alpha": 1.7e308, "beta": 1e308, "gamma": 0}, "initial_state": "bell"},
+        )
+        argv = ["simulate", "--config", path, "--rounds", str(2**63 - 1)]
+        empirical = run_json(capsys, argv)["empirical"]
+        for player in "ab":
+            assert 0.0 < empirical[f"mean_payoff_{player}"] < 1.7e308
+            assert 0.0 < empirical[f"std_error_{player}"] < 1e308
 
     def test_invalid_rounds_exit_2(self, capsys, bos_config):
         assert main(["simulate", "--config", bos_config, "--rounds", "0"]) == 2
@@ -1232,6 +1313,54 @@ def test_any_config_document_exits_0_or_2(tmp_path_factory, command, data, doc):
     else:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     assert not re.search(r"Infinity|NaN|\b(inf|nan)\b", out), out
+
+
+# Signed magnitudes from 5e-324 to 1.7e308, log-uniform: a mantissa in [1, 2)
+# times 2^k for k from -1074 to 1023.
+_MAGNITUDE = st.builds(
+    lambda m, k, sign: sign * min(math.ldexp(m, k), 1.7e308),
+    st.floats(1, 2, exclude_max=True), st.integers(-1074, 1023), st.sampled_from([1, -1]),
+)
+_CORNERS = st.lists(_MAGNITUDE, min_size=4, max_size=4)
+_ANY_LEVELS = st.lists(_MAGNITUDE, min_size=3, max_size=3, unique=True).map(
+    lambda levels: dict(zip(("alpha", "beta", "gamma"), sorted(levels, reverse=True)))
+)
+_ANY_BIMATRIX = st.builds(
+    lambda a, b: {"payoff_a": [a[:2], a[2:]], "payoff_b": [b[:2], b[2:]]}, _CORNERS, _CORNERS
+)
+# Levels run every command, a bimatrix only classical: levels three times in four.
+_ANY_SCALE = st.integers(0, 3).flatmap(lambda k: _ANY_BIMATRIX if k == 3 else _ANY_LEVELS)
+_ANY_STATE = (
+    st.sampled_from(["OO", "OT", "TO", "TT", "bell"]),
+    st.fixed_dictionaries({"a2": st.floats(0, 1)}),
+    _amplitudes(),
+)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(
+    payoffs=_ANY_SCALE,
+    state=st.integers(0, 2).flatmap(lambda k: _ANY_STATE[k]),
+    rounds=st.sampled_from([1, 10000, 2**63 - 1]),
+)
+def test_every_command_at_any_payoff_scale_exits_0_or_2(
+    tmp_path_factory, payoffs, state, rounds
+):
+    """Levels and 2x2 bimatrices at any scale, under every command and
+    format: exit 2 with one error line, or exit 0 with only finite numbers
+    and, in json, a report that validates against the schema."""
+    path = tmp_path_factory.mktemp("scale") / "game.json"
+    path.write_text(json.dumps({"payoffs": payoffs, "initial_state": state}))
+    for command in EVERY_COMMAND:
+        options = ["--rounds", str(rounds)] if command[0] == "simulate" else []
+        for fmt in ("table", "json", "csv"):
+            argv = [command[0], "--config", str(path), "--format", fmt, *command[1:], *options]
+            code, out, err = run_main(argv)
+            assert code in (0, 2), (argv, err)
+            if code == 2:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+            else:
+                assert err == "" and finite_report(out, fmt), (argv, out)
 
 
 def test_cli_outputs_match_golden(capsys, monkeypatch):

@@ -193,9 +193,18 @@ class TestEntangledClosedForms:
         a2=st.floats(0, 1),
     )
     def test_every_accepted_scale_gives_finite_closed_forms(self, levels, a2):
+        # The oracle refuses exactly the games whose products of levels
+        # overflow, and its closed forms are finite wherever it accepts.
+        a, b, g = sorted(levels, reverse=True)
         try:
-            params = GamePayoffs(*sorted(levels, reverse=True))
+            params = GamePayoffs(a, b, g)
         except ConstraintViolation:
+            assert not math.isfinite(a - g)
+            return
+        products = ((a - g) * (a - g), g * g, a * b + (a - b) * (a - b))
+        if not all(map(math.isfinite, products)):
+            with pytest.raises(ConstraintViolation, match="products of the levels overflow"):
+                entangled_equilibria(params, EntangledFamilyState(a2))
             return
         for point in entangled_equilibria(params, EntangledFamilyState(a2)):
             assert math.isfinite(point.payoff_a) and math.isfinite(point.payoff_b)
@@ -600,6 +609,13 @@ class TestRanking:
         assert ranking.ordered[-1].kind is EquilibriumKind.INTERIOR
         assert ranking.ordered[-1].payoff_a == pytest.approx(1.72, abs=1e-12)
         assert ranking.ordered[0].min_payoff > ranking.ordered[-1].min_payoff
+
+    def test_larger_payoff_breaks_a_tie_in_the_smaller_at_any_scale(self):
+        # Both payoff sums overflow to inf; the larger payoff still orders them.
+        low = NashPoint(1.0, 1.0, 1e308, 1.6e308, EquilibriumKind.CORNER)
+        high = NashPoint(0.0, 0.0, 1.7e308, 1e308, EquilibriumKind.CORNER)
+        ordered = rank_equilibria([low, high]).ordered
+        assert ordered[0] is high and ordered[1] is low
 
     @PROPERTY
     @given(

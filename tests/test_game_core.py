@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import brute_force_pure_nash, brute_force_survivors, coefficients
+from qstatic.equilibria import classical_mixed_equilibria
 from qstatic.errors import ConstraintViolation
 from qstatic.game_core import (
     BilinearPayoff,
@@ -61,13 +62,22 @@ class TestBosBimatrix:
         "params",
         [
             (9.76e299, 7.00e299, -6.64e299),  # (alpha - beta)^2 overflows
-            (1e308, -1e308, -1.7e308),  # the spread overflows
+            (1e308, -1e308, -1.7e308),  # the range, and with it the spread, overflows
             (1.5e154, 1.19e154, 1e154),  # the interior numerator at a2 = 1/2
         ],
     )
     def test_rejects_scales_whose_products_overflow(self, params):
+        # The game needs only a finite range; the closed-form oracles, which
+        # multiply levels together, refuse the rest.
         with pytest.raises(ConstraintViolation, match="payoff scale too large"):
-            GamePayoffs(*params)
+            classical_mixed_equilibria(GamePayoffs(*params))
+
+    def test_levels_need_only_a_finite_range(self):
+        # The rule of each Bimatrix table: these levels square past a float.
+        assert bos(1e200, 5e199, 0).payoff_a == ((1e200, 0.0), (0.0, 5e199))
+        assert bos(9.76e299, 7.00e299, -6.64e299).payoff_b[1][1] == 9.76e299
+        with pytest.raises(ConstraintViolation, match="range of the levels alpha, beta, gamma"):
+            GamePayoffs(1e308, -1e308, -1.7e308)
 
 
 class TestBimatrixValidation:

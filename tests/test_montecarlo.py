@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -78,6 +79,32 @@ class TestDeterministicCases:
         report = simulate(cfg)
         assert report.counts == (rounds, 0, 0, 0)
         assert (report.mean_payoff_a, report.mean_payoff_b) == (3.0, 2.0)
+        assert (report.std_error_a, report.std_error_b) == (0.0, 0.0)
+
+
+class TestPayoffScale:
+    """Mean and standard error are taken in a power-of-two unit of the
+    counted payoffs, so they hold at every payoff scale."""
+
+    @pytest.mark.parametrize("k", [-1000, 1000, 1023])
+    def test_levels_times_a_power_of_two_scale_the_statistics_exactly(self, k):
+        state = EntangledFamilyState(0.3).state_vector()
+        mix, payoffs = MixingChoice(0.4, 0.7), GamePayoffs(1.5, 1, -0.25)
+        unit = SimulationConfig(2**63 - 1, 5, mix, state, payoffs)
+        levels = (math.ldexp(x, k) for x in (1.5, 1, -0.25))
+        scaled = dataclasses.replace(unit, payoffs=GamePayoffs(*levels))
+        want, got = simulate(unit), simulate(scaled)
+        assert got.counts == want.counts
+        for stat in ("mean_payoff_a", "mean_payoff_b", "std_error_a", "std_error_b"):
+            assert getattr(got, stat) == math.ldexp(getattr(want, stat), k)
+
+    def test_a_tiny_counted_payoff_keeps_its_bits_beside_a_huge_one(self):
+        # Every round lands on OO, where A earns alpha and B earns beta; the
+        # unit follows the counted payoff, not the largest level.
+        payoffs = GamePayoffs(1e300, 1e-299, 1e-300)
+        cfg = SimulationConfig(1024, 0, MixingChoice(1.0, 1.0), StateVector.basis("OO"), payoffs)
+        report = simulate(cfg)
+        assert (report.mean_payoff_a, report.mean_payoff_b) == (1e300, 1e-299)
         assert (report.std_error_a, report.std_error_b) == (0.0, 0.0)
 
 

@@ -16,7 +16,11 @@ out-of-family amplitudes), then ``--configs // 10`` more in the
 ``levels-wide`` stratum: levels 4*10^k, 1..5 and 0 with k from 14 to 17,
 whose slopes span 14 to 18 decades. That stratum draws from its own
 ``random.Random``, so every other stratum draws the same configs for a seed
-as it did before the stratum was added. Each config runs ``classical``,
+as it did before the stratum was added. So does the ``extreme`` stratum of
+``--configs // 10`` more, drawn last: integer levels in -7..7 (form
+``levels-extreme``), or one time in four a 2x2 bimatrix of integers in
+-5..5 (``bimatrix-extreme``), times 2^k with k from 990 to 1020 or -1020
+to -990, near both ends of the float range. Each config runs ``classical``,
 ``quantum`` in both modes, ``sweep`` over a2, p or q, and ``simulate``, each
 in table, json and csv: 15 invocations per config.
 
@@ -34,6 +38,8 @@ one falls in one class, read off the two payloads:
 - ``round-off``: the same payload shape, strings and integers, with every
   float within ``ROUNDOFF_BOUND`` of its scale (1 for probabilities,
   coordinates and amplitudes, the largest payoff level otherwise);
+- ``accepted``: exit 2 before and exit 0 after, with every number of the
+  new payload finite: an input the old code refused and the new one runs;
 - ``other``: everything else.
 
 The summary gives, per payoff form, the count in each class and the largest
@@ -100,12 +106,27 @@ def _wide_levels(rng: random.Random) -> tuple[dict, float, str]:
     return {"alpha": alpha, "beta": rng.randint(1, 5), "gamma": 0}, float(alpha), "levels-wide"
 
 
-def _bimatrix(rng: random.Random) -> tuple[dict, float, str]:
-    n = rng.choice((2, 2, 2, 3))
+def _bimatrix(rng: random.Random, n: int | None = None) -> tuple[dict, float, str]:
+    n = n or rng.choice((2, 2, 2, 3))
     table = lambda: [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]  # noqa: E731
     payoffs = {"payoff_a": table(), "payoff_b": table()}
     scale = max(abs(x) for t in payoffs.values() for row in t for x in row)
     return payoffs, max(scale, 1), f"bimatrix-{n}x{n}"
+
+
+def _extreme(rng: random.Random) -> tuple[dict, float, str]:
+    """Integer levels in -7..7, or a 2x2 bimatrix of integers in -5..5, times
+    2^k with k from 990 to 1020 or -1020 to -990; the payoffs, their scale
+    and their form."""
+    k = rng.choice((-1, 1)) * rng.randint(990, 1020)
+    if rng.random() < 0.25:
+        payoffs, scale, _ = _bimatrix(rng, 2)
+        payoffs = {key: [[math.ldexp(x, k) for x in row] for row in table]
+                   for key, table in payoffs.items()}
+        return payoffs, math.ldexp(scale, k), "bimatrix-extreme"
+    levels = sorted(rng.sample(range(-7, 8), 3), reverse=True)
+    payoffs = dict(zip(("alpha", "beta", "gamma"), (math.ldexp(x, k) for x in levels)))
+    return payoffs, math.ldexp(max(map(abs, levels)), k), "levels-extreme"
 
 
 def _state(rng: random.Random) -> Any:
@@ -146,14 +167,18 @@ def _commands(rng: random.Random) -> list[list[str]]:
 def build_corpus(seed: int, n_configs: int, directory: Path) -> list[dict]:
     """Write the configs under ``directory``; return one case per invocation."""
     main_rng, wide_rng = random.Random(seed), random.Random(f"levels-wide {seed}")
+    extreme_rng = random.Random(f"extreme {seed}")
     cases = []
-    for i in range(n_configs + n_configs // 10):
+    for i in range(n_configs + 2 * (n_configs // 10)):
         if i < n_configs:
             rng = main_rng
             payoffs, scale, form = _bimatrix(rng) if rng.random() < 0.15 else _levels(rng)
-        else:
+        elif i < n_configs + n_configs // 10:
             rng = wide_rng
             payoffs, scale, form = _wide_levels(rng)
+        else:
+            rng = extreme_rng
+            payoffs, scale, form = _extreme(rng)
         config: dict[str, Any] = {"payoffs": payoffs, "initial_state": _state(rng)}
         if rng.random() < 0.2 and "alpha" in payoffs:
             config["labels"] = {"a": ["Opera", "TV"], "b": ["Opera", "TV"]}
@@ -293,8 +318,18 @@ def _printed(before: Any, after: Any) -> Any:
     return float(f"{after:.12g}") if type(after) is float else after
 
 
+def _finite(payload: Any) -> bool:
+    if isinstance(payload, dict):
+        return all(map(_finite, payload.values()))
+    if isinstance(payload, list):
+        return all(map(_finite, payload))
+    return not isinstance(payload, float) or math.isfinite(payload)
+
+
 def classify(before: dict, after: dict, scale: float) -> tuple[str, float, str]:
     """(class, largest float gap over its scale, reason) of one moved output."""
+    if before["exit"] == 2 and after["exit"] == 0 and _finite(after["payload"]):
+        return "accepted", 0.0, before["stderr"].strip()
     if before["exit"] != after["exit"] or before["stderr"] != after["stderr"]:
         return "other", math.inf, "exit code or stderr changed"
     old, new = before["payload"], after["payload"]
@@ -332,7 +367,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--after", type=Path, help="checkout with the new code")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--configs", type=int, default=600,
-                        help="15 invocations each, plus a tenth as many levels-wide configs")
+                        help="15 invocations each, plus a tenth as many levels-wide configs "
+                             "and a tenth as many extreme ones")
     parser.add_argument("--report", type=Path, help="write every moved case here as JSON")
     args = parser.parse_args(argv)
     if args.worker:
@@ -365,15 +401,16 @@ def main(argv: list[str] | None = None) -> int:
                           "reason": reason,
                           "first_difference": _first_difference(before["stdout"], after["stdout"])})
 
-    print(f"invocations: {len(cases)} ({args.configs} configs and {args.configs // 10} "
-          f"levels-wide, seed {args.seed}); "
+    print(f"invocations: {len(cases)} ({args.configs} configs, {args.configs // 10} "
+          f"levels-wide and {args.configs // 10} extreme, seed {args.seed}); "
           f"moved: {len(moved)}")
-    print("payoff form        invocations  exact  mirror  round-off  other  largest round-off gap")
+    print("payoff form        invocations  exact  mirror  round-off  accepted  other  "
+          "largest round-off gap")
     for form in sorted(invocations):
-        n = [counts[(form, kind)] for kind in ("exact", "mirror", "round-off", "other")]
+        n = [counts[(form, kind)] for kind in ("exact", "mirror", "round-off", "accepted", "other")]
         gap = max(largest.get((form, kind), 0.0) for kind in ("mirror", "round-off"))
-        print(f"{form:<18} {invocations[form]:>11}  {n[0]:>5}  {n[1]:>6}  {n[2]:>9}  {n[3]:>5}  "
-              f"{gap:.3g}")
+        print(f"{form:<18} {invocations[form]:>11}  {n[0]:>5}  {n[1]:>6}  {n[2]:>9}  {n[3]:>8}  "
+              f"{n[4]:>5}  {gap:.3g}")
     print("command               invocations  moved")
     for command in per_command:
         print(f"{command:<21} {per_command[command]:>11}  {moved_per_command[command]:>5}")

@@ -1,5 +1,6 @@
 """Mutation check of the test suite: each mutant of the oracle routes' checks,
-the mixing map and the enumerator must make one of its tests fail.
+the mixing map, the enumerator, the payoff-scale rules and the sampler must
+make one of its tests fail.
 
 Usage, from the root of a git checkout:
 
@@ -43,6 +44,8 @@ class Mutant(NamedTuple):
 
 _QUANTUM = "src/qstatic/quantum_core.py"
 _EQUILIBRIA = "src/qstatic/equilibria.py"
+_MONTECARLO = "src/qstatic/montecarlo.py"
+_SAMPLER_TESTS = ("tests/test_montecarlo.py::TestBinomialSampler",)
 _DENSITY_TESTS = ("tests/test_quantum_core.py::TestDensityMatrix",)
 
 #: The ten comparisons of ``DensityMatrix``'s Hermitian test.
@@ -191,6 +194,69 @@ MUTANTS: tuple[Mutant, ...] = (
         "MERGE_TOL = 1e-12\n",
         "MERGE_TOL = 1e-11\n",
         ("tests/test_equilibria.py::TestUniqueSolution",),
+    ),
+    Mutant(
+        "the closed-form oracles' product rule removed",
+        _EQUILIBRIA,
+        "    if not all(map(math.isfinite, products)):\n",
+        "    if False:\n",
+        ("tests/test_equilibria.py::TestEntangledClosedForms",),
+    ),
+    Mutant(
+        "ranking by the payoff sum, which overflows, after the smaller payoff",
+        _EQUILIBRIA,
+        "        return (a, b, n.p_star, n.q_star) if a <= b else (b, a, n.p_star, n.q_star)\n",
+        "        return (min(a, b), a + b, n.p_star, n.q_star)\n",
+        ("tests/test_equilibria.py::TestRanking",),
+    ),
+    Mutant(
+        "the payoff range check shared by GamePayoffs and Bimatrix removed",
+        "src/qstatic/game_core.py",
+        "    if not math.isfinite(max(payoffs) - min(payoffs)):\n",
+        "    if False:\n",
+        (
+            "tests/test_game_core.py::TestBimatrixValidation",
+            "tests/test_game_core.py::TestBosBimatrix",
+        ),
+    ),
+    Mutant(
+        "simulate's statistics summed in plain payoffs, not in a power-of-two unit",
+        _MONTECARLO,
+        "        e = math.frexp(max(abs(v) for c, v in zip(counts, payoffs) if c))[1]\n",
+        "        e = 0\n",
+        ("tests/test_montecarlo.py::TestPayoffScale",),
+    ),
+    Mutant(
+        "BTRS acceptance reads CPython's lgamma-difference pmf",
+        _MONTECARLO,
+        "        _stirling_error(n) - _stirling_error(k) - _stirling_error(n - k)\n"
+        "        - _deviance(k, n * p) - _deviance(n - k, n * (1.0 - p))\n"
+        "        + 0.5 * math.log(n / (2 * math.pi * k * (n - k)))\n",
+        "        math.lgamma(n + 1.0) - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)\n"
+        "        + k * math.log(p) + (n - k) * math.log1p(-p)\n",
+        ("tests/test_montecarlo.py::TestBinomialSampler::"
+         "test_largest_trial_count_follows_the_normal_limit",),
+    ),
+    Mutant(
+        "log(1 - p) as the geometric rate",
+        _MONTECARLO,
+        "        rate = math.log1p(-p)\n",
+        "        rate = math.log(1 - p)\n",
+        _SAMPLER_TESTS,
+    ),
+    Mutant(
+        "the mirror above p = 1/2 drops its n -",
+        _MONTECARLO,
+        "        return n - _binomial(rng, n, 1.0 - p)\n",
+        "        return _binomial(rng, n, 1.0 - p)\n",
+        _SAMPLER_TESTS,
+    ),
+    Mutant(
+        "an outcome of probability 0 gets a count",
+        _MONTECARLO,
+        "    if p <= 0.0:\n        return 0\n",
+        "    if p <= 0.0:\n        return min(n, 1)\n",
+        ("tests/test_montecarlo.py::test_impossible_outcomes_get_no_counts",),
     ),
 )
 
