@@ -53,6 +53,8 @@ AMPLITUDE_NORM_TOL = 1e-9
 CLASSICAL_PROBABILITIES = (1.0, 0.0, 0.0, 0.0)
 #: How far squared normalized amplitudes miss an exact probability such as 1/2.
 PROBABILITY_ROUNDOFF = 4 * sys.float_info.epsilon
+#: Amplitudes of at most this modulus are zero: in the family test, the table and exact columns.
+ZERO_AMPLITUDE = 1e-12
 #: Largest ``sweep --steps``: a json a2 sweep this long took 1.8 s and 300 MB on a 2-core EPYC.
 SWEEP_MAX_STEPS = 100_001
 
@@ -133,8 +135,7 @@ def _load_state(path: str, raw: Any) -> tuple[StateVector, str, str | None]:
                 "initial_state",
                 f"unknown preset {raw!r}; choose one of {', '.join(PRESET_STATES)}",
             )
-        half = math.sqrt(0.5)
-        state = StateVector.oo_tt(half, half) if raw == "bell" else StateVector.basis(raw)
+        state = StateVector.bell() if raw == "bell" else StateVector.basis(raw)
         return state, "preset", raw
     if isinstance(raw, dict):
         if set(raw) != {"a2"}:
@@ -277,9 +278,10 @@ def _exact_equilibria(
     payoffs_b: Sequence[float],
 ) -> Sequence[NashPoint] | None:
     """``points`` rerun on the Fraction surfaces of the input as ``_fraction``
-    reads it, probabilities within PROBABILITY_ROUNDOFF; None if a number does
+    reads it, a probability as 0 only at a zero amplitude; None if a number does
     not read, the probabilities do not sum to 1, or other kinds come back."""
-    exact = [_fraction(x, PROBABILITY_ROUNDOFF) for x in probabilities]
+    exact = [_fraction(x, PROBABILITY_ROUNDOFF) or None if x > ZERO_AMPLITUDE**2 else Fraction(0)
+             for x in probabilities]
     table = [[_fraction(x) for x in payoffs] for payoffs in (payoffs_a, payoffs_b)]
     if None in exact + table[0] + table[1] or sum(exact) != 1:
         return None
@@ -310,13 +312,13 @@ def _game_json(cfg: LoadedConfig) -> dict:
 
 def _state_json(cfg: LoadedConfig) -> dict:
     """The configured state; ``family_a2`` is null outside the |OO>/|TT>
-    family, whose middle amplitudes have moduli of at most 1e-12."""
+    family, whose middle amplitudes are zero by ``ZERO_AMPLITUDE``."""
     d0, d1, d2, _ = cfg.state.probabilities
     return {
         "form": cfg.state_form,
         "name": cfg.preset_name,
         "amplitudes": _amp_pairs(cfg.state),
-        "family_a2": d0 if max(d1, d2) <= 1e-24 else None,
+        "family_a2": d0 if max(d1, d2) <= ZERO_AMPLITUDE**2 else None,
     }
 
 
@@ -577,9 +579,8 @@ def cmd_sweep(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
         bp_a, bp_b = payoff_surfaces(cfg.state.probabilities, *_bos_table(params))
         payload["fixed"] = fixed
         for value in values:
-            mix = MixingChoice(**{args.param: value}, **fixed)
-            pay_a, pay_b = bp_a.value(mix.p, mix.q), bp_b.value(mix.p, mix.q)
-            rows.append({"p": mix.p, "q": mix.q, "payoff_a": pay_a, "payoff_b": pay_b})
+            p, q = (value, args.q) if args.param == "p" else (args.p, value)
+            rows.append(dict(p=p, q=q, payoff_a=bp_a.value(p, q), payoff_b=bp_b.value(p, q)))
     return payload
 
 
@@ -643,10 +644,9 @@ def _eq_table_lines(rows: list[dict]) -> list[str]:
 def _state_table_line(pairs: list[list[float]]) -> str:
     terms = []
     for (re, im), label in zip(pairs, BASIS_LABELS):
-        if abs(complex(re, im)) <= 1e-12:
-            continue
-        coeff = _fnum(re) if abs(im) <= 1e-12 else f"({_fnum(re)}{im:+.6g}i)"
-        terms.append(f"{coeff}|{label}>")
+        if abs(complex(re, im)) > ZERO_AMPLITUDE:
+            coeff = _fnum(re) if abs(im) <= ZERO_AMPLITUDE else f"({_fnum(re)}{im:+.6g}i)"
+            terms.append(f"{coeff}|{label}>")
     return " + ".join(terms) if terms else "0"
 
 

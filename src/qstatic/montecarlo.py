@@ -180,12 +180,12 @@ def simulate(config: SimulationConfig) -> SimulationReport:
     counts.append(left)
 
     def stats(payoffs: tuple[float, ...]) -> tuple[float, float]:
-        # Sums in units of 2^e, the power of two above every counted payoff, are exact
-        # and cannot overflow. Rounding can carry the mean to 2^e, which may be 2^1024.
+        # Sums in units of 2^e, the power of two above every counted payoff, are exact and
+        # cannot overflow; the mean is clamped to the counted units, which lie in (-1, 1).
         e = math.frexp(max(abs(v) for c, v in zip(counts, payoffs) if c))[1]
         units = [(c, math.ldexp(v, -e)) for c, v in zip(counts, payoffs) if c]
         mean = math.fsum(c * v for c, v in units) / config.rounds
-        mean = min(max(mean, 2**-53 - 1), 1 - 2**-53)
+        mean = min(max(mean, min(v for _, v in units)), max(v for _, v in units))
         var = math.fsum(c * (v - mean) ** 2 for c, v in units) / max(config.rounds - 1, 1)
         return math.ldexp(mean, e), math.ldexp(math.sqrt(var / config.rounds), e)
 

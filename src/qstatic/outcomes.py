@@ -89,8 +89,8 @@ class StateVector:
 
     @classmethod
     def bell(cls) -> StateVector:
-        """The maximally entangled state (|OO> + |TT>) / sqrt(2)."""
-        return cls.oo_tt(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
+        """The maximally entangled state (|OO> + |TT>) / sqrt(2): the family at a2 = 1/2."""
+        return cls.oo_tt(math.sqrt(0.5), math.sqrt(0.5))
 
     def density_matrix(self) -> DensityMatrix:
         """The projector |psi><psi| as a numpy-backed ``DensityMatrix``."""

@@ -27,6 +27,7 @@ from qstatic.equilibria import (
 )
 from qstatic.errors import InternalConsistencyError
 from qstatic.game_core import GamePayoffs, _bos_table
+from qstatic.outcomes import StateVector
 from qstatic.quantum_core import (
     DensityMatrix,
     MixingChoice,
@@ -230,6 +231,19 @@ class TestConfigLoading:
         assert family_facts(capsys, path) == (1.0, True)
         assert main([command[0], "--config", path, *command[1:]]) == 0
         capsys.readouterr()
+
+    def test_every_bell_construction_is_one_state(self, tmp_path):
+        """The preset, the family object at a2 = 1/2, the library's Bell state
+        and the family member at 1/2 have the same amplitudes, bit for bit."""
+        bos = {"alpha": 3, "beta": 2, "gamma": 1}
+        states = [
+            load_config(write_config(tmp_path, {"payoffs": bos, "initial_state": state}, name))
+            .state
+            for state, name in (("bell", "preset.json"), ({"a2": 0.5}, "family.json"))
+        ]
+        states += [StateVector.bell(), EntangledFamilyState(0.5).state_vector()]
+        amplitudes = {tuple((a.real.hex(), a.imag.hex()) for a in s.amplitudes) for s in states}
+        assert len(amplitudes) == 1
 
     def test_family_form(self, tmp_path, capsys):
         path = write_config(
@@ -627,6 +641,26 @@ class TestQuantumCommand:
         assert doc["unique_solution"]["final_state"] == doc["initial_state"]["amplitudes"]
         assert main(["quantum", "--config", path]) == 0
         assert "shared final state: 0.707107|OO> + -0.707107|TT>" in capsys.readouterr().out
+
+    def test_one_zero_rule_for_the_family_and_the_exact_columns(self, capsys):
+        """A middle amplitude of 1e-11 is not zero: no family, no verdict and
+        no exact columns, which would describe 0.6|OO> + 0.8|TT>. At 1e-13
+        it is zero, and the report keeps all three."""
+        def report(name):
+            return run_json(capsys, ["quantum", "--config", str(DATA / "golden" / name)])
+
+        def exact_columns(doc):
+            return [row[f"{key}_exact"] for row in doc["equilibria"] for key in cli.EQ_FIELDS]
+
+        outside = report("middle_1e-11.json")
+        assert outside["initial_state"]["family_a2"] is None
+        assert outside["unique_solution"] is None
+        assert exact_columns(outside) == [None] * 12
+        inside = report("middle_1e-13.json")
+        assert inside["initial_state"]["family_a2"] == 0.36
+        assert inside["unique_solution"]["merged"] is False
+        assert exact_columns(inside)[:4] == ["1", "1", "59/25", "66/25"]
+        assert None not in exact_columns(inside)
 
     def test_bimatrix_payoffs_rejected(self, tmp_path, capsys):
         path = write_config(
@@ -1271,6 +1305,18 @@ _DOCUMENT = _sometimes(
     ),
 )
 _MIX = _sometimes(st.sampled_from(["-0.5", "1.5", "nan", "inf"]), st.floats(0, 1).map(repr))
+#: Raw bytes around the JSON text: a UTF-8 BOM before it, or a byte that is
+#: not UTF-8 inside its first string.
+_RAW_BYTES = _sometimes(
+    st.sampled_from([lambda text: b"\xef\xbb\xbf" + text,
+                     lambda text: text.replace(b'"', b'"\xff', 1) if b'"' in text else b'"\xff"']),
+    st.just(lambda text: text),
+)
+#: Where an error line may point: a config field (or the whole document) in
+#: its file, or a command's option.
+_CONFIG_FIELD = r"(payoffs|initial_state|labels)(\.\w+)?(\[\d+\])*: "
+_WHOLE_CONFIG = r"cannot read config|invalid JSON|top level must|unknown config keys"
+_OPTION = r"(simulate|sweep): (rounds|seed|p|q|steps) "
 
 
 @st.composite
@@ -1295,12 +1341,15 @@ def _options(draw, command):
 @settings(derandomize=True, max_examples=75, deadline=None)
 @given(data=st.data(), doc=_DOCUMENT)
 def test_any_config_document_exits_0_or_2(tmp_path_factory, command, data, doc):
-    """Well-formed or broken config documents, under every command and
-    format: exit 0 with clean stderr, or exit 2 with one error line; never
-    a traceback, exit 1, warning, or non-finite number in the output."""
+    """Well-formed or broken config documents, some with raw bytes, under
+    every command and format: exit 0 with clean stderr and, in json, a
+    schema-valid report; or exit 2 with one error line that names the config
+    path and field, or the option. Never a traceback, exit 1, warning, or
+    non-finite number in the output."""
     path = tmp_path_factory.mktemp("fuzz") / "game.json"
-    path.write_text(json.dumps(doc))
-    argv = [command, "--config", str(path), *data.draw(_options(command))]
+    path.write_bytes(data.draw(_RAW_BYTES)(json.dumps(doc).encode()))
+    options = data.draw(_options(command))
+    argv = [command, "--config", str(path), *options]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with warnings.catch_warnings():
@@ -1310,8 +1359,12 @@ def test_any_config_document_exits_0_or_2(tmp_path_factory, command, data, doc):
     assert code in (0, 2), err
     if code == 0:
         assert err == ""
+        if options[1] == "json":
+            REPORT_VALIDATOR.validate(json.loads(out))
     else:
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert out == "" and err.count("\n") == 1
+        where = rf"error: ({re.escape(str(path))}(:\d+:\d+)?: ({_CONFIG_FIELD}|{_WHOLE_CONFIG})|{_OPTION})"
+        assert re.match(where, err), err
     assert not re.search(r"Infinity|NaN|\b(inf|nan)\b", out), out
 
 

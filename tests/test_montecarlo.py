@@ -73,6 +73,17 @@ class TestDeterministicCases:
         assert sum(report.counts) == 1
         assert (report.std_error_a, report.std_error_b) == (0.0, 0.0)
 
+    def test_one_outcome_gives_its_payoffs_exactly(self):
+        # 3 * 0.1 rounds up, and its quotient by 3 is not 0.1; the mean is
+        # clamped to the counted payoffs, so one outcome gives its own.
+        cfg = SimulationConfig(
+            3, 0, MixingChoice(1.0, 1.0), StateVector.basis("OO"), GamePayoffs(0.3, 0.1, 0)
+        )
+        report = simulate(cfg)
+        assert report.counts == (3, 0, 0, 0)
+        assert (report.mean_payoff_a, report.mean_payoff_b) == (0.3, 0.1)
+        assert (report.std_error_a, report.std_error_b) == (0.0, 0.0)
+
     def test_certain_outcome_at_the_largest_round_count(self):
         rounds = 2**63 - 1
         cfg = config(StateVector.basis("OO"), 1.0, 1.0, rounds, 123)
