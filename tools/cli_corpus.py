@@ -4,34 +4,42 @@ sort every output that moved.
 Usage, from the root of a checkout:
 
     python tools/cli_corpus.py --before OLD_CHECKOUT --after NEW_CHECKOUT \
-        [--seed 1] [--configs 600] [--report moved.json]
+        [--seed 1] [--report moved.json]
 
 Each checkout is imported from its ``src/`` in its own worker process, which
 runs every invocation through ``qstatic.cli.main`` in process and also keeps
 the report payload that ``main`` renders, at full float precision. The
-corpus draws ``--configs`` configs covering every payoff form (levels at
-scales 1e-6 to 1e12, small integers, a large common offset, 2x2 and 3x3
-bimatrices) and every state form (presets, ``{a2}`` objects, in-family and
-out-of-family amplitudes), then ``--configs // 10`` more in the
-``levels-wide`` stratum: levels 4*10^k, 1..5 and 0 with k from 14 to 17,
-whose slopes span 14 to 18 decades. That stratum draws from its own
-``random.Random``, so every other stratum draws the same configs for a seed
-as it did before the stratum was added. So does the ``extreme`` stratum of
-``--configs // 10`` more, drawn last: integer levels in -7..7 (form
-``levels-extreme``), or one time in four a 2x2 bimatrix of integers in
--5..5 (``bimatrix-extreme``), times 2^k with k from 990 to 1020 or -1020
-to -990, near both ends of the float range. Each config runs ``classical``,
-``quantum`` in both modes, ``sweep`` over a2, p or q, and ``simulate``, each
-in table, json and csv: 15 invocations per config.
+corpus draws 600 configs covering every payoff form (levels at scales 1e-6
+to 1e12, small integers, a large common offset, 2x2 and 3x3 bimatrices) and
+every state form (presets, ``{a2}`` objects, in-family and out-of-family
+amplitudes), then three strata of 60 configs each. Each stratum draws from
+its own ``random.Random``, so every other stratum draws the same configs for
+a seed as it did before the stratum was added:
+
+- ``levels-wide``: levels 4*10^k, 1..5 and 0 with k from 14 to 17, whose
+  slopes span 14 to 18 decades;
+- ``extreme``: integer levels in -7..7 (form ``levels-extreme``), or one
+  time in four a 2x2 bimatrix of integers in -5..5 (``bimatrix-extreme``),
+  times 2^k with k from 990 to 1020 or -1020 to -990, near both ends of the
+  float range;
+- ``near-family``: levels as in the main corpus, and a family state whose
+  a2 has a denominator up to 12, with one of its four amplitudes set to
+  modulus 10^-k (k from 8 to 16, any phase) and then normalized: amplitudes
+  on both sides of the zero rule and of the exact reading. Its form is
+  ``near-family-kNN``, so the summary counts each k.
+
+Each config runs ``classical``, ``quantum`` in both modes, ``sweep`` over
+a2, p or q, and ``simulate``, each in table, json and csv: 15 invocations
+per config, 11,700 per seed.
 
 An invocation moved when its exit code, stdout or stderr differ. Each moved
 one falls in one class, read off the two payloads:
 
 - ``exact``: the payloads are byte-identical once every ``*_exact`` field
-  that was null before is read as null after, and every float is read at
-  the 12 significant digits that the json and csv views print: only exact
-  columns filled in. The table's widths change with them, so the text
-  cannot decide this;
+  is read as null and every float at the 12 significant digits that the
+  json and csv views print: only exact columns moved, filled in, emptied
+  or changed. The table's widths change with them, so the text cannot
+  decide this;
 - ``mirror``: a quantum ranking in which only mirror corners, (1,1) and
   (0,0) or (1,0) and (0,1), traded places; with the gaps recomputed for the
   traded order, the payloads agree within the round-off bound below;
@@ -76,6 +84,8 @@ UNIT_KEYS = {
     "final_state", "outcome_probabilities",
 }
 FORMATS = ("table", "json", "csv")
+#: Configs in the main corpus; each further stratum has a tenth as many.
+N_CONFIGS = 600
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +160,17 @@ def _state(rng: random.Random) -> Any:
     return [[a.real, a.imag] for a in amps]
 
 
+def _near_family(rng: random.Random) -> tuple[list, int]:
+    """A family state with one amplitude set to modulus 10^-k and normalized, and k."""
+    k = rng.randint(8, 16)
+    den = rng.randint(1, 12)
+    a2 = rng.randint(0, den) / den
+    amps = [math.sqrt(a2), 0.0, 0.0, math.sqrt(1 - a2)]
+    amps[rng.randrange(4)] = 10.0**-k * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+    return [[(a / norm).real, (a / norm).imag] for a in amps], k
+
+
 def _commands(rng: random.Random) -> list[list[str]]:
     sweep = ["sweep", "--param", rng.choice(("a2", "p", "q")), "--steps", str(rng.randint(2, 41))]
     sweep += ["--p", str(round(rng.random(), 3)), "--q", str(round(rng.random(), 3))]
@@ -164,22 +185,31 @@ def _commands(rng: random.Random) -> list[list[str]]:
     ]
 
 
-def build_corpus(seed: int, n_configs: int, directory: Path) -> list[dict]:
+def build_corpus(seed: int, directory: Path) -> list[dict]:
     """Write the configs under ``directory``; return one case per invocation."""
     main_rng, wide_rng = random.Random(seed), random.Random(f"levels-wide {seed}")
     extreme_rng = random.Random(f"extreme {seed}")
+    near_rng = random.Random(f"near-family {seed}")
+    stratum = N_CONFIGS // 10
     cases = []
-    for i in range(n_configs + 2 * (n_configs // 10)):
-        if i < n_configs:
+    for i in range(N_CONFIGS + 3 * stratum):
+        if i < N_CONFIGS:
             rng = main_rng
             payoffs, scale, form = _bimatrix(rng) if rng.random() < 0.15 else _levels(rng)
-        elif i < n_configs + n_configs // 10:
+        elif i < N_CONFIGS + stratum:
             rng = wide_rng
             payoffs, scale, form = _wide_levels(rng)
-        else:
+        elif i < N_CONFIGS + 2 * stratum:
             rng = extreme_rng
             payoffs, scale, form = _extreme(rng)
-        config: dict[str, Any] = {"payoffs": payoffs, "initial_state": _state(rng)}
+        else:
+            rng = near_rng
+            payoffs, scale, _ = _levels(rng)
+            state, k = _near_family(rng)
+            form = f"near-family-k{k:02d}"
+        if rng is not near_rng:
+            state = _state(rng)
+        config: dict[str, Any] = {"payoffs": payoffs, "initial_state": state}
         if rng.random() < 0.2 and "alpha" in payoffs:
             config["labels"] = {"a": ["Opera", "TV"], "b": ["Opera", "TV"]}
         path = directory / f"config_{i:05d}.json"
@@ -302,20 +332,14 @@ def _mirror_swaps(payload: dict) -> list[dict]:
     return versions
 
 
-def _printed(before: Any, after: Any) -> Any:
-    """``after`` with floats at 12 significant digits, and with every
-    ``*_exact`` field that is null in ``before`` read as null."""
-    if isinstance(before, dict) and isinstance(after, dict):
-        return {
-            k: None if k.endswith("_exact") and k in before and before[k] is None
-            else _printed(before.get(k), v)
-            for k, v in after.items()
-        }
-    if isinstance(after, list):
-        if not (isinstance(before, list) and len(before) == len(after)):
-            before = [None] * len(after)
-        return [_printed(b, a) for b, a in zip(before, after)]
-    return float(f"{after:.12g}") if type(after) is float else after
+def _printed(payload: Any) -> Any:
+    """``payload`` with floats at 12 significant digits and every ``*_exact``
+    field read as null."""
+    if isinstance(payload, dict):
+        return {k: None if k.endswith("_exact") else _printed(v) for k, v in payload.items()}
+    if isinstance(payload, list):
+        return [_printed(v) for v in payload]
+    return float(f"{payload:.12g}") if type(payload) is float else payload
 
 
 def _finite(payload: Any) -> bool:
@@ -335,7 +359,7 @@ def classify(before: dict, after: dict, scale: float) -> tuple[str, float, str]:
     old, new = before["payload"], after["payload"]
     if old is None or new is None:
         return "other", math.inf, "stdout changed without a payload"
-    if json.dumps(_printed(old, old)) == json.dumps(_printed(old, new)):
+    if json.dumps(_printed(old)) == json.dumps(_printed(new)):
         return "exact", 0.0, ""
     try:
         gap = _float_gap(old, new, scale)
@@ -366,9 +390,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--before", type=Path, help="checkout with the old code")
     parser.add_argument("--after", type=Path, help="checkout with the new code")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--configs", type=int, default=600,
-                        help="15 invocations each, plus a tenth as many levels-wide configs "
-                             "and a tenth as many extreme ones")
     parser.add_argument("--report", type=Path, help="write every moved case here as JSON")
     args = parser.parse_args(argv)
     if args.worker:
@@ -378,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--before and --after are required")
 
     with tempfile.TemporaryDirectory(prefix="cli_corpus_") as tmp:
-        cases = build_corpus(args.seed, args.configs, Path(tmp))
+        cases = build_corpus(args.seed, Path(tmp))
         argvs = [case["argv"] for case in cases]
         old, new = run_checkout(args.before, argvs), run_checkout(args.after, argvs)
         invocations = Counter(case["form"] for case in cases)
@@ -401,9 +422,8 @@ def main(argv: list[str] | None = None) -> int:
                           "reason": reason,
                           "first_difference": _first_difference(before["stdout"], after["stdout"])})
 
-    print(f"invocations: {len(cases)} ({args.configs} configs, {args.configs // 10} "
-          f"levels-wide and {args.configs // 10} extreme, seed {args.seed}); "
-          f"moved: {len(moved)}")
+    print(f"invocations: {len(cases)} ({N_CONFIGS} configs, {N_CONFIGS // 10} each levels-wide, "
+          f"extreme and near-family, seed {args.seed}); moved: {len(moved)}")
     print("payoff form        invocations  exact  mirror  round-off  accepted  other  "
           "largest round-off gap")
     for form in sorted(invocations):
