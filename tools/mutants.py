@@ -1,6 +1,7 @@
 """Mutation check of the test suite: each mutant of the oracle routes' checks,
-the mixing map, the enumerator, the payoff-scale rules and the sampler must
-make one of its tests fail.
+the mixing map, the payoff surfaces, the enumerator, the payoff-scale rules,
+the sampler and the CLI's reading of the configured state must make one of
+its tests fail.
 
 Usage, from the root of a git checkout:
 
@@ -45,6 +46,8 @@ class Mutant(NamedTuple):
 _QUANTUM = "src/qstatic/quantum_core.py"
 _EQUILIBRIA = "src/qstatic/equilibria.py"
 _MONTECARLO = "src/qstatic/montecarlo.py"
+_CLI = "src/qstatic/cli.py"
+_OUTCOMES = "src/qstatic/outcomes.py"
 _SAMPLER_TESTS = ("tests/test_montecarlo.py::TestBinomialSampler",)
 _DENSITY_TESTS = ("tests/test_quantum_core.py::TestDensityMatrix",)
 
@@ -97,7 +100,7 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "StateVector norm check removed",
-        "src/qstatic/outcomes.py",
+        _OUTCOMES,
         "        if not abs(norm_sq - 1.0) <= STATE_NORM_TOL:\n",
         "        if False:\n",
         ("tests/test_quantum_core.py::TestStateVector",),
@@ -160,14 +163,14 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "_flipped swaps the row and column bits",
-        "src/qstatic/outcomes.py",
+        _OUTCOMES,
         "    s = 2 * int(row_flips) + int(col_flips)\n",
         "    s = int(row_flips) + 2 * int(col_flips)\n",
         ("tests/test_quantum_core.py::TestMixedFinalDensity",),
     ),
     Mutant(
         "_corner_means lists the corners (1,0) and (0,1) in each other's place",
-        "src/qstatic/outcomes.py",
+        _OUTCOMES,
         "        (x0 * d1 + x1 * d0) + (x2 * d3 + x3 * d2),\n"
         "        (x0 * d2 + x1 * d3) + (x2 * d0 + x3 * d1),\n",
         "        (x0 * d2 + x1 * d3) + (x2 * d0 + x3 * d1),\n"
@@ -257,6 +260,84 @@ MUTANTS: tuple[Mutant, ...] = (
         "    if p <= 0.0:\n        return 0\n",
         "    if p <= 0.0:\n        return min(n, 1)\n",
         ("tests/test_montecarlo.py::test_impossible_outcomes_get_no_counts",),
+    ),
+    Mutant(
+        "payoff_surfaces measures the corners from 0, not from the smallest payoff",
+        _OUTCOMES,
+        "    base_a, base_b = min(payoffs_a), min(payoffs_b)\n",
+        "    base_a = base_b = 0\n",
+        ("tests/test_game_core.py::TestBilinearPayoff",),
+    ),
+    Mutant(
+        "BilinearPayoff.value drops its base",
+        "src/qstatic/game_core.py",
+        "        return self.base + (\n",
+        "        return (\n",
+        ("tests/test_game_core.py::TestBilinearPayoff",),
+    ),
+    Mutant(
+        "no round-off allowance on the enumerator's slopes",
+        _EQUILIBRIA,
+        "_ROUNDOFF = 8 * sys.float_info.epsilon\n",
+        "_ROUNDOFF = 0.0\n",
+        ("tests/test_equilibria.py::TestEnumerator",),
+    ),
+    Mutant(
+        "the merge test reads the amplitudes' moduli, not their phases",
+        _EQUILIBRIA,
+        "    amps = vector.amplitudes\n",
+        "    amps = [abs(a) for a in vector.amplitudes]\n",
+        ("tests/test_equilibria.py::TestUniqueSolution",),
+    ),
+    Mutant(
+        "montecarlo imported at the top of cli",
+        _CLI,
+        "from .report_schema import SCHEMA_VERSION\n",
+        "from . import montecarlo  # noqa: F401\nfrom .report_schema import SCHEMA_VERSION\n",
+        ("tests/test_cli.py::TestNumpyFreeImportPath",),
+    ),
+    Mutant(
+        "_tactic_state keeps the sign of a zero product",
+        _CLI,
+        "    return StateVector([r * c + 0.0 for r in row for c in col])\n",
+        "    return StateVector([r * c for r in row for c in col])\n",
+        ("tests/test_cli.py::TestQuantumCommand",),
+    ),
+    Mutant(
+        "_tactic_state gives the row player q and the column player p",
+        _CLI,
+        "    row = (math.sqrt(p), -math.sqrt(1 - p))\n    col = (math.sqrt(q), -math.sqrt(1 - q))\n",
+        "    row = (math.sqrt(q), -math.sqrt(1 - q))\n    col = (math.sqrt(p), -math.sqrt(1 - p))\n",
+        ("tests/test_cli.py::TestQuantumCommand",),
+    ),
+    Mutant(
+        "the a2 sweep's kinds check removed",
+        _CLI,
+        '            if found[:2] != [("corner", 1, 1), ("corner", 0, 0)] or others != ["interior"]:\n',
+        "            if False:\n",
+        ("tests/test_cli.py::TestSweepCommand",),
+    ),
+    Mutant(
+        "StateVector.bell() back to 1/sqrt(2), one ulp from the bell preset",
+        _OUTCOMES,
+        "        return cls.oo_tt(math.sqrt(0.5), math.sqrt(0.5))\n",
+        "        return cls.oo_tt(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))\n",
+        ("tests/test_cli.py::TestConfigLoading",),
+    ),
+    Mutant(
+        "the exact columns read any probability up to 4 eps as 0",
+        _CLI,
+        "    exact = [_fraction(x, PROBABILITY_ROUNDOFF) or None if x > ZERO_AMPLITUDE**2 else Fraction(0)\n"
+        "             for x in probabilities]\n",
+        "    exact = [_fraction(x, PROBABILITY_ROUNDOFF) for x in probabilities]\n",
+        ("tests/test_cli.py::TestQuantumCommand",),
+    ),
+    Mutant(
+        "simulate clamps the mean to (-1, 1) units, not to the counted payoffs",
+        _MONTECARLO,
+        "        mean = min(max(mean, min(v for _, v in units)), max(v for _, v in units))\n",
+        "        mean = min(max(mean, 2**-53 - 1), 1 - 2**-53)\n",
+        ("tests/test_montecarlo.py::TestDeterministicCases",),
     ),
 )
 
