@@ -644,7 +644,7 @@ def _eq_table_lines(rows: list[dict]) -> list[str]:
 def _state_table_line(pairs: list[list[float]]) -> str:
     terms = []
     for (re, im), label in zip(pairs, BASIS_LABELS):
-        if abs(complex(re, im)) > ZERO_AMPLITUDE:
+        if re * re + im * im > ZERO_AMPLITUDE**2:
             coeff = _fnum(re) if abs(im) <= ZERO_AMPLITUDE else f"({_fnum(re)}{im:+.6g}i)"
             terms.append(f"{coeff}|{label}>")
     return " + ".join(terms) if terms else "0"

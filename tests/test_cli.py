@@ -662,6 +662,22 @@ class TestQuantumCommand:
         assert exact_columns(inside)[:4] == ["1", "1", "59/25", "66/25"]
         assert None not in exact_columns(inside)
 
+    @pytest.mark.parametrize(
+        "middle", [[5.590850307780778e-13, -8.291103233948277e-13], [1e-12, 0.0], [0.0, 1.1e-12]]
+    )
+    def test_the_table_shows_a_middle_amplitude_exactly_outside_the_family(
+        self, tmp_path, capsys, middle
+    ):
+        # Moduli near 1e-12; at the first, |a| rounds to at most 1e-12 while
+        # re^2 + im^2 rounds above 1e-24, so the two must be one test.
+        amplitudes = [[0.6, 0.0], middle, [0.0, 0.0], [0.8, 0.0]]
+        path = write_config(
+            tmp_path, {"payoffs": {"alpha": 3, "beta": 2, "gamma": 1}, "initial_state": amplitudes}
+        )
+        family_a2, _ = family_facts(capsys, path)
+        assert main(["quantum", "--config", path]) == 0
+        assert ("|OT>" in capsys.readouterr().out) == (family_a2 is None)
+
     def test_bimatrix_payoffs_rejected(self, tmp_path, capsys):
         path = write_config(
             tmp_path,
