@@ -306,8 +306,10 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "_tactic_state gives the row player q and the column player p",
         _CLI,
-        "    row = (math.sqrt(p), -math.sqrt(1 - p))\n    col = (math.sqrt(q), -math.sqrt(1 - q))\n",
-        "    row = (math.sqrt(q), -math.sqrt(1 - q))\n    col = (math.sqrt(p), -math.sqrt(1 - p))\n",
+        "    row = (math.sqrt(p), -math.sqrt(1 - p))\n"
+        "    col = (math.sqrt(q), -math.sqrt(1 - q))\n",
+        "    row = (math.sqrt(q), -math.sqrt(1 - q))\n"
+        "    col = (math.sqrt(p), -math.sqrt(1 - p))\n",
         ("tests/test_cli.py::TestQuantumCommand",),
     ),
     Mutant(
@@ -330,6 +332,13 @@ MUTANTS: tuple[Mutant, ...] = (
         "    exact = [_fraction(x, PROBABILITY_ROUNDOFF) or None if x > ZERO_AMPLITUDE**2 else Fraction(0)\n"
         "             for x in probabilities]\n",
         "    exact = [_fraction(x, PROBABILITY_ROUNDOFF) for x in probabilities]\n",
+        ("tests/test_cli.py::TestQuantumCommand",),
+    ),
+    Mutant(
+        "the table's state line tests |a| against 1e-12, not the family test's re^2 + im^2",
+        _CLI,
+        "        if re * re + im * im > ZERO_AMPLITUDE**2:\n",
+        "        if abs(complex(re, im)) > ZERO_AMPLITUDE:\n",
         ("tests/test_cli.py::TestQuantumCommand",),
     ),
     Mutant(
