@@ -56,6 +56,9 @@ HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 #: Eigenvalues may dip slightly negative from repeated conjugation round-off.
 EIGENVALUE_FLOOR = -1e-10
+#: How far above the floor a positivity certificate must place the spectrum;
+#: far wider than the certificate's own round-off, about 1e-15.
+_CERTIFICATE_MARGIN = 1e-12
 #: A payoff whose imaginary part exceeds this times the payoff scale is a bug.
 IMAG_PART_TOL = 1e-9
 
@@ -77,6 +80,48 @@ def _flip_index(row_flips: bool, col_flips: bool) -> np.ndarray:
 _MIX_INDEX = np.stack(
     [_flip_index(row, col) for row in (False, True) for col in (False, True)]
 )
+
+
+def _certified_above_floor(
+    a00: complex, a10: complex, a11: complex, a20: complex, a21: complex,
+    a22: complex, a30: complex, a31: complex, a32: complex, a33: complex,
+) -> bool:
+    """Whether an LDL^H factorization of A - (EIGENVALUE_FLOOR +
+    _CERTIFICATE_MARGIN) I has four positive pivots, for the Hermitian A
+    with this lower triangle (the real parts of its diagonal).
+
+    Positive pivots prove A's smallest eigenvalue at least the floor plus the
+    margin, up to the factorization's backward error. A unit-trace A that
+    factors has entries of at most about 1, so that error is about 1e-15,
+    far inside the margin, and eigvalsh would then read A at or above the
+    floor too. False only means not certified: a pivot at or below 0, or
+    NaN from an overflow.
+    """
+    shift = EIGENVALUE_FLOOR + _CERTIFICATE_MARGIN
+    d = a00.real - shift
+    if not d > 0:
+        return False
+    # Schur complement of the first pivot: b_ij = a_ij - a_i0 conj(a_j0) / d.
+    r = 1.0 / d
+    l1, l2, l3 = a10 * r, a20 * r, a30 * r
+    b11 = a11.real - shift - (l1.real * a10.real + l1.imag * a10.imag)
+    b21 = a21 - l2 * a10.conjugate()
+    b31 = a31 - l3 * a10.conjugate()
+    b22 = a22.real - shift - (l2.real * a20.real + l2.imag * a20.imag)
+    b32 = a32 - l3 * a20.conjugate()
+    b33 = a33.real - shift - (l3.real * a30.real + l3.imag * a30.imag)
+    if not b11 > 0:
+        return False
+    # Schur complement of the second pivot.
+    r = 1.0 / b11
+    l2, l3 = b21 * r, b31 * r
+    c22 = b22 - (l2.real * b21.real + l2.imag * b21.imag)
+    c32 = b32 - l3 * b21.conjugate()
+    c33 = b33 - (l3.real * b31.real + l3.imag * b31.imag)
+    if not c22 > 0:
+        return False
+    l3 = c32 * (1.0 / c22)
+    return c33 - (l3.real * c32.real + l3.imag * c32.imag) > 0
 
 
 @dataclass(frozen=True, slots=True, init=False, eq=False)
@@ -126,7 +171,12 @@ class DensityMatrix:
                 f"density matrix trace deviates from 1 by {trace_gap:.3e}"
             )
         if v01 or v02 or v03 or v10 or v12 or v13 or v20 or v21 or v23 or v30 or v31 or v32:
-            smallest = float(np.linalg.eigvalsh(m)[0])
+            # The lower triangle is the half eigvalsh reads. A certificate
+            # stands for the smallest eigenvalue; LAPACK decides the rest.
+            if _certified_above_floor(v00, v10, v11, v20, v21, v22, v30, v31, v32, v33):
+                smallest = EIGENVALUE_FLOOR
+            else:
+                smallest = float(np.linalg.eigvalsh(m)[0])
         else:
             # A diagonal matrix's eigenvalues are its diagonal; eigvalsh reads
             # only the real parts and returns this same value.

@@ -18,6 +18,7 @@ from helpers import (
     reference_density_check,
     reference_trace_payoffs,
 )
+from qstatic.equilibria import EntangledFamilyState
 from qstatic.errors import ConstraintViolation, InternalConsistencyError
 from qstatic.outcomes import _corner_means, _flipped
 from qstatic.game_core import GamePayoffs, MixProbabilities, bos_bimatrix, expected_payoffs
@@ -317,6 +318,87 @@ class TestDensityValidatorMatchesReference:
             "diagonal",
             "non-diagonal",
         }
+
+
+def _straddling_density(rng: np.random.Generator) -> np.ndarray:
+    """U diag(lambda) U^H for a Haar-random unitary U and unit-trace lambda
+    whose smallest value is EIGENVALUE_FLOOR +- 10^u, u uniform on [-18, -9]."""
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    u, r = np.linalg.qr(g)
+    u = u * (r.diagonal() / abs(r.diagonal()))
+    smallest = EIGENVALUE_FLOOR + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-18, -9)
+    rest = rng.dirichlet(np.ones(3)) * (1.0 - smallest)
+    return (u * np.array([smallest, *rest])) @ u.conj().T
+
+
+class TestPositivityCertificate:
+    """A non-diagonal density is accepted by an LDL^H certificate with a
+    margin above the floor; eigvalsh decides only where the certificate
+    fails, so every verdict and message is eigvalsh's."""
+
+    def test_densities_straddling_the_floor_match_the_reference(self, monkeypatch):
+        # 2,000 seeded draws, most of them within the margin of the floor.
+        fallbacks = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(m):
+            fallbacks.append(m)
+            return eigvalsh(m)
+
+        rng = np.random.default_rng(20)
+        draws = [_straddling_density(rng) for _ in range(2000)]
+        want = [_verdict(reference_density_check, m) for m in draws]
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        got = []
+        outcomes = set()
+        for m, verdict in zip(draws, want):
+            fallbacks.clear()
+            got.append(_verdict(DensityMatrix, m))
+            outcomes.add((verdict is None, bool(fallbacks)))
+        mismatches = [(g, w) for g, w in zip(got, want) if g != w]
+        assert not mismatches, f"{len(mismatches)} of 2000 differ: {mismatches[:3]}"
+        # Certified, accepted by eigvalsh past a failed certificate, rejected.
+        assert outcomes == {(True, False), (True, True), (False, True)}
+
+    def test_valid_densities_are_accepted_without_eigvalsh(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        entries = [
+            EntangledFamilyState(a2).density_matrix().entries
+            for a2 in (0.5, 0.36, 1e-9, 1.0 - 1e-9, *rng.uniform(size=20))
+        ]
+        entries += [random_state(rng).density_matrix().entries for _ in range(50)]
+        entries += [random_density(rng).entries for _ in range(50)]
+        mixed = [
+            mixed_final_density(DensityMatrix(m), MixingChoice(*rng.uniform(size=2))).entries
+            for m in entries
+        ]
+
+        def refused(m):
+            raise AssertionError("eigvalsh called on a valid density")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        for m in entries + mixed:
+            np.testing.assert_array_equal(DensityMatrix(m).entries, m)
+
+    def test_density_below_the_floor_prints_eigvalsh_value(self, monkeypatch):
+        printed = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(m):
+            printed.append(float(eigvalsh(m)[0]))
+            return eigvalsh(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            u = np.linalg.qr(g)[0]
+            m = (u * np.array([-3e-10, 0.2, 0.3, 0.5 + 3e-10])) @ u.conj().T
+            printed.clear()
+            with pytest.raises(ConstraintViolation) as info:
+                DensityMatrix(m)
+            assert len(printed) == 1
+            assert str(info.value) == f"density matrix has a negative eigenvalue ({printed[0]:.3e})"
 
 
 class TestLocalUnitaries:
