@@ -25,8 +25,11 @@ run of the same pair), and a verdict:
 - ``within bound``: anything else.
 
 It also prints each side's failed and attempted ops. ``--out`` receives every
-run's metrics, the figures above and an environment stamp: this host, and the
-stamp that the benchmark printed in each checkout, its git commit included.
+run's metrics, the figures above and an environment stamp: this host, each
+checkout's commit as ``git -C CHECKOUT rev-parse HEAD`` reads it (null
+unless the checkout is the top of a git work tree; a ``git worktree``
+checkout works), and the stamp
+that the benchmark printed in each checkout.
 The exit code is 1 when a run fails or a verdict is ``worse``, and 0
 otherwise. The standard library is all it needs besides the two checkouts.
 """
@@ -85,6 +88,18 @@ def judge(before: list[float], after: list[float], better: str, bound: float) ->
             "bound": bound, "verdict": verdict}
 
 
+def commit_of(checkout: Path) -> str | None:
+    """The commit checked out in ``checkout``, or None when ``checkout`` is
+    not the top of a git checkout (an archive copy inside another checkout
+    must not take that checkout's commit)."""
+    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--show-toplevel", "HEAD"],
+                          capture_output=True, text=True)
+    lines = proc.stdout.split()
+    if proc.returncode != 0 or len(lines) != 2 or Path(lines[0]).resolve() != checkout.resolve():
+        return None
+    return lines[1]
+
+
 def host_stamp() -> dict:
     cpu = ""
     try:
@@ -122,6 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     checkouts = {"before": args.before.resolve(), "after": args.after.resolve()}
     record = {"command": spec["command"], "pairs": args.pairs, "seconds": seconds,
               "seeds": [args.seed + i for i in range(args.pairs)], "host": host_stamp(),
+              "commits": {side: commit_of(path) for side, path in checkouts.items()},
               "checkouts": {}, "workloads": {}}
     worse = False
     for workload in workloads:
