@@ -35,6 +35,8 @@ per config, 11,700 per seed.
 An invocation moved when its exit code, stdout or stderr differ. Each moved
 one falls in one class, read off the two payloads:
 
+- ``view``: the payloads are byte-identical and only the printed text
+  moved, as when the table renders the same payload differently;
 - ``exact``: the payloads are byte-identical once every ``*_exact`` field
   is read as null and every float at the 12 significant digits that the
   json and csv views print: only exact columns moved, filled in, emptied
@@ -78,6 +80,8 @@ from typing import Any
 
 #: Floats within this fraction of their scale count as round-off.
 ROUNDOFF_BOUND = 1e-13
+#: The classes of a moved invocation, in the summary's column order.
+CLASSES = ("view", "exact", "mirror", "round-off", "accepted", "other")
 #: Payload keys whose numbers live on the unit scale rather than the payoff scale.
 UNIT_KEYS = {
     "p", "q", "a2", "interior_p", "interior_q", "family_a2", "amplitudes",
@@ -359,6 +363,8 @@ def classify(before: dict, after: dict, scale: float) -> tuple[str, float, str]:
     old, new = before["payload"], after["payload"]
     if old is None or new is None:
         return "other", math.inf, "stdout changed without a payload"
+    if json.dumps(old) == json.dumps(new):
+        return "view", 0.0, ""
     if json.dumps(_printed(old)) == json.dumps(_printed(new)):
         return "exact", 0.0, ""
     try:
@@ -424,13 +430,13 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"invocations: {len(cases)} ({N_CONFIGS} configs, {N_CONFIGS // 10} each levels-wide, "
           f"extreme and near-family, seed {args.seed}); moved: {len(moved)}")
-    print("payoff form        invocations  exact  mirror  round-off  accepted  other  "
+    print("payoff form        invocations  view  exact  mirror  round-off  accepted  other  "
           "largest round-off gap")
     for form in sorted(invocations):
-        n = [counts[(form, kind)] for kind in ("exact", "mirror", "round-off", "accepted", "other")]
+        n = [counts[(form, kind)] for kind in CLASSES]
         gap = max(largest.get((form, kind), 0.0) for kind in ("mirror", "round-off"))
-        print(f"{form:<18} {invocations[form]:>11}  {n[0]:>5}  {n[1]:>6}  {n[2]:>9}  {n[3]:>8}  "
-              f"{n[4]:>5}  {gap:.3g}")
+        print(f"{form:<18} {invocations[form]:>11}  {n[0]:>4}  {n[1]:>5}  {n[2]:>6}  {n[3]:>9}  "
+              f"{n[4]:>8}  {n[5]:>5}  {gap:.3g}")
     print("command               invocations  moved")
     for command in per_command:
         print(f"{command:<21} {per_command[command]:>11}  {moved_per_command[command]:>5}")

@@ -50,6 +50,7 @@ _CLI = "src/qstatic/cli.py"
 _OUTCOMES = "src/qstatic/outcomes.py"
 _SAMPLER_TESTS = ("tests/test_montecarlo.py::TestBinomialSampler",)
 _DENSITY_TESTS = ("tests/test_quantum_core.py::TestDensityMatrix",)
+_CERTIFICATE_TESTS = ("tests/test_quantum_core.py::TestPositivityCertificate",)
 
 #: The ten comparisons of ``DensityMatrix``'s Hermitian test.
 _HERMITIAN_TEST = """\
@@ -97,6 +98,27 @@ MUTANTS: tuple[Mutant, ...] = (
         "        if v01 or v02 or v03 or v10 or v12 or v13 or v20 or v21 or v23 or v30 or v31 or v32:\n",
         "        if False:\n",
         _DENSITY_TESTS,
+    ),
+    Mutant(
+        "the positivity certificate without its margin above the floor",
+        _QUANTUM,
+        "    shift = EIGENVALUE_FLOOR + _CERTIFICATE_MARGIN\n",
+        "    shift = EIGENVALUE_FLOOR\n",
+        _CERTIFICATE_TESTS,
+    ),
+    Mutant(
+        "a failed positivity certificate rejects at once, without eigvalsh",
+        _QUANTUM,
+        "                smallest = float(np.linalg.eigvalsh(m)[0])\n",
+        "                smallest = -math.inf\n",
+        _CERTIFICATE_TESTS,
+    ),
+    Mutant(
+        "a Schur complement of the certificate drops its term a30 conj(a10) / d",
+        _QUANTUM,
+        "    b31 = a31 - l3 * a10.conjugate()\n",
+        "    b31 = a31\n",
+        _CERTIFICATE_TESTS,
     ),
     Mutant(
         "StateVector norm check removed",
