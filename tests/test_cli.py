@@ -1251,24 +1251,33 @@ def _sometimes(broken, valid):
     return st.integers(0, 7).flatmap(lambda k: broken if k == 7 else valid)
 
 
-_ODD_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 10**400])
+#: A number that overflows a float when the CLI parses it. The test writes
+#: this string into the document as a bare literal, which json.dumps cannot.
+_OVERFLOW_LITERAL = "1.8e308"
+_ODD_NUMBERS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 1e308, -1e308, 10**400, _OVERFLOW_LITERAL]
+)
+#: Zeros of both signs and subnormal numbers: valid wherever a number is.
+_EDGE_NUMBERS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-320])
+_FLOAT = st.one_of(st.floats(-5, 5), _EDGE_NUMBERS)
 _JUNK = st.one_of(
     st.none(), st.booleans(), st.sampled_from(["", "3", "bell", "XX"]), _ODD_NUMBERS,
     st.lists(st.integers(-2, 2), max_size=3), st.fixed_dictionaries({"x": st.just(1)}),
 )
-_NUMBER = _sometimes(st.one_of(_ODD_NUMBERS, _JUNK), st.floats(-5, 5))
+_NUMBER = _sometimes(st.one_of(_ODD_NUMBERS, _JUNK), _FLOAT)
 _LEVELS = st.builds(
-    lambda levels, scale: {
-        key: level * scale
+    lambda levels, scale, zero: {
+        key: level * scale or zero
         for key, level in zip(("alpha", "beta", "gamma"), sorted(levels, reverse=True))
     },
     st.lists(st.integers(-9, 9), min_size=3, max_size=3, unique=True),
-    st.sampled_from([1, 0.37, 1e-300, 1e-13, 1e6, 1e9, 1e13, 1e150, 1.2e154, 1e300]),
+    st.sampled_from([1, 0.37, 5e-324, 1e-300, 1e-13, 1e6, 1e9, 1e13, 1e150, 1.2e154, 1e300]),
+    st.sampled_from([0.0, -0.0]),
 )
 
 
 @st.composite
-def _tables(draw, entries=st.floats(-5, 5)):
+def _tables(draw, entries=_FLOAT):
     shape = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     table = st.lists(st.lists(entries, min_size=shape[1], max_size=shape[1]),
                      min_size=shape[0], max_size=shape[0])
@@ -1287,8 +1296,8 @@ _PAYOFFS = _sometimes(
 
 
 @st.composite
-def _amplitudes(draw, factor=st.just(1.0)):
-    parts = np.array(draw(st.lists(st.floats(-1, 1), min_size=8, max_size=8)))
+def _amplitudes(draw, factor=st.just(1.0), part=st.floats(-1, 1)):
+    parts = np.array(draw(st.lists(part, min_size=8, max_size=8)))
     amps = parts[::2] + 1j * parts[1::2]
     norm = np.linalg.norm(amps)
     amps = amps / norm if norm > 1e-3 else np.array([1.0, 0, 0, 0])
@@ -1302,8 +1311,8 @@ _STATE = _sometimes(
     ),
     st.one_of(
         st.sampled_from(["OO", "OT", "TO", "TT", "bell"]),
-        st.fixed_dictionaries({"a2": st.floats(0, 1)}),
-        _amplitudes(), _amplitudes(),
+        st.fixed_dictionaries({"a2": st.floats(0, 1) | st.sampled_from([-0.0, 5e-324])}),
+        _amplitudes(), _amplitudes(part=st.floats(-1, 1) | _EDGE_NUMBERS),
     ),
 )
 _LABELS = _sometimes(
@@ -1357,13 +1366,15 @@ def _options(draw, command):
 @settings(derandomize=True, max_examples=75, deadline=None)
 @given(data=st.data(), doc=_DOCUMENT)
 def test_any_config_document_exits_0_or_2(tmp_path_factory, command, data, doc):
-    """Well-formed or broken config documents, some with raw bytes, under
+    """Well-formed or broken config documents, some with raw bytes, zeros of
+    either sign, subnormal numbers or a literal past the float range, under
     every command and format: exit 0 with clean stderr and, in json, a
     schema-valid report; or exit 2 with one error line that names the config
     path and field, or the option. Never a traceback, exit 1, warning, or
     non-finite number in the output."""
     path = tmp_path_factory.mktemp("fuzz") / "game.json"
-    path.write_bytes(data.draw(_RAW_BYTES)(json.dumps(doc).encode()))
+    text = json.dumps(doc).replace(f'"{_OVERFLOW_LITERAL}"', _OVERFLOW_LITERAL)
+    path.write_bytes(data.draw(_RAW_BYTES)(text.encode()))
     options = data.draw(_options(command))
     argv = [command, "--config", str(path), *options]
     out, err = io.StringIO(), io.StringIO()
@@ -1382,6 +1393,38 @@ def test_any_config_document_exits_0_or_2(tmp_path_factory, command, data, doc):
         where = rf"error: ({re.escape(str(path))}(:\d+:\d+)?: ({_CONFIG_FIELD}|{_WHOLE_CONFIG})|{_OPTION})"
         assert re.match(where, err), err
     assert not re.search(r"Infinity|NaN|\b(inf|nan)\b", out), out
+
+
+_LEVELS_321 = '{"alpha": 3, "beta": 2, "gamma": 1}'
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ('{"payoffs": {"alpha": 1.8e308, "beta": 2, "gamma": 1}, "initial_state": "bell"}',
+         "payoffs.alpha: expected a finite number, got inf"),
+        (f'{{"payoffs": {_LEVELS_321}, "initial_state": [[1.8e308, 0], [0, 0], [0, 0], [0, 0]]}}',
+         "initial_state[0][0]: expected a finite number, got inf"),
+        ('{"payoffs": {"alpha": 5e-324, "beta": 0, "gamma": -0.0}, "initial_state": "bell"}',
+         "payoffs: payoff parameters must satisfy alpha > beta > gamma, "
+         "got alpha=5e-324, beta=0.0, gamma=-0.0"),
+        (f'{{"payoffs": {_LEVELS_321}, "initial_state": '
+         '[[-0.0, 5e-324], [1.0, -0.0], [-0.0, 0.0], [5e-324, -0.0]]}', None),
+        (f'{{"payoffs": {_LEVELS_321}, "initial_state": {{"a2": -0.0}}}}', None),
+    ],
+)
+@pytest.mark.parametrize("command", EVERY_COMMAND, ids=" ".join)
+def test_edge_numbers_in_config_fields(tmp_path, command, text, error):
+    """A literal past the float range is refused at its field, two zeros of
+    opposite sign do not order the levels, and zeros of either sign and
+    subnormal numbers in a state are valid."""
+    path = tmp_path / "game.json"
+    path.write_text(text)
+    code, out, err = run_main([*command, "--config", str(path), "--format", "json"])
+    if error is None:
+        assert (code, err) == (0, "") and finite_report(out, "json")
+    else:
+        assert (code, out, err) == (2, "", f"error: {path}: {error}\n")
 
 
 # Signed magnitudes from 5e-324 to 1.7e308, log-uniform: a mantissa in [1, 2)
