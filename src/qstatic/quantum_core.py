@@ -88,7 +88,7 @@ def _certified_above_floor(
 ) -> bool:
     """Whether an LDL^H factorization of A - (EIGENVALUE_FLOOR +
     _CERTIFICATE_MARGIN) I has four positive pivots, for the Hermitian A
-    with this lower triangle (the real parts of its diagonal).
+    with this lower triangle; only the real parts of its diagonal count.
 
     Positive pivots prove A's smallest eigenvalue at least the floor plus the
     margin, up to the factorization's backward error. A unit-trace A that
@@ -171,8 +171,9 @@ class DensityMatrix:
                 f"density matrix trace deviates from 1 by {trace_gap:.3e}"
             )
         if v01 or v02 or v03 or v10 or v12 or v13 or v20 or v21 or v23 or v30 or v31 or v32:
-            # The lower triangle is the half eigvalsh reads. A certificate
-            # stands for the smallest eigenvalue; LAPACK decides the rest.
+            # The lower triangle is the half eigvalsh reads. Positive pivots put
+            # every eigenvalue above the floor, so the floor stands in for the
+            # smallest; LAPACK decides the rest.
             if _certified_above_floor(v00, v10, v11, v20, v21, v22, v30, v31, v32, v33):
                 smallest = EIGENVALUE_FLOOR
             else:
