@@ -385,8 +385,9 @@ class TestPositivityCertificate:
         eigvalsh = np.linalg.eigvalsh
 
         def recorded(m):
-            printed.append(float(eigvalsh(m)[0]))
-            return eigvalsh(m)
+            values = eigvalsh(m)
+            printed.append(float(values[0]))
+            return values
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
         rng = np.random.default_rng(22)

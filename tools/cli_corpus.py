@@ -80,8 +80,6 @@ from typing import Any
 
 #: Floats within this fraction of their scale count as round-off.
 ROUNDOFF_BOUND = 1e-13
-#: The classes of a moved invocation, in the summary's column order.
-CLASSES = ("view", "exact", "mirror", "round-off", "accepted", "other")
 #: Payload keys whose numbers live on the unit scale rather than the payoff scale.
 UNIT_KEYS = {
     "p", "q", "a2", "interior_p", "interior_q", "family_a2", "amplitudes",
@@ -433,7 +431,8 @@ def main(argv: list[str] | None = None) -> int:
     print("payoff form        invocations  view  exact  mirror  round-off  accepted  other  "
           "largest round-off gap")
     for form in sorted(invocations):
-        n = [counts[(form, kind)] for kind in CLASSES]
+        n = [counts[(form, kind)]
+             for kind in ("view", "exact", "mirror", "round-off", "accepted", "other")]
         gap = max(largest.get((form, kind), 0.0) for kind in ("mirror", "round-off"))
         print(f"{form:<18} {invocations[form]:>11}  {n[0]:>4}  {n[1]:>5}  {n[2]:>6}  {n[3]:>9}  "
               f"{n[4]:>8}  {n[5]:>5}  {gap:.3g}")
