@@ -94,6 +94,12 @@ CONFIGS = {
         "payoffs": BOS,
         "initial_state": [[0.6, 0.0], [1e-11, 0.0], [0.0, 0.0], [0.8, 0.0]],
     },
+    # The Prisoner's Dilemma at the balanced superposition: a 2x2 game whose
+    # keep/flip corners (1,1) and (0,0) are not equilibria.
+    "prisoners_dilemma": {
+        "payoffs": {"payoff_a": [[3, 0], [5, 1]], "payoff_b": [[3, 5], [0, 1]]},
+        "initial_state": "bell",
+    },
     "dominated_3x3": {
         "payoffs": {
             "payoff_a": [[3, 2, 1], [1, 1, 0], [2, 3, 2]],
@@ -156,6 +162,10 @@ RUNS = [
     (["quantum"], "outside_rational", ("json", "csv")),
     (["quantum"], "middle_1e-13", ("json",)),
     (["quantum"], "middle_1e-11", ("json",)),
+    (["quantum"], "prisoners_dilemma", FORMATS),
+    (["quantum", "--mode", "factorizable"], "prisoners_dilemma", ("table", "json")),
+    (["simulate", *SIMULATE], "prisoners_dilemma", ("table", "json")),
+    (["sweep", *SWEEP_P], "prisoners_dilemma", ("table", "csv")),
 ]
 
 
