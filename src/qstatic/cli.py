@@ -266,7 +266,10 @@ def _unit_grid(steps: int) -> list[float]:
 
 
 def _fraction(x: float, tol: float = 0.0) -> Fraction | None:
-    """The nearest fraction with a denominator up to 10^6, if x is its float or within tol."""
+    """The nearest fraction with a denominator up to 10^6, if x is its float or within tol;
+    from 2^53 up, where every float is an integer, the shortest decimal whose float is x."""
+    if abs(x) >= 2**53:
+        return Fraction(repr(x))
     near = Fraction(x).limit_denominator(10**6)
     return near if float(near) == x or abs(near - x) <= tol else None
 

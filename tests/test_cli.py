@@ -394,6 +394,24 @@ class TestClassicalCommand:
             ("1", "1"), ("0", "0"), interior
         ]
 
+    def test_entries_from_two_to_the_53_read_as_their_shortest_decimal(self, tmp_path, capsys):
+        # Every float from 2^53 up is an integer; the exact columns read it
+        # as the decimal it prints as, 15 * 10^307, not as its own binary value.
+        path = write_config(tmp_path, {"payoffs": {
+            "payoff_a": [[1.5e308, 0], [0, 1e308]], "payoff_b": [[1e308, 0], [0, 1.5e308]]
+        }})
+        rows = run_json(capsys, ["classical", "--config", path])["mixed_equilibria"]
+        assert [(row["kind"], row["p_exact"], row["q_exact"]) for row in rows] == [
+            ("corner", "1", "1"), ("corner", "0", "0"), ("interior", "3/5", "2/5")
+        ]
+        big, small, interior = str(15 * 10**307), str(10**308), str(6 * 10**307)
+        assert [(row["payoff_a_exact"], row["payoff_b_exact"]) for row in rows] == [
+            (big, small), (small, big), (interior, interior)
+        ]
+        # Below 2^53 an integer entry still reads as itself.
+        assert cli._fraction(2.0**53 - 1) == 2**53 - 1
+        assert cli._fraction(2.0**60) == 1152921504606847000
+
     def test_exact_columns_null_when_the_exact_run_finds_other_kinds(self):
         # The exact run finds two corners and an interior point; a float run
         # that found other kinds gets no exact columns, so no row is paired
