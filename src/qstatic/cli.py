@@ -35,7 +35,6 @@ from .game_core import (
     Bimatrix,
     EliminationStep,
     GamePayoffs,
-    _bos_table,
     _check_unit_interval,
     bos_bimatrix,
     eliminate_strictly_dominated,
@@ -101,9 +100,7 @@ def _as_table(path: str, where: str, value: Any) -> list[list[float]]:
     ]
 
 
-def _load_payoffs(
-    path: str, raw: Any
-) -> tuple[GamePayoffs | None, Bimatrix]:
+def _load_payoffs(path: str, raw: Any) -> tuple[GamePayoffs | None, Bimatrix]:
     if not isinstance(raw, dict):
         raise _fail(path, "payoffs", "must be an object")
     keys = set(raw)
@@ -245,14 +242,12 @@ def load_config(path: str) -> LoadedConfig:
     )
 
 
-def _require_params(cfg: LoadedConfig, command: str) -> GamePayoffs:
-    if cfg.params is None:
-        raise _fail(
-            cfg.path,
-            "payoffs",
-            f"the {command} command needs the {{alpha, beta, gamma}} payoff form",
-        )
-    return cfg.params
+def _outcome_payoffs(cfg: LoadedConfig) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The configured game's payoffs at (OO, OT, TO, TT); a game not 2x2 fails at payoffs."""
+    try:
+        return cfg.game.outcome_payoffs
+    except ConstraintViolation as exc:
+        raise _fail(cfg.path, "payoffs", str(exc)) from exc
 
 
 def _unit_grid(steps: int) -> list[float]:
@@ -302,11 +297,7 @@ def _amp_pairs(state: StateVector) -> list[list[float]]:
 
 def _game_json(cfg: LoadedConfig) -> dict:
     if cfg.params is not None:
-        return {
-            "alpha": cfg.params.alpha,
-            "beta": cfg.params.beta,
-            "gamma": cfg.params.gamma,
-        }
+        return asdict(cfg.params)
     return {
         "payoff_a": [list(row) for row in cfg.game.payoff_a],
         "payoff_b": [list(row) for row in cfg.game.payoff_b],
@@ -389,8 +380,7 @@ def cmd_classical(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
     elimination = eliminate_strictly_dominated(cfg.game)
     exact = None
     if cfg.game.is_2x2:
-        (a0, a1), (b0, b1) = cfg.game.payoff_a, cfg.game.payoff_b
-        outcomes = (CLASSICAL_PROBABILITIES, a0 + a1, b0 + b1)
+        outcomes = (CLASSICAL_PROBABILITIES, *cfg.game.outcome_payoffs)
         points: Sequence[NashPoint] = enumerate_bilinear_nash(*payoff_surfaces(*outcomes))
         exact = _exact_equilibria(points, *outcomes)
         if cfg.params is None:
@@ -449,7 +439,6 @@ def _tactic_state(p: float, q: float) -> StateVector:
 
 
 def cmd_quantum(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
-    params = _require_params(cfg, "quantum")
     notices: list[str] = []
     unique: UniqueSolutionReport | None = None
     final_states = None
@@ -457,7 +446,7 @@ def cmd_quantum(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
     # Independent tactics played from |OO> are the classical game.
     factorizable = args.mode == "factorizable"
     probabilities = CLASSICAL_PROBABILITIES if factorizable else cfg.state.probabilities
-    outcomes = (probabilities, *_bos_table(params))
+    outcomes = (probabilities, *_outcome_payoffs(cfg))
     surfaces = payoff_surfaces(*outcomes)
     points = enumerate_bilinear_nash(*surfaces)
     exact = _exact_equilibria(points, *outcomes)
@@ -468,13 +457,15 @@ def cmd_quantum(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
             "independent-tactic equilibria do not depend on the configured "
             "initial state; coordinates are squared tactic moduli"
         )
-    elif initial_state["family_a2"] is not None:
-        unique = _unique_solution(surfaces, cfg.state)
-    else:
+    elif initial_state["family_a2"] is None:
         notices.append(
             "initial state is outside the |OO>/|TT> superposition family; "
             "equilibria computed by generic bilinear enumeration"
         )
+    elif {(1, 1), (0, 0)} <= {(n.p_star, n.q_star) for n in points if n.kind.value == "corner"}:
+        unique = _unique_solution(surfaces, cfg.state)
+    else:
+        notices.append("no unique-solution verdict: (1,1) and (0,0) are not both equilibria")
 
     return {
         "schema": SCHEMA_VERSION,
@@ -493,19 +484,14 @@ def cmd_simulate(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
     # Imported here so that no other command loads the simulator.
     from .montecarlo import SimulationConfig, simulate
 
-    params = _require_params(cfg, "simulate")
+    payoffs = _outcome_payoffs(cfg)
     try:
-        config = SimulationConfig(
-            rounds=args.rounds,
-            seed=args.seed,
-            mix=MixingChoice(args.p, args.q),
-            initial=cfg.state,
-            payoffs=params,
-        )
+        mix = MixingChoice(args.p, args.q)
+        config = SimulationConfig(args.rounds, args.seed, mix, cfg.state, cfg.game)
     except ConstraintViolation as exc:
         raise ConfigError(f"simulate: {exc}") from exc
     report = simulate(config)
-    bp_a, bp_b = payoff_surfaces(cfg.state.probabilities, *_bos_table(params))
+    bp_a, bp_b = payoff_surfaces(cfg.state.probabilities, *payoffs)
     analytic = (bp_a.value(args.p, args.q), bp_b.value(args.p, args.q))
 
     return {
@@ -530,7 +516,9 @@ def cmd_simulate(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
 
 
 def cmd_sweep(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
-    params = _require_params(cfg, "sweep")
+    if args.param == "a2" and cfg.params is None:
+        raise _fail(cfg.path, "payoffs", "sweep --param a2 needs the {alpha, beta, gamma} form")
+    table = _outcome_payoffs(cfg)
     if not 2 <= args.steps <= SWEEP_MAX_STEPS:
         raise ConfigError(f"sweep: steps must be from 2 to {SWEEP_MAX_STEPS}, got {args.steps}")
     if args.param != "a2":
@@ -554,7 +542,6 @@ def cmd_sweep(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
     }
 
     if args.param == "a2":
-        table = _bos_table(params)
         for value in values:
             points = enumerate_bilinear_nash(*payoff_surfaces((value, 0.0, 0.0, 1 - value), *table))
             found = [(n.kind.value, n.p_star, n.q_star) for n in points]
@@ -579,7 +566,7 @@ def cmd_sweep(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
             "the configured initial state is not used"
         )
     else:
-        bp_a, bp_b = payoff_surfaces(cfg.state.probabilities, *_bos_table(params))
+        bp_a, bp_b = payoff_surfaces(cfg.state.probabilities, *table)
         payload["fixed"] = fixed
         for value in values:
             p, q = (value, args.q) if args.param == "p" else (args.p, value)
@@ -665,9 +652,8 @@ def _game_table_lines(payload: dict) -> list[str]:
             f"gamma={_fnum(game['gamma'])}"
         ]
     lines = ["game: explicit bimatrix"]
-    for label, row_a, row_b in zip(
-        payload["labels"]["a"], game["payoff_a"], game["payoff_b"]
-    ):
+    labels = payload["labels"]["a"] if "labels" in payload else ("O", "T")
+    for label, row_a, row_b in zip(labels, game["payoff_a"], game["payoff_b"]):
         cells = "  ".join(f"({_fnum(a)},{_fnum(b)})" for a, b in zip(row_a, row_b))
         lines.append(f"  {label}: {cells}")
     return lines
@@ -701,9 +687,10 @@ def _classical_table(payload: dict) -> list[str]:
     return lines
 
 
-def _unique_table_lines(unique: dict | None) -> list[str]:
+def _unique_table_lines(unique: dict | None, family_a2: float | None) -> list[str]:
     if unique is None:
-        return ["unique solution: not applicable outside the superposition family"]
+        where = "outside the superposition family" if family_a2 is None else "to this game"
+        return [f"unique solution: not applicable {where}"]
     if unique["merged"]:
         return [
             "unique solution: corner equilibria (1,1) and (0,0) merge; "
@@ -749,8 +736,8 @@ def _quantum_table(payload: dict) -> list[str]:
             f"  [{row['kind']}]"
         )
     if mode == "entangled":
-        lines.append("")
-        lines += _unique_table_lines(payload["unique_solution"])
+        family_a2 = payload["initial_state"]["family_a2"]
+        lines += ["", *_unique_table_lines(payload["unique_solution"], family_a2)]
     return lines
 
 

@@ -65,6 +65,14 @@ class Bimatrix:
     def is_2x2(self) -> bool:
         return self.shape == (2, 2)
 
+    @property
+    def outcome_payoffs(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Both players' payoffs at the joint outcomes (OO, OT, TO, TT): each table row by row."""
+        if not self.is_2x2:
+            raise ConstraintViolation(f"quantum play needs a 2x2 game, got shape {self.shape}")
+        (a0, a1), (b0, b1) = self.payoff_a, self.payoff_b
+        return a0 + a1, b0 + b1
+
 
 def _check_range(name: str, payoffs: list[float]) -> None:
     """Both payoff forms' rule: each payoff is finite, and so is their range."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import ConstraintViolation
-from .game_core import GamePayoffs, _bos_table
+from .game_core import Bimatrix
 from .outcomes import MixingChoice, StateVector, _flipped
 
 __all__ = ["SimulationConfig", "SimulationReport", "simulate"]
@@ -25,7 +25,7 @@ class SimulationConfig:
     seed: int
     mix: MixingChoice
     initial: StateVector
-    payoffs: GamePayoffs
+    payoffs: Bimatrix
 
     def __post_init__(self) -> None:
         # The report's rounds and counts stay signed 64-bit integers, which
@@ -36,6 +36,8 @@ class SimulationConfig:
             )
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ConstraintViolation(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        if not (isinstance(self.payoffs, Bimatrix) and self.payoffs.is_2x2):
+            raise ConstraintViolation(f"payoffs must be a 2x2 Bimatrix, got {self.payoffs!r}")
 
 
 @dataclass(frozen=True)
@@ -189,7 +191,7 @@ def simulate(config: SimulationConfig) -> SimulationReport:
         var = math.fsum(c * (v - mean) ** 2 for c, v in units) / max(config.rounds - 1, 1)
         return math.ldexp(mean, e), math.ldexp(math.sqrt(var / config.rounds), e)
 
-    (mean_a, se_a), (mean_b, se_b) = map(stats, _bos_table(config.payoffs))
+    (mean_a, se_a), (mean_b, se_b) = map(stats, config.payoffs.outcome_payoffs)
     return SimulationReport(
         outcome_probabilities=tuple(probs),
         counts=tuple(counts),

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 from qstatic.errors import ConstraintViolation
@@ -16,6 +19,15 @@ from qstatic.quantum_core import (
     PayoffOperator,
     _check_imaginary_residue,
 )
+
+
+def load_tool(name: str):
+    """The module ``tools/<name>.py``; ``tools`` is not a package."""
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def coefficients(bp: BilinearPayoff) -> tuple:

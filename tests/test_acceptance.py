@@ -231,7 +231,7 @@ def test_criterion_6_monte_carlo_validation():
         seed=20240817,
         mix=MixingChoice(0.5, 0.5),
         initial=EntangledFamilyState(0.5).state_vector(),
-        payoffs=BOS,
+        payoffs=bos_bimatrix(BOS),
     )
     start = time.perf_counter()
     report = simulate(config)

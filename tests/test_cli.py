@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import load_tool
 
 import qstatic
 import qstatic.cli as cli
@@ -26,7 +28,7 @@ from qstatic.equilibria import (
     entangled_equilibria,
 )
 from qstatic.errors import InternalConsistencyError
-from qstatic.game_core import GamePayoffs, _bos_table
+from qstatic.game_core import GamePayoffs, _bos_table, bos_bimatrix
 from qstatic.outcomes import StateVector
 from qstatic.quantum_core import (
     DensityMatrix,
@@ -696,13 +698,72 @@ class TestQuantumCommand:
         assert main(["quantum", "--config", path]) == 0
         assert ("|OT>" in capsys.readouterr().out) == (family_a2 is None)
 
-    def test_bimatrix_payoffs_rejected(self, tmp_path, capsys):
-        path = write_config(
-            tmp_path,
-            {"payoffs": {"payoff_a": [[1, 0], [0, 1]], "payoff_b": [[1, 0], [0, 1]]}},
-        )
-        assert main(["quantum", "--config", path]) == 2
-        assert "alpha, beta, gamma" in capsys.readouterr().err
+    def test_prisoners_dilemma_lists_its_equilibria_without_a_verdict(self, capsys):
+        # At the balanced superposition neither keep/flip corner is an
+        # equilibrium, so the two cannot merge into one solution.
+        path = str(DATA / "golden" / "prisoners_dilemma.json")
+        doc = run_json(capsys, ["quantum", "--config", path])
+        rows = [(r["kind"], r["p_exact"], r["q_exact"], r["payoff_a_exact"], r["payoff_b_exact"])
+                for r in doc["equilibria"]]
+        assert rows == [
+            ("corner", "1", "0", "5/2", "5/2"),
+            ("corner", "0", "1", "5/2", "5/2"),
+            ("interior", "1/2", "1/2", "9/4", "9/4"),
+        ]
+        assert doc["initial_state"]["family_a2"] == pytest.approx(0.5)
+        assert doc["unique_solution"] is None
+        assert doc["notices"] == [
+            "no unique-solution verdict: (1,1) and (0,0) are not both equilibria"
+        ]
+        assert main(["quantum", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert "unique solution: not applicable to this game\n" in out
+        assert "  O: (3,3)  (0,5)\n  T: (5,0)  (1,1)\n" in out
+
+
+class TestPayoffForms:
+    """Every command reads the configured game's 2x2 table; the levels are a
+    shorthand for the coordination game's table."""
+
+    PRISONERS = {"payoff_a": [[3, 0], [5, 1]], "payoff_b": [[3, 5], [0, 1]]}
+    THREE = {"payoff_a": [[4, 1, 0], [2, 3, 1], [0, 0, 5]],
+             "payoff_b": [[1, 2, 0], [3, 0, 2], [0, 1, 4]]}
+
+    @pytest.mark.parametrize("command", [c for c in EVERY_COMMAND if "a2" not in c], ids=" ".join)
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_a_2x2_bimatrix_runs_every_command_but_the_a2_sweep(self, tmp_path, command, fmt):
+        doc = {"payoffs": self.PRISONERS, "initial_state": [[0.6, 0], [0, 0.48], [0, 0.64], [0, 0]],
+               "labels": {"a": ["C", "D"], "b": ["C", "D"]}}
+        path = write_config(tmp_path, doc)
+        code, out, err = run_main([*command, "--config", path, "--format", fmt])
+        assert (code, err) == (0, "") and finite_report(out, fmt)
+
+    @pytest.mark.parametrize("command", EVERY_COMMAND[1:], ids=" ".join)
+    def test_a_3x3_bimatrix_exits_2_at_payoffs(self, tmp_path, command):
+        path = write_config(tmp_path, {"payoffs": self.THREE})
+        code, out, err = run_main([*command, "--config", path])
+        want = ("sweep --param a2 needs the {alpha, beta, gamma} form" if "a2" in command
+                else "quantum play needs a 2x2 game, got shape (3, 3)")
+        assert (code, out, err) == (2, "", f"error: {path}: payoffs: {want}\n")
+
+    def test_a_bimatrix_a2_sweep_exits_2_naming_the_option(self, tmp_path):
+        # The a2 sweep's columns name the coordination game's corners.
+        path = write_config(tmp_path, {"payoffs": self.PRISONERS, "initial_state": "bell"})
+        code, out, err = run_main(["sweep", "--config", path, "--param", "a2"])
+        want = "sweep --param a2 needs the {alpha, beta, gamma} form"
+        assert (code, out, err) == (2, "", f"error: {path}: payoffs: {want}\n")
+
+    def test_outcome_order_reaches_every_command(self, tmp_path, capsys):
+        # From |OO>, keeping the row and flipping the column lands on OT: the
+        # payoffs of cell (0, 1), (0, 5), and not those of TO, (5, 0).
+        path = write_config(tmp_path, {"payoffs": self.PRISONERS})
+        options = ["--p", "1", "--q", "0", "--rounds", "3"]
+        doc = run_json(capsys, ["simulate", "--config", path, *options])
+        assert doc["counts"] == {"OO": 0, "OT": 3, "TO": 0, "TT": 0}
+        assert doc["analytic"] == {"payoff_a": 0.0, "payoff_b": 5.0}
+        assert doc["empirical"]["mean_payoff_a"] == 0.0
+        rows = run_json(capsys, ["sweep", "--config", path, "--param", "q", "--p", "1"])["rows"]
+        assert (rows[0]["payoff_a"], rows[0]["payoff_b"]) == (0.0, 5.0)
 
 
 class TestSimulateCommand:
@@ -1041,9 +1102,10 @@ class TestNumpyFreeImportPath:
             for command in self.COMMANDS:
                 for fmt in ("table", "json", "csv"):
                     argvs.append([*command, "--config", path, "--format", fmt])
-                    # The quantum and sweep commands need the parametric payoffs.
-                    explicit = "payoff_a" in doc["payoffs"]
-                    expected.append(2 if explicit and command[0] != "classical" else 0)
+                    # A 2x2 bimatrix runs every command but the a2 sweep; a 3x3 one
+                    # runs only classical.
+                    refused = name == "bimatrix3" or name == "bimatrix2" and "a2" in command
+                    expected.append(2 if refused and command[0] != "classical" else 0)
         result = json.loads(run_python(_RUN_MAIN, json.dumps(argvs)).stdout)
         assert result["codes"] == expected
         assert result["numpy"] is False
@@ -1264,6 +1326,61 @@ def test_one_game_in_any_input_form_prints_the_same_exact_columns(
     )
 
 
+_corpus = load_tool("cli_corpus")
+
+
+def _corpus_levels(rng: random.Random) -> dict:
+    """Levels from a stratum of the CLI corpus tool: scaled, integer or offset
+    levels, slopes that span 14 to 18 decades, or levels near either end of
+    the float range."""
+    stratum = rng.choice(("main", "main", "wide", "extreme"))
+    if stratum == "main":
+        return _corpus._levels(rng)[0]
+    if stratum == "wide":
+        return _corpus._wide_levels(rng)[0]
+    while True:
+        payoffs, _, form = _corpus._extreme(rng)
+        if form == "levels-extreme":
+            return payoffs
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_levels_and_their_bimatrix_give_one_payload(tmp_path_factory, seed):
+    """A levels config and the config of its table ``bos_bimatrix(params)``,
+    in any state form of the corpus (near-family states one time in four),
+    give the same payload, bit for bit, on quantum in both modes, simulate
+    and the p and q sweeps; only the ``game`` echo differs."""
+    rng = random.Random(seed)
+    levels = _corpus_levels(rng)
+    state = _corpus._near_family(rng)[0] if rng.random() < 0.25 else _corpus._state(rng)
+    directory = tmp_path_factory.mktemp("forms")
+    levels_path = write_config(directory, {"payoffs": levels, "initial_state": state}, "l.json")
+    game = bos_bimatrix(load_config(levels_path).params)
+    table = {"payoff_a": [list(r) for r in game.payoff_a],
+             "payoff_b": [list(r) for r in game.payoff_b]}
+    table_path = write_config(directory, {"payoffs": table, "initial_state": state}, "t.json")
+    mix = [repr(round(rng.random(), 3)) for _ in range(2)]
+    steps = str(rng.randint(2, 41))
+    commands = (
+        ["quantum", "--mode", "entangled"],
+        ["quantum", "--mode", "factorizable"],
+        ["simulate", "--rounds", str(rng.randint(1, 10**5)), "--seed", str(rng.randint(0, 999)),
+         "--p", mix[0], "--q", mix[1]],
+        ["sweep", "--param", "p", "--steps", steps, "--q", mix[1]],
+        ["sweep", "--param", "q", "--steps", steps, "--p", mix[0]],
+    )
+    parser = cli.build_parser()
+    for command in commands:
+        payloads = []
+        for path in (levels_path, table_path):
+            args = parser.parse_args([command[0], "--config", path, *command[1:]])
+            payload = cli._COMMANDS[command[0]](load_config(path), args)
+            assert payload.pop("game")
+            payloads.append(json.dumps(payload))
+        assert payloads[0] == payloads[1], command
+
+
 def _sometimes(broken, valid):
     """Draws from ``valid``, and one time in eight from ``broken``."""
     return st.integers(0, 7).flatmap(lambda k: broken if k == 7 else valid)
@@ -1458,7 +1575,7 @@ _ANY_LEVELS = st.lists(_MAGNITUDE, min_size=3, max_size=3, unique=True).map(
 _ANY_BIMATRIX = st.builds(
     lambda a, b: {"payoff_a": [a[:2], a[2:]], "payoff_b": [b[:2], b[2:]]}, _CORNERS, _CORNERS
 )
-# Levels run every command, a bimatrix only classical: levels three times in four.
+# Levels run every command, a bimatrix all but the a2 sweep: levels three times in four.
 _ANY_SCALE = st.integers(0, 3).flatmap(lambda k: _ANY_BIMATRIX if k == 3 else _ANY_LEVELS)
 _ANY_STATE = (
     st.sampled_from(["OO", "OT", "TO", "TT", "bell"]),

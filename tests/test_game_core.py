@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -102,6 +103,21 @@ class TestBimatrixValidation:
         game = bos()
         with pytest.raises(TypeError):
             game.payoff_a[0][0] = 99
+
+
+class TestOutcomePayoffs:
+    def test_tables_read_row_by_row_as_oo_ot_to_tt(self):
+        # Row strategy 0 (O) with column strategy 1 (T) is the outcome OT.
+        game = Bimatrix([[1, 2], [3, 4]], [[5, 6], [7, 8]])
+        assert game.outcome_payoffs == ((1.0, 2.0, 3.0, 4.0), (5.0, 6.0, 7.0, 8.0))
+
+    def test_levels_give_their_coordination_table(self):
+        assert bos(3, 2, 1).outcome_payoffs == ((3.0, 1.0, 1.0, 2.0), (2.0, 1.0, 1.0, 3.0))
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 3), (3, 3)])
+    def test_only_a_2x2_game_has_them(self, shape):
+        with pytest.raises(ConstraintViolation, match=re.escape(f"2x2 game, got shape {shape}")):
+            Bimatrix(np.zeros(shape), np.zeros(shape)).outcome_payoffs
 
 
 class TestElimination:

@@ -12,7 +12,7 @@ from scipy import stats
 
 from qstatic.equilibria import EntangledFamilyState
 from qstatic.errors import ConstraintViolation
-from qstatic.game_core import GamePayoffs
+from qstatic.game_core import Bimatrix, GamePayoffs, bos_bimatrix
 from qstatic.montecarlo import SimulationConfig, _binomial, simulate
 from qstatic.quantum_core import (
     MixingChoice,
@@ -22,7 +22,8 @@ from qstatic.quantum_core import (
     trace_payoffs,
 )
 
-BOS = GamePayoffs(3, 2, 1)
+LEVELS = GamePayoffs(3, 2, 1)
+BOS = bos_bimatrix(LEVELS)
 
 
 def config(initial, p, q, rounds, seed):
@@ -36,7 +37,9 @@ def config(initial, p, q, rounds, seed):
 
 
 def analytic_payoffs(cfg: SimulationConfig) -> tuple[float, float]:
-    pa, pb = payoff_operators(cfg.payoffs)
+    # The density oracle reads the levels that ``config`` plays as BOS.
+    assert cfg.payoffs is BOS
+    pa, pb = payoff_operators(LEVELS)
     return trace_payoffs(pa, pb, mixed_final_density(cfg.initial.density_matrix(), cfg.mix))
 
 
@@ -58,6 +61,14 @@ class TestValidation:
         with pytest.raises(ConstraintViolation, match="rounds"):
             config(StateVector.basis("OO"), 1.0, 1.0, rounds, 1)
 
+    @pytest.mark.parametrize("payoffs", [
+        Bimatrix([[1, 0, 2]] * 3, [[0, 1, 2]] * 3), Bimatrix([[1, 0]], [[0, 1]]), LEVELS
+    ])
+    def test_rejects_payoffs_other_than_a_2x2_bimatrix(self, payoffs):
+        mix, state = MixingChoice(1.0, 1.0), StateVector.basis("OO")
+        with pytest.raises(ConstraintViolation, match="payoffs must be a 2x2 Bimatrix"):
+            SimulationConfig(10, 1, mix, state, payoffs)
+
 
 class TestDeterministicCases:
     def test_certain_outcome_yields_exact_payoffs(self):
@@ -77,12 +88,25 @@ class TestDeterministicCases:
         # 3 * 0.1 rounds up, and its quotient by 3 is not 0.1; the mean is
         # clamped to the counted payoffs, so one outcome gives its own.
         cfg = SimulationConfig(
-            3, 0, MixingChoice(1.0, 1.0), StateVector.basis("OO"), GamePayoffs(0.3, 0.1, 0)
+            3, 0, MixingChoice(1.0, 1.0), StateVector.basis("OO"),
+            bos_bimatrix(GamePayoffs(0.3, 0.1, 0)),
         )
         report = simulate(cfg)
         assert report.counts == (3, 0, 0, 0)
         assert (report.mean_payoff_a, report.mean_payoff_b) == (0.3, 0.1)
         assert (report.std_error_a, report.std_error_b) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("p, q, outcome", [(1, 1, 0), (1, 0, 1), (0, 1, 2), (0, 0, 3)])
+    def test_each_outcome_pays_its_own_bimatrix_cell(self, p, q, outcome):
+        # The Prisoner's Dilemma: OT and TO pay differently, so the outcome
+        # order (OO, OT, TO, TT) of the tables shows in the means.
+        game = Bimatrix([[3, 0], [5, 1]], [[3, 5], [0, 1]])
+        report = simulate(SimulationConfig(7, 0, MixingChoice(p, q), StateVector.basis("OO"), game))
+        assert report.counts == tuple(7 if k == outcome else 0 for k in range(4))
+        row, col = divmod(outcome, 2)
+        assert (report.mean_payoff_a, report.mean_payoff_b) == (
+            game.payoff_a[row][col], game.payoff_b[row][col]
+        )
 
     def test_certain_outcome_at_the_largest_round_count(self):
         rounds = 2**63 - 1
@@ -100,10 +124,10 @@ class TestPayoffScale:
     @pytest.mark.parametrize("k", [-1000, 1000, 1023])
     def test_levels_times_a_power_of_two_scale_the_statistics_exactly(self, k):
         state = EntangledFamilyState(0.3).state_vector()
-        mix, payoffs = MixingChoice(0.4, 0.7), GamePayoffs(1.5, 1, -0.25)
+        mix, payoffs = MixingChoice(0.4, 0.7), bos_bimatrix(GamePayoffs(1.5, 1, -0.25))
         unit = SimulationConfig(2**63 - 1, 5, mix, state, payoffs)
         levels = (math.ldexp(x, k) for x in (1.5, 1, -0.25))
-        scaled = dataclasses.replace(unit, payoffs=GamePayoffs(*levels))
+        scaled = dataclasses.replace(unit, payoffs=bos_bimatrix(GamePayoffs(*levels)))
         want, got = simulate(unit), simulate(scaled)
         assert got.counts == want.counts
         for stat in ("mean_payoff_a", "mean_payoff_b", "std_error_a", "std_error_b"):
@@ -112,7 +136,7 @@ class TestPayoffScale:
     def test_a_tiny_counted_payoff_keeps_its_bits_beside_a_huge_one(self):
         # Every round lands on OO, where A earns alpha and B earns beta; the
         # unit follows the counted payoff, not the largest level.
-        payoffs = GamePayoffs(1e300, 1e-299, 1e-300)
+        payoffs = bos_bimatrix(GamePayoffs(1e300, 1e-299, 1e-300))
         cfg = SimulationConfig(1024, 0, MixingChoice(1.0, 1.0), StateVector.basis("OO"), payoffs)
         report = simulate(cfg)
         assert (report.mean_payoff_a, report.mean_payoff_b) == (1e300, 1e-299)

@@ -2,26 +2,18 @@
 the CLI corpus sorts each kind of move into its own class, and the pairs
 tool's verdicts and commit stamps follow their documented rules."""
 
-import importlib.util
 import math
 import subprocess
 from pathlib import Path
 
 import pytest
+from helpers import load_tool
 
 ROOT = Path(__file__).resolve().parents[1]
 
-
-def _tool(name: str):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-mutants = _tool("mutants")
-cli_corpus = _tool("cli_corpus")
-bench_pairs = _tool("bench_pairs")
+mutants = load_tool("mutants")
+cli_corpus = load_tool("cli_corpus")
+bench_pairs = load_tool("bench_pairs")
 
 
 class TestMutantList:

@@ -1,7 +1,7 @@
 """Mutation check of the test suite: each mutant of the oracle routes' checks,
 the mixing map, the payoff surfaces, the enumerator, the payoff-scale rules,
-the sampler and the CLI's reading of the configured state must make one of
-its tests fail.
+the sampler and the CLI's reading of the configured state and game must
+make one of its tests fail.
 
 Usage, from the root of a git checkout:
 
@@ -48,6 +48,8 @@ _EQUILIBRIA = "src/qstatic/equilibria.py"
 _MONTECARLO = "src/qstatic/montecarlo.py"
 _CLI = "src/qstatic/cli.py"
 _OUTCOMES = "src/qstatic/outcomes.py"
+_GAME_CORE = "src/qstatic/game_core.py"
+_PAYOFF_FORM_TESTS = "tests/test_cli.py::TestPayoffForms"
 _SAMPLER_TESTS = ("tests/test_montecarlo.py::TestBinomialSampler",)
 _DENSITY_TESTS = ("tests/test_quantum_core.py::TestDensityMatrix",)
 _CERTIFICATE_TESTS = ("tests/test_quantum_core.py::TestPositivityCertificate",)
@@ -129,14 +131,14 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "expected_payoffs swaps the mixing weights of cells (1, 0) and (0, 1)",
-        "src/qstatic/game_core.py",
+        _GAME_CORE,
         "    w11, w10, w01, w00 = p * q,",
         "    w11, w01, w10, w00 = p * q,",
         ("tests/test_game_core.py::TestExpectedPayoffs",),
     ),
     Mutant(
         "MixProbabilities drops q from its joint bounds test",
-        "src/qstatic/game_core.py",
+        _GAME_CORE,
         "        if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):\n",
         "        if not 0.0 <= p <= 1.0:\n",
         ("tests/test_game_core.py::TestExpectedPayoffs",),
@@ -236,7 +238,7 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "the payoff range check shared by GamePayoffs and Bimatrix removed",
-        "src/qstatic/game_core.py",
+        _GAME_CORE,
         "    if not math.isfinite(max(payoffs) - min(payoffs)):\n",
         "    if False:\n",
         (
@@ -292,7 +294,7 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "BilinearPayoff.value drops its base",
-        "src/qstatic/game_core.py",
+        _GAME_CORE,
         "        return self.base + (\n",
         "        return (\n",
         ("tests/test_game_core.py::TestBilinearPayoff",),
@@ -369,6 +371,46 @@ MUTANTS: tuple[Mutant, ...] = (
         "        mean = min(max(mean, min(v for _, v in units)), max(v for _, v in units))\n",
         "        mean = min(max(mean, 2**-53 - 1), 1 - 2**-53)\n",
         ("tests/test_montecarlo.py::TestDeterministicCases",),
+    ),
+    Mutant(
+        "the outcome payoffs read the tables column by column, OT and TO swapped",
+        _GAME_CORE,
+        "        return a0 + a1, b0 + b1\n",
+        "        return (a0[0], a1[0], a0[1], a1[1]), (b0[0], b1[0], b0[1], b1[1])\n",
+        (
+            "tests/test_game_core.py::TestOutcomePayoffs",
+            f"{_PAYOFF_FORM_TESTS}::test_outcome_order_reaches_every_command",
+        ),
+    ),
+    Mutant(
+        "SimulationConfig takes payoffs without its 2x2 Bimatrix check",
+        _MONTECARLO,
+        "        if not (isinstance(self.payoffs, Bimatrix) and self.payoffs.is_2x2):\n",
+        "        if False:\n",
+        ("tests/test_montecarlo.py::TestValidation",),
+    ),
+    Mutant(
+        "the quantum verdict given without both keep/flip corners among the equilibria",
+        _CLI,
+        '    elif {(1, 1), (0, 0)} <= {(n.p_star, n.q_star) for n in points if n.kind.value == "corner"}:\n',
+        "    elif True:\n",
+        ("tests/test_cli.py::TestQuantumCommand::"
+         "test_prisoners_dilemma_lists_its_equilibria_without_a_verdict",),
+    ),
+    Mutant(
+        "the a2 sweep runs a bimatrix, not only the levels",
+        _CLI,
+        '    if args.param == "a2" and cfg.params is None:\n',
+        "    if False:\n",
+        (f"{_PAYOFF_FORM_TESTS}::test_a_bimatrix_a2_sweep_exits_2_naming_the_option",),
+    ),
+    Mutant(
+        "the exact columns read an entry from 2^53 up as its binary value",
+        _CLI,
+        "    if abs(x) >= 2**53:\n",
+        "    if False:\n",
+        ("tests/test_cli.py::TestClassicalCommand::"
+         "test_entries_from_two_to_the_53_read_as_their_shortest_decimal",),
     ),
 )
 
