@@ -144,7 +144,8 @@ RUNS = [
     (["sweep", *SWEEP_P], "bell", FORMATS),
     (["sweep", *SWEEP_P], "complex_out_of_family", ("table",)),
     (["sweep", *SWEEP_Q], "family_08", ("csv",)),
-    (["quantum"], "bimatrix_2x2", ("json",)),  # exit 2: needs {alpha, beta, gamma}
+    # At |OO> the corner (1,1) is no equilibrium of this game: no verdict.
+    (["quantum"], "bimatrix_2x2", ("json",)),
     (["classical"], "zero_negative", FORMATS),
     (["quantum", "--mode", "factorizable"], "zero_negative", FORMATS),
     (["quantum"], "zero_negative", FORMATS),
