@@ -100,7 +100,9 @@ def _as_table(path: str, where: str, value: Any) -> list[list[float]]:
     ]
 
 
-def _load_payoffs(path: str, raw: Any) -> tuple[GamePayoffs | None, Bimatrix]:
+def _load_payoffs(
+    path: str, raw: Any
+) -> tuple[GamePayoffs | None, Bimatrix]:
     if not isinstance(raw, dict):
         raise _fail(path, "payoffs", "must be an object")
     keys = set(raw)
@@ -263,9 +265,7 @@ def _unit_grid(steps: int) -> list[float]:
 def _fraction(x: float, tol: float = 0.0) -> Fraction | None:
     """The nearest fraction with a denominator up to 10^6, if x is its float or within tol;
     from 2^53 up, where every float is an integer, the shortest decimal whose float is x."""
-    if abs(x) >= 2**53:
-        return Fraction(repr(x))
-    near = Fraction(x).limit_denominator(10**6)
+    near = Fraction(repr(x)) if abs(x) >= 2**53 else Fraction(x).limit_denominator(10**6)
     return near if float(near) == x or abs(near - x) <= tol else None
 
 

@@ -407,8 +407,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "the exact columns read an entry from 2^53 up as its binary value",
         _CLI,
-        "    if abs(x) >= 2**53:\n",
-        "    if False:\n",
+        "    near = Fraction(repr(x)) if abs(x) >= 2**53 else",
+        "    near = Fraction(x) if abs(x) >= 2**53 else",
         ("tests/test_cli.py::TestClassicalCommand::"
          "test_entries_from_two_to_the_53_read_as_their_shortest_decimal",),
     ),
@@ -435,7 +435,7 @@ def run_tests(root: Path, tests: tuple[str, ...]) -> tuple[int, str]:
 
 def main() -> int:
     archive = subprocess.run(
-        ["git", "archive", "--format=tar", "HEAD", "src", "tests", "pyproject.toml"],
+        ["git", "archive", "--format=tar", "HEAD", "src", "tests", "tools", "pyproject.toml"],
         check=True,
         capture_output=True,
     ).stdout
