@@ -753,7 +753,7 @@ class TestPayoffForms:
         want = "sweep --param a2 needs the {alpha, beta, gamma} form"
         assert (code, out, err) == (2, "", f"error: {path}: payoffs: {want}\n")
 
-    def test_outcome_order_reaches_every_command(self, tmp_path, capsys):
+    def test_outcome_order_reaches_simulate_and_sweep(self, tmp_path, capsys):
         # From |OO>, keeping the row and flipping the column lands on OT: the
         # payoffs of cell (0, 1), (0, 5), and not those of TO, (5, 0).
         path = write_config(tmp_path, {"payoffs": self.PRISONERS})

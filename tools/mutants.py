@@ -379,7 +379,7 @@ MUTANTS: tuple[Mutant, ...] = (
         "        return (a0[0], a1[0], a0[1], a1[1]), (b0[0], b1[0], b0[1], b1[1])\n",
         (
             "tests/test_game_core.py::TestOutcomePayoffs",
-            f"{_PAYOFF_FORM_TESTS}::test_outcome_order_reaches_every_command",
+            f"{_PAYOFF_FORM_TESTS}::test_outcome_order_reaches_simulate_and_sweep",
         ),
     ),
     Mutant(
