@@ -65,7 +65,10 @@ class EquilibriumKind(enum.Enum):
     DEGENERATE_FAMILY = "degenerate-family"
 
 
-@dataclass(frozen=True)
+_CORNER, _FAMILY = EquilibriumKind.CORNER, EquilibriumKind.DEGENERATE_FAMILY
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class NashPoint:
     """A mixing profile no player can improve on unilaterally.
 
@@ -79,19 +82,30 @@ class NashPoint:
     payoff_b: float
     kind: EquilibriumKind
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p_star <= 1.0 or not 0.0 <= self.q_star <= 1.0:
+    def __init__(
+        self, p_star: float, q_star: float, payoff_a: float, payoff_b: float, kind: EquilibriumKind
+    ) -> None:
+        self.__post_init__(p_star, q_star, payoff_a, payoff_b, kind)
+
+    def __post_init__(
+        self, p_star: float, q_star: float, payoff_a: float, payoff_b: float, kind: EquilibriumKind
+    ) -> None:
+        if not 0.0 <= p_star <= 1.0 or not 0.0 <= q_star <= 1.0:
             raise ConstraintViolation(
-                f"equilibrium coordinates must lie in [0, 1], got "
-                f"({self.p_star}, {self.q_star})"
+                f"equilibrium coordinates must lie in [0, 1], got ({p_star}, {q_star})"
             )
+        object.__setattr__(self, "p_star", p_star)
+        object.__setattr__(self, "q_star", q_star)
+        object.__setattr__(self, "payoff_a", payoff_a)
+        object.__setattr__(self, "payoff_b", payoff_b)
+        object.__setattr__(self, "kind", kind)
 
     @property
     def min_payoff(self) -> float:
         return min(self.payoff_a, self.payoff_b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class EntangledFamilyState:
     """The |OO>/|TT> superposition family, parametrized by the squared
     modulus a2 of the |OO> amplitude. Phases never affect payoffs, so only
@@ -99,8 +113,12 @@ class EntangledFamilyState:
 
     a2: float
 
-    def __post_init__(self) -> None:
-        _check_unit_interval("a2", self.a2)
+    def __init__(self, a2: float) -> None:
+        self.__post_init__(a2)
+
+    def __post_init__(self, a2: float) -> None:
+        _check_unit_interval("a2", a2)
+        object.__setattr__(self, "a2", a2)
 
     @property
     def b2(self) -> float:
@@ -239,17 +257,23 @@ def enumerate_bilinear_nash(
     edge_q0 = flat_a0 and ok_00 and ok_10
     edge_p1 = flat_b1 and ok_10 and ok_11
     edge_p0 = flat_b0 and ok_00 and ok_01
-    candidates = (
-        (edge_q1, half, one, EquilibriumKind.DEGENERATE_FAMILY),
-        (edge_q0, half, zero, EquilibriumKind.DEGENERATE_FAMILY),
-        (edge_p1, one, half, EquilibriumKind.DEGENERATE_FAMILY),
-        (edge_p0, zero, half, EquilibriumKind.DEGENERATE_FAMILY),
-        (ok_11 and not (edge_q1 or edge_p1), one, one, EquilibriumKind.CORNER),
-        (ok_10 and not (edge_q0 or edge_p1), one, zero, EquilibriumKind.CORNER),
-        (ok_01 and not (edge_q1 or edge_p0), zero, one, EquilibriumKind.CORNER),
-        (ok_00 and not (edge_q0 or edge_p0), zero, zero, EquilibriumKind.CORNER),
-    )
-    found = [(p, q, kind) for listed, p, q, kind in candidates if listed]
+    found = []
+    if edge_q1:
+        found.append((half, one, _FAMILY))
+    if edge_q0:
+        found.append((half, zero, _FAMILY))
+    if edge_p1:
+        found.append((one, half, _FAMILY))
+    if edge_p0:
+        found.append((zero, half, _FAMILY))
+    if ok_11 and not (edge_q1 or edge_p1):
+        found.append((one, one, _CORNER))
+    if ok_10 and not (edge_q0 or edge_p1):
+        found.append((one, zero, _CORNER))
+    if ok_01 and not (edge_q1 or edge_p0):
+        found.append((zero, one, _CORNER))
+    if ok_00 and not (edge_q0 or edge_p0):
+        found.append((zero, zero, _CORNER))
 
     if bilinear_a and bilinear_b:
         q_star = -a0 / pq_a
@@ -306,7 +330,7 @@ def _rescaled(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairwiseGap:
     """Payoff differences between two ranked equilibria (better minus worse,
     by rank position)."""
@@ -317,7 +341,7 @@ class PairwiseGap:
     delta_b: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquilibriumRanking:
     ordered: tuple[NashPoint, ...]
     gaps: tuple[PairwiseGap, ...]
@@ -334,21 +358,23 @@ def rank_equilibria(points: Iterable[NashPoint]) -> EquilibriumRanking:
     pts = list(points)
     if not pts:
         raise ConstraintViolation("cannot rank an empty set of equilibria")
-
-    def key(n: NashPoint) -> tuple[float, float, float, float]:
-        a, b = n.payoff_a, n.payoff_b
-        return (a, b, n.p_star, n.q_star) if a <= b else (b, a, n.p_star, n.q_star)
-
-    ordered = tuple(sorted(pts, key=key, reverse=True))
-    gaps = tuple(
-        PairwiseGap(i, j, better.payoff_a - worse.payoff_a, better.payoff_b - worse.payoff_b)
-        for i, better in enumerate(ordered)
-        for j, worse in enumerate(ordered[i + 1:], i + 1)
-    )
-    return EquilibriumRanking(ordered, gaps)
+    # list.sort is stable in reverse too: exact key ties keep their input order.
+    pts.sort(key=_rank_key, reverse=True)
+    n = len(pts)
+    gaps = [
+        PairwiseGap(i, j, pts[i].payoff_a - pts[j].payoff_a, pts[i].payoff_b - pts[j].payoff_b)
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
+    return EquilibriumRanking(tuple(pts), tuple(gaps))
 
 
-@dataclass(frozen=True)
+def _rank_key(n: NashPoint) -> tuple[float, float, float, float]:
+    a, b = n.payoff_a, n.payoff_b
+    return (a, b, n.p_star, n.q_star) if a <= b else (b, a, n.p_star, n.q_star)
+
+
+@dataclass(frozen=True, slots=True)
 class UniqueSolutionReport:
     """Whether the two corner equilibria collapse into one joint solution.
 

@@ -95,7 +95,7 @@ def _table_shape(rows: tuple[tuple[float, ...], ...]) -> tuple[int, ...]:
     return (len(rows), *widths) if len(widths) == 1 else (len(rows),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GamePayoffs:
     """The three payoff levels of the asymmetric coordination game.
 
@@ -110,13 +110,19 @@ class GamePayoffs:
     beta: float
     gamma: float
 
-    def __post_init__(self) -> None:
-        _check_range("the levels alpha, beta, gamma", [self.alpha, self.beta, self.gamma])
-        if not (self.alpha > self.beta > self.gamma):
+    def __init__(self, alpha: float, beta: float, gamma: float) -> None:
+        self.__post_init__(alpha, beta, gamma)
+
+    def __post_init__(self, alpha: float, beta: float, gamma: float) -> None:
+        _check_range("the levels alpha, beta, gamma", [alpha, beta, gamma])
+        if not (alpha > beta > gamma):
             raise ConstraintViolation(
                 "payoff parameters must satisfy alpha > beta > gamma, got "
-                f"alpha={self.alpha}, beta={self.beta}, gamma={self.gamma}"
+                f"alpha={alpha}, beta={beta}, gamma={gamma}"
             )
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "gamma", gamma)
 
 
 def _check_unit_interval(name: str, value: float) -> None:
@@ -145,7 +151,7 @@ class MixProbabilities:
         object.__setattr__(self, "q", q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BilinearPayoff:
     """One player's expected payoff as a bilinear surface over the unit square.
 
@@ -163,10 +169,22 @@ class BilinearPayoff:
     at_00: float
     base: float = 0
 
-    def __post_init__(self) -> None:
-        vals = (self.at_11, self.at_10, self.at_01, self.at_00, self.base)
+    def __init__(
+        self, at_11: float, at_10: float, at_01: float, at_00: float, base: float = 0
+    ) -> None:
+        self.__post_init__(at_11, at_10, at_01, at_00, base)
+
+    def __post_init__(
+        self, at_11: float, at_10: float, at_01: float, at_00: float, base: float
+    ) -> None:
+        vals = (at_11, at_10, at_01, at_00, base)
         if not all(map(math.isfinite, vals)):
             raise ConstraintViolation(f"corner payoffs must be finite, got {vals}")
+        object.__setattr__(self, "at_11", at_11)
+        object.__setattr__(self, "at_10", at_10)
+        object.__setattr__(self, "at_01", at_01)
+        object.__setattr__(self, "at_00", at_00)
+        object.__setattr__(self, "base", base)
 
     def value(self, p: float, q: float) -> float:
         r = 1 - q

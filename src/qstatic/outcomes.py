@@ -94,12 +94,13 @@ class StateVector:
 
     def density_matrix(self) -> DensityMatrix:
         """The projector |psi><psi| as a numpy-backed ``DensityMatrix``."""
-        import numpy as np
+        # Imported here so that numpy stays off the import path of this module;
+        # the absolute form finds the loaded module faster than a from-import.
+        import qstatic.quantum_core as qc
 
-        from .quantum_core import DensityMatrix
-
-        amps = np.array(self.amplitudes)
-        return DensityMatrix(np.outer(amps, amps.conj()))
+        amps = qc.np.array(self.amplitudes)
+        # The product np.outer takes, without its Python wrapper.
+        return qc.DensityMatrix(amps[:, None] * amps.conj())
 
 
 def _corner_means(payoffs: Sequence[float], probabilities: Sequence[float]) -> list[float]:

@@ -1,4 +1,6 @@
 import cmath
+import dataclasses
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -646,6 +648,48 @@ class TestRanking:
         assert (ranking.ordered[1].p_star, ranking.ordered[1].q_star) == (0.0, 0.0)
         assert ranking.ordered[0].payoff_a == pytest.approx(2.5, abs=1e-12)
         assert ranking.ordered[2].payoff_a == pytest.approx(1.75, abs=1e-12)
+
+    def test_every_input_order_gives_one_ranking(self):
+        # At a2 = 1/2 the corners (1,1) and (0,0) tie exactly in both payoffs,
+        # and so does a family point on the edge q = 1 between them; the
+        # coordinates order all three, whatever order the points come in.
+        keep, flip, interior = entangled_equilibria(BOS, EntangledFamilyState(0.5))
+        assert (keep.payoff_a, keep.payoff_b) == (flip.payoff_a, flip.payoff_b)
+        edge = NashPoint(0.5, 1.0, keep.payoff_a, keep.payoff_b, EquilibriumKind.DEGENERATE_FAMILY)
+        low = NashPoint(0.25, 0.0, 0.5, 4.0, EquilibriumKind.INTERIOR)
+        want = (keep, edge, flip, interior, low)
+        pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        for order in itertools.permutations(want):
+            ranking = rank_equilibria(order)
+            assert ranking.ordered == want
+            assert [(g.better, g.worse) for g in ranking.gaps] == pairs
+            assert [(g.delta_a, g.delta_b) for g in ranking.gaps] == [
+                (want[i].payoff_a - want[j].payoff_a, want[i].payoff_b - want[j].payoff_b)
+                for i, j in pairs
+            ]
+
+    def test_result_types_are_frozen_slotted_values(self):
+        points = entangled_equilibria(BOS, EntangledFamilyState(0.8))
+        ranking = rank_equilibria(points[:2])
+        report = unique_solution(GamePayoffs(3, 2, 1), EntangledFamilyState(0.5))
+        for value in (ranking.gaps[0], ranking, report):
+            for field in dataclasses.fields(value):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(value, field.name, getattr(value, field.name))
+            assert not hasattr(value, "__dict__")
+        assert repr(ranking.gaps[0]) == (
+            "PairwiseGap(better=0, worse=1, delta_a=0.6000000000000001, delta_b=-0.6000000000000001)"
+        )
+        assert repr(ranking) == f"EquilibriumRanking(ordered={points[:2]!r}, gaps={ranking.gaps!r})"
+        corner = "NashPoint(p_star={0}, q_star={0}, payoff_a={1}, payoff_b={1}, kind=<EquilibriumKind.CORNER: 'corner'>)"
+        keep, flip = corner.format(1.0, 2.5000000000000004), corner.format(0.0, 2.5000000000000004)
+        assert repr(report) == (
+            f"UniqueSolutionReport(merged=True, corner_keep={keep}, corner_flip={flip}, "
+            "payoff_difference_a=0.0, payoff_difference_b=0.0, "
+            "solution_payoffs=(2.5000000000000004, 2.5000000000000004), "
+            "final_state=StateVector(amplitudes=((0.7071067811865476+0j), 0j, 0j, "
+            "(0.7071067811865476+0j))))"
+        )
 
     def test_singleton_passthrough(self):
         point = NashPoint(0.5, 0.5, 1.0, 1.0, EquilibriumKind.INTERIOR)

@@ -18,10 +18,16 @@ from helpers import (
     reference_density_check,
     reference_trace_payoffs,
 )
-from qstatic.equilibria import EntangledFamilyState
+from qstatic.equilibria import EntangledFamilyState, EquilibriumKind, NashPoint
 from qstatic.errors import ConstraintViolation, InternalConsistencyError
 from qstatic.outcomes import _corner_means, _flipped
-from qstatic.game_core import GamePayoffs, MixProbabilities, bos_bimatrix, expected_payoffs
+from qstatic.game_core import (
+    BilinearPayoff,
+    GamePayoffs,
+    MixProbabilities,
+    bos_bimatrix,
+    expected_payoffs,
+)
 from qstatic.quantum_core import (
     BASIS_LABELS,
     EIGENVALUE_FLOOR,
@@ -546,9 +552,9 @@ class TestMixedFinalDensity:
             MixingChoice(-0.2, 0.5)
 
 
-#: Each value type built on the grid path: its class, the arguments of one
-#: value, a change that fails its checks, and the repr of that value (None
-#: for a density, whose repr is its array's).
+#: Each value type built on the grid and equilibrium paths: its class, the
+#: arguments of one value, a change that fails its checks, and the repr of
+#: that value (None for a density, whose repr is its array's).
 _ONE_PASS_VALUES = [
     (LocalUnitary, (0.6, 0.8), {"a": 2.0}, "LocalUnitary(a=(0.6+0j), b=(0.8+0j))"),
     (
@@ -565,13 +571,38 @@ _ONE_PASS_VALUES = [
         {"diagonal": [3.0, math.nan, 1.0, 2.0]},
         "PayoffOperator(diagonal=array([3., 1., 1., 2.]))",
     ),
+    (
+        NashPoint,
+        (0.25, 1.0, 2.5, -0.0, EquilibriumKind.INTERIOR),
+        {"q_star": 1.5},
+        "NashPoint(p_star=0.25, q_star=1.0, payoff_a=2.5, payoff_b=-0.0, "
+        "kind=<EquilibriumKind.INTERIOR: 'interior'>)",
+    ),
+    (
+        BilinearPayoff,
+        (3.0, 1, 0.5, 0.0),
+        {"at_01": math.inf},
+        "BilinearPayoff(at_11=3.0, at_10=1, at_01=0.5, at_00=0.0, base=0)",
+    ),
+    (
+        BilinearPayoff,
+        (3.0, 1, 0.5, 0.0, -2.5),
+        {"base": math.nan},
+        "BilinearPayoff(at_11=3.0, at_10=1, at_01=0.5, at_00=0.0, base=-2.5)",
+    ),
+    (GamePayoffs, (3, 2.5, 1), {"beta": 3}, "GamePayoffs(alpha=3, beta=2.5, gamma=1)"),
+    (EntangledFamilyState, (0.3,), {"a2": math.nan}, "EntangledFamilyState(a2=0.3)"),
 ]
+#: The value types that compare and hash by their fields; the others compare
+#: by identity.
+_BY_VALUE = (LocalUnitary, MixProbabilities, NashPoint, BilinearPayoff, GamePayoffs,
+             EntangledFamilyState)
 
 
 class TestOnePassConstruction:
-    """The five value types built at every grid point check and write their
-    fields in one ``__post_init__`` call, and keep what the generated
-    dataclass methods gave them."""
+    """The value types built at every grid point and every equilibrium solve
+    check and write their fields in one ``__post_init__`` call, and keep what
+    the generated dataclass methods gave them."""
 
     @pytest.mark.parametrize("cls, args, invalid, text", _ONE_PASS_VALUES)
     def test_post_init_runs_once_per_value(self, monkeypatch, cls, args, invalid, text):
@@ -596,7 +627,7 @@ class TestOnePassConstruction:
     @pytest.mark.parametrize("cls, args, invalid, text", _ONE_PASS_VALUES)
     def test_eq_hash_and_repr_are_the_dataclass_methods(self, cls, args, invalid, text):
         value, twin = cls(*args), cls(*args)
-        if cls in (LocalUnitary, MixProbabilities):
+        if cls in _BY_VALUE:
             assert value == twin and hash(value) == hash(twin)
             assert hash(value) == hash(dataclasses.astuple(value))
         else:

@@ -232,8 +232,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "ranking by the payoff sum, which overflows, after the smaller payoff",
         _EQUILIBRIA,
-        "        return (a, b, n.p_star, n.q_star) if a <= b else (b, a, n.p_star, n.q_star)\n",
-        "        return (min(a, b), a + b, n.p_star, n.q_star)\n",
+        "    return (a, b, n.p_star, n.q_star) if a <= b else (b, a, n.p_star, n.q_star)\n",
+        "    return (min(a, b), a + b, n.p_star, n.q_star)\n",
         ("tests/test_equilibria.py::TestRanking",),
     ),
     Mutant(
