@@ -2,8 +2,10 @@
 the CLI corpus sorts each kind of move into its own class, and the pairs
 tool's verdicts and commit stamps follow their documented rules."""
 
+import json
 import math
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -173,3 +175,57 @@ class TestPairsCommitStamp:
         assert bench_pairs.commit_of(repo / "sub") is None
         (tmp_path / "copy").mkdir()
         assert bench_pairs.commit_of(tmp_path / "copy") is None
+
+
+#: A stand-in for the benchmark command: one result line naming its workload.
+_FAKE_BENCH = """\
+import json, sys
+workload = sys.argv[sys.argv.index("--workload") + 1]
+print(json.dumps({"workload": workload, "metrics": {"ops_per_s": {"value": 1.0}},
+                  "failed": 0, "attempted": 1}))
+"""
+
+
+class TestPairsWorkloadFilter:
+    @pytest.fixture
+    def spec_dir(self, tmp_path, monkeypatch):
+        (tmp_path / "fake.py").write_text(_FAKE_BENCH)
+        spec = {
+            "command": [sys.executable, str(tmp_path / "fake.py")],
+            "run_seconds": 1,
+            "workloads": [{"name": name} for name in ("first", "second", "third")],
+            "end_to_end": [{"name": "ops_per_s", "better": "higher", "bound": 0.25}],
+        }
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    def _run(self, spec_dir, *extra):
+        out = spec_dir / "out.json"
+        code = bench_pairs.main(["--before", str(spec_dir), "--after", str(spec_dir),
+                                 "--out", str(out), "--pairs", "2", *extra])
+        record = json.loads(out.read_text())
+        runs = {name: [pair[side]["workload"] for pair in w["runs"] for side in ("before", "after")]
+                for name, w in record["workloads"].items()}
+        return code, runs
+
+    def test_every_workload_runs_by_default(self, spec_dir):
+        code, runs = self._run(spec_dir)
+        assert code == 0
+        assert runs == {name: [name] * 4 for name in ("first", "second", "third")}
+
+    def test_named_workloads_run_in_the_files_order(self, spec_dir):
+        code, runs = self._run(spec_dir, "--workload", "third", "--workload", "first")
+        assert code == 0
+        assert list(runs) == ["first", "third"]
+        assert runs == {"first": ["first"] * 4, "third": ["third"] * 4}
+
+    def test_an_unknown_workload_is_refused(self, spec_dir, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            bench_pairs.main(["--before", ".", "--after", ".", "--out", "out.json",
+                              "--workload", "fourth"])
+        assert exit_info.value.code == 2
+        assert "unknown workload fourth; BENCHMARK.json lists first, second, third" in (
+            capsys.readouterr().err
+        )
+        assert not (spec_dir / "out.json").exists()

@@ -4,11 +4,13 @@ end-to-end metric against its bound.
 Usage, from the root of a checkout:
 
     python tools/bench_pairs.py --before OLD_CHECKOUT --after NEW_CHECKOUT \
-        --out BENCH_<n>.json [--pairs 10] [--seed 1]
+        --out BENCH_<n>.json [--pairs 10] [--seed 1] [--workload NAME ...]
 
 The workloads, the benchmark command, its run length and each end-to-end
 metric's direction and bound come from ``BENCHMARK.json`` in the current
-directory. For every workload, pair i runs the command with
+directory. ``--workload``, which may be repeated, runs only the workloads it
+names, in that file's order; by default every workload runs. For every
+workload, pair i runs the command with
 ``--seed SEED+i --seconds RUN_SECONDS --trace 0`` once in each checkout, one
 after the other; the parent (``--before``) goes first in even pairs and the
 change (``--after``) in odd ones. Runs never overlap.
@@ -129,10 +131,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    parser.add_argument("--workload", action="append",
+                        help="run only this workload (repeatable; default: every workload)")
     args = parser.parse_args(argv)
 
     spec = json.loads(Path("BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
+    unknown = sorted(set(args.workload or ()) - set(workloads))
+    if unknown:
+        parser.error(f"unknown workload {', '.join(unknown)}; BENCHMARK.json lists "
+                     f"{', '.join(workloads)}")
+    if args.workload:
+        workloads = [name for name in workloads if name in args.workload]
     seconds = spec["run_seconds"]
     checkouts = {"before": args.before.resolve(), "after": args.after.resolve()}
     record = {"command": spec["command"], "pairs": args.pairs, "seconds": seconds,
