@@ -94,6 +94,14 @@ CONFIGS = {
         "payoffs": BOS,
         "initial_state": [[0.6, 0.0], [1e-11, 0.0], [0.0, 0.0], [0.8, 0.0]],
     },
+    # A coefficient of modulus 1e-12 whose imaginary part is as large as its
+    # real part: the table's state line must not print the real part alone.
+    "small_complex": {
+        "payoffs": BOS,
+        "initial_state": [
+            [0.7071067811865476, 0.0], [0.0, 0.0], [6.16724e-13, 8e-13], [0.7071067811865475, 0.0]
+        ],
+    },
     # The Prisoner's Dilemma at the balanced superposition: a 2x2 game whose
     # keep/flip corners (1,1) and (0,0) are not equilibria.
     "prisoners_dilemma": {
@@ -163,6 +171,7 @@ RUNS = [
     (["quantum"], "outside_rational", ("json", "csv")),
     (["quantum"], "middle_1e-13", ("json",)),
     (["quantum"], "middle_1e-11", ("json",)),
+    (["quantum"], "small_complex", ("table",)),
     (["quantum"], "prisoners_dilemma", FORMATS),
     (["quantum", "--mode", "factorizable"], "prisoners_dilemma", ("table", "json")),
     (["simulate", *SIMULATE], "prisoners_dilemma", ("table", "json")),
