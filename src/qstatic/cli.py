@@ -635,7 +635,10 @@ def _state_table_line(pairs: list[list[float]]) -> str:
     terms = []
     for (re, im), label in zip(pairs, BASIS_LABELS):
         if re * re + im * im > ZERO_AMPLITUDE**2:
-            coeff = _fnum(re) if abs(im) <= ZERO_AMPLITUDE else f"({_fnum(re)}{im:+.6g}i)"
+            # The real part stands alone only where the imaginary part is below
+            # half a unit in its sixth significant digit, at least 5e-7 |re|.
+            alone = abs(im) <= ZERO_AMPLITUDE and abs(im) <= 5e-7 * abs(re)
+            coeff = _fnum(re) if alone else f"({_fnum(re)}{im:+.6g}i)"
             terms.append(f"{coeff}|{label}>")
     return " + ".join(terms) if terms else "0"
 

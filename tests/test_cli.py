@@ -1016,6 +1016,27 @@ class TestOutputFormats:
         out = capsys.readouterr().out
         assert "0.666666666667" in out
 
+    @pytest.mark.parametrize(
+        "re_im, text",
+        [
+            # An imaginary part below half a unit in the real part's sixth digit.
+            ((0.707107, 1e-12), "0.707107|TO>"),
+            ((2e-6, 1e-12), "2e-06|TO>"),
+            # One as large as the real part, or the modulus: both parts print.
+            ((6.16724e-13, 8e-13), "(6.16724e-13+8e-13i)|TO>"),
+            ((1e-13, -1e-12), "(1e-13-1e-12i)|TO>"),
+            ((1e-7, 1e-12), "(1e-07+1e-12i)|TO>"),
+            # Above ZERO_AMPLITUDE the imaginary part always prints.
+            ((0.6, 1e-11), "(0.6+1e-11i)|TO>"),
+            # A negative real part keeps the "+ -x" form.
+            ((-2e-6, 0.0), "-2e-06|TO>"),
+        ],
+    )
+    def test_state_line_prints_each_part_that_shows(self, re_im, text):
+        pairs = [[0.0, 0.0], [0.0, 0.0], list(re_im), [0.0, 0.0]]
+        assert cli._state_table_line(pairs) == text
+        assert cli._state_table_line([[0.6, 0.0]] + pairs[1:]) == f"0.6|OO> + {text}"
+
 
 class TestExitCodes:
     def test_success_is_zero(self, bos_config, capsys):
