@@ -255,17 +255,26 @@ class TestEnumerator:
         assert only.kind is EquilibriumKind.DEGENERATE_FAMILY
         assert (only.p_star, only.q_star) == (0.5, 0.5)
 
-    def test_indifferent_player_merges_an_edge(self):
-        # Row player fully indifferent; column player strictly wants q = 1,
-        # so the whole top edge is an equilibrium continuum.
-        # Both surfaces are value(p, q) = q.
-        bp_a = BilinearPayoff(1.0, 0.0, 1.0, 0.0)
-        bp_b = BilinearPayoff(1.0, 0.0, 1.0, 0.0)
-        points = enumerate_bilinear_nash(bp_a, bp_b)
+    @pytest.mark.parametrize(
+        "corners, family",
+        [
+            # value(p, q) = q: the row player is indifferent and the column
+            # player strictly wants q = 1, so the whole top edge is a continuum.
+            ((1.0, 0.0, 1.0, 0.0), (0.5, 1.0)),
+            # value = 1 - q, p and 1 - p: the edges q = 0, p = 1 and p = 0.
+            ((0.0, 1.0, 0.0, 1.0), (0.5, 0.0)),
+            ((1.0, 1.0, 0.0, 0.0), (1.0, 0.5)),
+            ((0.0, 0.0, 1.0, 1.0), (0.0, 0.5)),
+        ],
+        ids=["q=1", "q=0", "p=1", "p=0"],
+    )
+    def test_indifferent_player_merges_an_edge(self, corners, family):
+        # Both players share the surface.
+        points = enumerate_bilinear_nash(BilinearPayoff(*corners), BilinearPayoff(*corners))
         assert len(points) == 1
         only = points[0]
         assert only.kind is EquilibriumKind.DEGENERATE_FAMILY
-        assert (only.p_star, only.q_star) == (0.5, 1.0)
+        assert (only.p_star, only.q_star) == family
 
     def test_pure_cycling_game_has_single_interior_point(self):
         bp_a = BilinearPayoff(1, -1, -1, 1)

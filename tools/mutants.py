@@ -1,5 +1,5 @@
 """Mutation check of the test suite: each mutant of the oracle routes' checks,
-the mixing map, the payoff surfaces, the enumerator, the payoff-scale rules,
+the mixing map, the payoff surfaces, the enumerator and its ranking, the payoff-scale rules,
 the sampler and the CLI's reading of the configured state and game must
 make one of its tests fail.
 
@@ -228,6 +228,27 @@ MUTANTS: tuple[Mutant, ...] = (
         "    if not all(map(math.isfinite, products)):\n",
         "    if False:\n",
         ("tests/test_equilibria.py::TestEntangledClosedForms",),
+    ),
+    Mutant(
+        "NashPoint drops q_star from its joint bounds test",
+        _EQUILIBRIA,
+        "        if not 0.0 <= p_star <= 1.0 or not 0.0 <= q_star <= 1.0:\n",
+        "        if not 0.0 <= p_star <= 1.0:\n",
+        ("tests/test_quantum_core.py::TestOnePassConstruction",),
+    ),
+    Mutant(
+        "the enumerator lists the q = 0 edge family at q = 1",
+        _EQUILIBRIA,
+        "        found.append((half, zero, _FAMILY))\n",
+        "        found.append((half, one, _FAMILY))\n",
+        ("tests/test_equilibria.py::TestEnumerator::test_indifferent_player_merges_an_edge",),
+    ),
+    Mutant(
+        "rank_equilibria's inner index starts at i, which gives each point a gap to itself",
+        _EQUILIBRIA,
+        "        for j in range(i + 1, n)\n",
+        "        for j in range(i, n)\n",
+        ("tests/test_equilibria.py::TestRanking",),
     ),
     Mutant(
         "ranking by the payoff sum, which overflows, after the smaller payoff",
