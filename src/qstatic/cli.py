@@ -635,8 +635,9 @@ def _state_table_line(pairs: list[list[float]]) -> str:
     terms = []
     for (re, im), label in zip(pairs, BASIS_LABELS):
         if re * re + im * im > ZERO_AMPLITUDE**2:
-            # The real part stands alone only where the imaginary part is below
-            # half a unit in its sixth significant digit, at least 5e-7 |re|.
+            # The real part stands alone only where the imaginary part would not
+            # show at six significant digits: 5e-7 |re| is at most half a unit
+            # in the real part's sixth digit.
             alone = abs(im) <= ZERO_AMPLITUDE and abs(im) <= 5e-7 * abs(re)
             coeff = _fnum(re) if alone else f"({_fnum(re)}{im:+.6g}i)"
             terms.append(f"{coeff}|{label}>")
