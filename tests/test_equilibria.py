@@ -687,11 +687,17 @@ class TestRanking:
                     setattr(value, field.name, getattr(value, field.name))
             assert not hasattr(value, "__dict__")
         assert repr(ranking.gaps[0]) == (
-            "PairwiseGap(better=0, worse=1, delta_a=0.6000000000000001, delta_b=-0.6000000000000001)"
+            "PairwiseGap(better=0, worse=1, "
+            "delta_a=0.6000000000000001, delta_b=-0.6000000000000001)"
         )
-        assert repr(ranking) == f"EquilibriumRanking(ordered={points[:2]!r}, gaps={ranking.gaps!r})"
-        corner = "NashPoint(p_star={0}, q_star={0}, payoff_a={1}, payoff_b={1}, kind=<EquilibriumKind.CORNER: 'corner'>)"
-        keep, flip = corner.format(1.0, 2.5000000000000004), corner.format(0.0, 2.5000000000000004)
+        assert repr(ranking) == (
+            f"EquilibriumRanking(ordered={points[:2]!r}, gaps={ranking.gaps!r})"
+        )
+        corner = (
+            "NashPoint(p_star={0}, q_star={0}, payoff_a=2.5000000000000004, "
+            "payoff_b=2.5000000000000004, kind=<EquilibriumKind.CORNER: 'corner'>)"
+        )
+        keep, flip = corner.format(1.0), corner.format(0.0)
         assert repr(report) == (
             f"UniqueSolutionReport(merged=True, corner_keep={keep}, corner_flip={flip}, "
             "payoff_difference_a=0.0, payoff_difference_b=0.0, "

@@ -593,10 +593,6 @@ _ONE_PASS_VALUES = [
     (GamePayoffs, (3, 2.5, 1), {"beta": 3}, "GamePayoffs(alpha=3, beta=2.5, gamma=1)"),
     (EntangledFamilyState, (0.3,), {"a2": math.nan}, "EntangledFamilyState(a2=0.3)"),
 ]
-#: The value types that compare and hash by their fields; the others compare
-#: by identity.
-_BY_VALUE = (LocalUnitary, MixProbabilities, NashPoint, BilinearPayoff, GamePayoffs,
-             EntangledFamilyState)
 
 
 class TestOnePassConstruction:
@@ -627,7 +623,7 @@ class TestOnePassConstruction:
     @pytest.mark.parametrize("cls, args, invalid, text", _ONE_PASS_VALUES)
     def test_eq_hash_and_repr_are_the_dataclass_methods(self, cls, args, invalid, text):
         value, twin = cls(*args), cls(*args)
-        if cls in _BY_VALUE:
+        if cls not in (StateVector, DensityMatrix, PayoffOperator):
             assert value == twin and hash(value) == hash(twin)
             assert hash(value) == hash(dataclasses.astuple(value))
         else:

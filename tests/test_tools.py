@@ -205,7 +205,7 @@ class TestPairsWorkloadFilter:
         code = bench_pairs.main(["--before", str(spec_dir), "--after", str(spec_dir),
                                  "--out", str(out), "--pairs", "2", *extra])
         record = json.loads(out.read_text())
-        runs = {name: [pair[side]["workload"] for pair in w["runs"] for side in ("before", "after")]
+        runs = {name: [pair[side]["workload"] for pair in w["runs"] for side in bench_pairs.SIDES]
                 for name, w in record["workloads"].items()}
         return code, runs
 

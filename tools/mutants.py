@@ -1,7 +1,7 @@
 """Mutation check of the test suite: each mutant of the oracle routes' checks,
-the mixing map, the payoff surfaces, the enumerator and its ranking, the payoff-scale rules,
-the sampler and the CLI's reading of the configured state and game must
-make one of its tests fail.
+the mixing map, the payoff surfaces, the enumerator and its ranking, the
+payoff-scale rules, the sampler and the CLI's reading of the configured state
+and game must make one of its tests fail.
 
 Usage, from the root of a git checkout:
 
