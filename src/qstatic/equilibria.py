@@ -216,7 +216,12 @@ def enumerate_bilinear_nash(
     Fraction surfaces are enumerated exactly, with zero slope tolerances and
     Fraction coordinates; float surfaces get float coordinates.
     """
-    exact = isinstance(bp_a.at_00, Fraction) and isinstance(bp_b.at_00, Fraction)
+    # A float is never a Fraction; the type test is cheaper than the ABC's.
+    exact = (
+        type(bp_a.at_00) is not float
+        and isinstance(bp_a.at_00, Fraction)
+        and isinstance(bp_b.at_00, Fraction)
+    )
     one, zero = (Fraction(1), Fraction(0)) if exact else (1.0, 0.0)
     half = one / 2
     # The row player's slope in p along the edge q = 1 or 0, and the column

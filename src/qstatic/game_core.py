@@ -177,8 +177,12 @@ class BilinearPayoff:
     def __post_init__(
         self, at_11: float, at_10: float, at_01: float, at_00: float, base: float
     ) -> None:
-        vals = (at_11, at_10, at_01, at_00, base)
-        if not all(map(math.isfinite, vals)):
+        isfinite = math.isfinite
+        if not (
+            isfinite(at_11) and isfinite(at_10) and isfinite(at_01) and isfinite(at_00)
+            and isfinite(base)
+        ):
+            vals = (at_11, at_10, at_01, at_00, base)
             raise ConstraintViolation(f"corner payoffs must be finite, got {vals}")
         object.__setattr__(self, "at_11", at_11)
         object.__setattr__(self, "at_10", at_10)

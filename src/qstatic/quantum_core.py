@@ -249,8 +249,9 @@ class PayoffOperator:
                 f"a payoff operator needs 4 diagonal entries, got shape {d.shape}"
             )
         # Python floats test faster than numpy's isfinite; the payoff routes read them too.
-        values = tuple(d.tolist())
-        if not all(map(math.isfinite, values)):
+        values = v0, v1, v2, v3 = tuple(d.tolist())
+        isfinite = math.isfinite
+        if not (isfinite(v0) and isfinite(v1) and isfinite(v2) and isfinite(v3)):
             raise ConstraintViolation("payoff operator entries must be finite")
         d.setflags(write=False)
         object.__setattr__(self, "diagonal", d)
