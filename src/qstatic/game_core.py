@@ -114,8 +114,15 @@ class GamePayoffs:
         self.__post_init__(alpha, beta, gamma)
 
     def __post_init__(self, alpha: float, beta: float, gamma: float) -> None:
-        _check_range("the levels alpha, beta, gamma", [alpha, beta, gamma])
-        if not (alpha > beta > gamma):
+        # The checks below in one test: ordered levels have the range
+        # alpha - gamma. Each level is tested on its own too, because an int or
+        # Fraction beyond float range can have a finite range.
+        isfinite = math.isfinite
+        if not (
+            isfinite(alpha) and isfinite(beta) and isfinite(gamma)
+            and alpha > beta > gamma and isfinite(alpha - gamma)
+        ):
+            _check_range("the levels alpha, beta, gamma", [alpha, beta, gamma])
             raise ConstraintViolation(
                 "payoff parameters must satisfy alpha > beta > gamma, got "
                 f"alpha={alpha}, beta={beta}, gamma={gamma}"
