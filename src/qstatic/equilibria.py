@@ -216,24 +216,26 @@ def enumerate_bilinear_nash(
     Fraction surfaces are enumerated exactly, with zero slope tolerances and
     Fraction coordinates; float surfaces get float coordinates.
     """
+    x11, x10, x01, x00 = bp_a.at_11, bp_a.at_10, bp_a.at_01, bp_a.at_00
+    y11, y10, y01, y00 = bp_b.at_11, bp_b.at_10, bp_b.at_01, bp_b.at_00
     # A float is never a Fraction; the type test is cheaper than the ABC's.
-    exact = (
-        type(bp_a.at_00) is not float
-        and isinstance(bp_a.at_00, Fraction)
-        and isinstance(bp_b.at_00, Fraction)
-    )
+    exact = type(x00) is not float and isinstance(x00, Fraction) and isinstance(y00, Fraction)
     one, zero = (Fraction(1), Fraction(0)) if exact else (1.0, 0.0)
     half = one / 2
     # The row player's slope in p along the edge q = 1 or 0, and the column
-    # player's slope in q along the edge p = 1 or 0.
-    a1, a0 = bp_a.slope_p(one), bp_a.slope_p(zero)
-    b1, b0 = bp_b.slope_q(one), bp_b.slope_q(zero)
+    # player's slope in q along the edge p = 1 or 0: slope_p(one), slope_p(zero),
+    # slope_q(one) and slope_q(zero) written out, where 1 - one is zero and
+    # 1 - zero is one in either number type.
+    a1 = zero * (x10 - x00) + one * (x11 - x01)
+    a0 = one * (x10 - x00) + zero * (x11 - x01)
+    b1 = zero * (y01 - y00) + one * (y11 - y10)
+    b0 = one * (y01 - y00) + zero * (y11 - y10)
     # The coefficients of pq * p * q + p_ * p + q_ * q + const; pq is the
     # change of a slope from one edge to the other, p_a and q_b are a0 and b0.
     pq_a, pq_b = a1 - a0, b1 - b0
     r = 0 if exact else _ROUNDOFF
-    a11, a10, a01, a00 = abs(bp_a.at_11), abs(bp_a.at_10), abs(bp_a.at_01), abs(bp_a.at_00)
-    b11, b10, b01, b00 = abs(bp_b.at_11), abs(bp_b.at_10), abs(bp_b.at_01), abs(bp_b.at_00)
+    a11, a10, a01, a00 = abs(x11), abs(x10), abs(x01), abs(x00)
+    b11, b10, b01, b00 = abs(y11), abs(y10), abs(y01), abs(y00)
     tol_a, tol_b = r * (a11 + a10 + a01 + a00), r * (b11 + b10 + b01 + b00)
     if not (_LEAST_ALLOWANCE <= tol_a <= _MOST_ALLOWANCE and
             _LEAST_ALLOWANCE <= tol_b <= _MOST_ALLOWANCE) and not exact:

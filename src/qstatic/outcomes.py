@@ -65,7 +65,13 @@ class StateVector:
             raise ConstraintViolation(
                 f"a joint state needs exactly 4 amplitudes, got {len(amps)}"
             )
-        probabilities = tuple([a.real * a.real + a.imag * a.imag for a in amps])
+        a0, a1, a2, a3 = amps
+        probabilities = (
+            a0.real * a0.real + a0.imag * a0.imag,
+            a1.real * a1.real + a1.imag * a1.imag,
+            a2.real * a2.real + a2.imag * a2.imag,
+            a3.real * a3.real + a3.imag * a3.imag,
+        )
         norm_sq = sum(probabilities)
         if not abs(norm_sq - 1.0) <= STATE_NORM_TOL:
             raise ConstraintViolation(
