@@ -143,7 +143,11 @@ def payoff_surfaces(
     ``Fraction`` inputs give exact surfaces.
     """
     base_a, base_b = min(payoffs_a), min(payoffs_b)
-    return (
-        BilinearPayoff(*_corner_means([x - base_a for x in payoffs_a], probabilities), base_a),
-        BilinearPayoff(*_corner_means([x - base_b for x in payoffs_b], probabilities), base_b),
+    x0, x1, x2, x3 = payoffs_a
+    surface_a = BilinearPayoff(
+        *_corner_means((x0 - base_a, x1 - base_a, x2 - base_a, x3 - base_a), probabilities), base_a
+    )
+    x0, x1, x2, x3 = payoffs_b
+    return surface_a, BilinearPayoff(
+        *_corner_means((x0 - base_b, x1 - base_b, x2 - base_b, x3 - base_b), probabilities), base_b
     )
