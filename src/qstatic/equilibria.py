@@ -40,6 +40,9 @@ __all__ = [
     "unique_solution",
 ]
 
+#: Writes a field of a frozen value from its ``__post_init__``.
+_set = object.__setattr__
+
 #: Two candidate equilibria closer than this in both coordinates coincide,
 #: and so do a candidate this close outside the square and its nearest point.
 SLOPE_TOL = 1e-12
@@ -94,11 +97,11 @@ class NashPoint:
             raise ConstraintViolation(
                 f"equilibrium coordinates must lie in [0, 1], got ({p_star}, {q_star})"
             )
-        object.__setattr__(self, "p_star", p_star)
-        object.__setattr__(self, "q_star", q_star)
-        object.__setattr__(self, "payoff_a", payoff_a)
-        object.__setattr__(self, "payoff_b", payoff_b)
-        object.__setattr__(self, "kind", kind)
+        _set(self, "p_star", p_star)
+        _set(self, "q_star", q_star)
+        _set(self, "payoff_a", payoff_a)
+        _set(self, "payoff_b", payoff_b)
+        _set(self, "kind", kind)
 
     @property
     def min_payoff(self) -> float:
@@ -118,7 +121,7 @@ class EntangledFamilyState:
 
     def __post_init__(self, a2: float) -> None:
         _check_unit_interval("a2", a2)
-        object.__setattr__(self, "a2", a2)
+        _set(self, "a2", a2)
 
     @property
     def b2(self) -> float:

@@ -27,6 +27,9 @@ __all__ = [
     "expected_payoffs",
 ]
 
+#: Writes a field of a frozen value from its ``__post_init__``.
+_set = object.__setattr__
+
 
 @dataclass(frozen=True, eq=False)
 class Bimatrix:
@@ -54,8 +57,8 @@ class Bimatrix:
             raise ConstraintViolation("each player needs at least one strategy")
         _check_range("payoff_a", [x for row in a for x in row])
         _check_range("payoff_b", [x for row in b for x in row])
-        object.__setattr__(self, "payoff_a", a)
-        object.__setattr__(self, "payoff_b", b)
+        _set(self, "payoff_a", a)
+        _set(self, "payoff_b", b)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -127,9 +130,9 @@ class GamePayoffs:
                 "payoff parameters must satisfy alpha > beta > gamma, got "
                 f"alpha={alpha}, beta={beta}, gamma={gamma}"
             )
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "gamma", gamma)
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
+        _set(self, "gamma", gamma)
 
 
 def _check_unit_interval(name: str, value: float) -> None:
@@ -154,8 +157,8 @@ class MixProbabilities:
         if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
             _check_unit_interval("p", p)
             _check_unit_interval("q", q)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        _set(self, "p", p)
+        _set(self, "q", q)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -191,11 +194,11 @@ class BilinearPayoff:
         ):
             vals = (at_11, at_10, at_01, at_00, base)
             raise ConstraintViolation(f"corner payoffs must be finite, got {vals}")
-        object.__setattr__(self, "at_11", at_11)
-        object.__setattr__(self, "at_10", at_10)
-        object.__setattr__(self, "at_01", at_01)
-        object.__setattr__(self, "at_00", at_00)
-        object.__setattr__(self, "base", base)
+        _set(self, "at_11", at_11)
+        _set(self, "at_10", at_10)
+        _set(self, "at_01", at_01)
+        _set(self, "at_00", at_00)
+        _set(self, "base", base)
 
     def value(self, p: float, q: float) -> float:
         r = 1 - q

@@ -22,6 +22,9 @@ if TYPE_CHECKING:
 
 __all__ = ["BASIS_LABELS", "STATE_NORM_TOL", "StateVector", "MixingChoice", "payoff_surfaces"]
 
+#: Writes a field of a frozen value from its ``__post_init__``.
+_set = object.__setattr__
+
 #: Canonical ordering of the joint basis; row player's symbol first.
 BASIS_LABELS = ("OO", "OT", "TO", "TT")
 
@@ -77,8 +80,8 @@ class StateVector:
             raise ConstraintViolation(
                 f"state vector is not normalized: sum of squared moduli = {norm_sq!r}"
             )
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "probabilities", probabilities)
+        _set(self, "amplitudes", amps)
+        _set(self, "probabilities", probabilities)
 
     @classmethod
     def basis(cls, which: int | str) -> StateVector:

@@ -50,6 +50,9 @@ __all__ = [
     "bilinear_payoff_coefficients",
 ]
 
+#: Writes a field of a frozen value from its ``__post_init__``.
+_set = object.__setattr__
+
 # The validators test ``not gap <= TOL`` rather than ``gap > TOL`` so that a
 # NaN anywhere in the input fails the check instead of slipping past it.
 HERMITIAN_TOL = 1e-12
@@ -187,8 +190,8 @@ class DensityMatrix:
                 f"density matrix has a negative eigenvalue ({smallest:.3e})"
             )
         m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "_diagonal", (v00, v11, v22, v33))
+        _set(self, "entries", m)
+        _set(self, "_diagonal", (v00, v11, v22, v33))
 
     def diagonal_probabilities(self) -> np.ndarray:
         """Real diagonal; these are the joint measurement probabilities."""
@@ -217,8 +220,8 @@ class LocalUnitary:
             raise ConstraintViolation(
                 f"|a|^2 + |b|^2 must be 1 for a local tactic, got {norm!r}"
             )
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        _set(self, "a", a)
+        _set(self, "b", b)
 
     @classmethod
     def identity(cls) -> LocalUnitary:
@@ -254,8 +257,8 @@ class PayoffOperator:
         if not (isfinite(v0) and isfinite(v1) and isfinite(v2) and isfinite(v3)):
             raise ConstraintViolation("payoff operator entries must be finite")
         d.setflags(write=False)
-        object.__setattr__(self, "diagonal", d)
-        object.__setattr__(self, "_values", values)
+        _set(self, "diagonal", d)
+        _set(self, "_values", values)
 
 
 def apply_local_unitaries(
