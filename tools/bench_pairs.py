@@ -129,11 +129,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--before", type=Path, required=True, help="parent checkout")
     parser.add_argument("--after", type=Path, required=True, help="changed checkout")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload, at least 2")
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     parser.add_argument("--workload", action="append",
                         help="run only this workload (repeatable; default: every workload)")
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        # The quartiles of the verdict need two runs on each side.
+        parser.error(f"--pairs must be at least 2, got {args.pairs}")
 
     spec = json.loads(Path("BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
