@@ -229,3 +229,17 @@ class TestPairsWorkloadFilter:
             capsys.readouterr().err
         )
         assert not (spec_dir / "out.json").exists()
+
+    @pytest.mark.parametrize("pairs", ["1", "0", "-3"])
+    def test_fewer_than_two_pairs_are_refused_before_any_run(self, spec_dir, capsys, pairs):
+        # The stand-in benchmark leaves a mark in its checkout when it starts.
+        (spec_dir / "fake.py").write_text("open('started', 'w').close()\n" + _FAKE_BENCH)
+        with pytest.raises(SystemExit) as exit_info:
+            bench_pairs.main(["--before", ".", "--after", ".", "--out", "out.json",
+                              "--pairs", pairs])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"--pairs must be at least 2, got {pairs}" in captured.err
+        assert captured.out == ""
+        assert not (spec_dir / "started").exists()
+        assert not (spec_dir / "out.json").exists()
