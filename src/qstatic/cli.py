@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .equilibria import (
+    EquilibriumKind,
     EquilibriumRanking,
     NashPoint,
     UniqueSolutionReport,
@@ -542,11 +543,18 @@ def cmd_sweep(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
     }
 
     if args.param == "a2":
+        corner, inside = EquilibriumKind.CORNER, EquilibriumKind.INTERIOR
         for value in values:
             points = enumerate_bilinear_nash(*payoff_surfaces((value, 0.0, 0.0, 1 - value), *table))
-            found = [(n.kind.value, n.p_star, n.q_star) for n in points]
-            others = [kind for kind, _, _ in found[2:]]
-            if found[:2] != [("corner", 1, 1), ("corner", 0, 0)] or others != ["interior"]:
+            # The family's points in the enumerator's order: corner (1, 1),
+            # corner (0, 0), one interior point.
+            if not (
+                len(points) == 3
+                and points[0].kind is corner and points[0].p_star == 1 and points[0].q_star == 1
+                and points[1].kind is corner and points[1].p_star == 0 and points[1].q_star == 0
+                and points[2].kind is inside
+            ):
+                found = [(n.kind.value, n.p_star, n.q_star) for n in points]
                 raise InternalConsistencyError(f"a2 = {value}: not the family's points: {found}")
             keep, flip, interior = points
             rows.append(

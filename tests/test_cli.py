@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -891,19 +892,30 @@ class TestSweepCommand:
             lambda keep, flip, interior: (flip, keep, interior),
             lambda keep, flip, interior: (keep, flip),
             lambda keep, flip, interior: (keep, flip, interior, interior),
+            lambda keep, flip, interior: (keep, keep, interior),
+            lambda keep, flip, interior: (keep, flip, flip),
+            lambda keep, flip, interior: (
+                keep, flip, dataclasses.replace(interior, kind=EquilibriumKind.DEGENERATE_FAMILY)
+            ),
         ],
     )
     def test_a2_sweep_never_mislabels_a_row(self, capsys, bos_config, monkeypatch, found):
         # Rows are labelled by position: other points than the corners (1,1)
         # and (0,0) and one interior point, in that order, are an internal error.
         enumerate_nash = cli.enumerate_bilinear_nash
+        forged = []
         monkeypatch.setattr(
-            cli, "enumerate_bilinear_nash", lambda *surfaces: found(*enumerate_nash(*surfaces))
+            cli,
+            "enumerate_bilinear_nash",
+            lambda *surfaces: forged.append(found(*enumerate_nash(*surfaces))) or forged[-1],
         )
         assert main(["sweep", "--config", bos_config, "--steps", "3"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("internal error: a2 = 0.0: not the family's points")
+        listed = [(n.kind.value, n.p_star, n.q_star) for n in forged[0]]
+        assert captured.err == (
+            f"internal error: a2 = 0.0: not the family's points: {listed}\n"
+        )
 
     def test_p_sweep_tabulates_payoff_slice(self, capsys, bos_config):
         doc = run_json(
