@@ -221,6 +221,27 @@ class TestEnumerator:
         coords = {(round(n.p_star, 12), round(n.q_star, 12)) for n in points}
         assert coords == {(1.0, 1.0), (0.0, 0.0), (round(2 / 3, 12), round(1 / 3, 12))}
 
+    @pytest.mark.parametrize(
+        "corners",
+        [
+            ((3, 1, 1, 2), (2, 1, 1, 3)),  # two corners and an interior point
+            ((1, 1, 0, 0), (1, 0, 1, 0)),  # one corner
+            ((0, 0, 0, 0), (0, 0, 0, 0)),  # the whole square, a degenerate family
+        ],
+    )
+    def test_int_corners_give_floats_and_fraction_corners_fractions(self, corners):
+        # Only Fraction surfaces are enumerated exactly; an int is not a Fraction.
+        rows, cols = corners
+        floats = enumerate_bilinear_nash(BilinearPayoff(*rows), BilinearPayoff(*cols))
+        exact = enumerate_bilinear_nash(
+            BilinearPayoff(*map(Fraction, rows)), BilinearPayoff(*map(Fraction, cols))
+        )
+        assert [type(x) for n in floats for x in (n.p_star, n.q_star)] == [float] * 2 * len(floats)
+        assert [type(x) for n in exact for x in (n.p_star, n.q_star)] == [Fraction] * 2 * len(exact)
+        assert [n.kind for n in floats] == [n.kind for n in exact]
+        for f, x in zip(floats, exact):
+            assert dataclasses.astuple(f)[:4] == pytest.approx(dataclasses.astuple(x)[:4], abs=1e-15)
+
     def test_agrees_with_grid_defect_oracle(self):
         bp_a = BilinearPayoff(3, 1, 1, 2)
         bp_b = BilinearPayoff(2, 1, 1, 3)
