@@ -50,6 +50,7 @@ _CLI = "src/qstatic/cli.py"
 _OUTCOMES = "src/qstatic/outcomes.py"
 _GAME_CORE = "src/qstatic/game_core.py"
 _PAYOFF_FORM_TESTS = "tests/test_cli.py::TestPayoffForms"
+_CHECKS_TESTS = "tests/test_checks.py::TestAcceptTestsMatchTheCheckSequences"
 _SAMPLER_TESTS = ("tests/test_montecarlo.py::TestBinomialSampler",)
 _DENSITY_TESTS = ("tests/test_quantum_core.py::TestDensityMatrix",)
 _CERTIFICATE_TESTS = ("tests/test_quantum_core.py::TestPositivityCertificate",)
@@ -144,6 +145,31 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_game_core.py::TestExpectedPayoffs",),
     ),
     Mutant(
+        "GamePayoffs' accept test without the finite range alpha - gamma",
+        _GAME_CORE,
+        "            and alpha > beta > gamma and isfinite(alpha - gamma)\n",
+        "            and alpha > beta > gamma\n",
+        (
+            "tests/test_game_core.py::TestBosBimatrix::test_levels_need_only_a_finite_range",
+            f"{_CHECKS_TESTS}::test_game_payoffs",
+        ),
+    ),
+    Mutant(
+        "BilinearPayoff's finiteness test without base",
+        _GAME_CORE,
+        "            and isfinite(base)\n",
+        "",
+        (f"{_CHECKS_TESTS}::test_bilinear_payoff",),
+    ),
+    Mutant(
+        "the enumerator's exact test without its isinstance tests, so int corners run exact",
+        _EQUILIBRIA,
+        "    exact = type(x00) is not float and isinstance(x00, Fraction) and isinstance(y00, Fraction)\n",
+        "    exact = type(x00) is not float\n",
+        ("tests/test_equilibria.py::TestEnumerator::"
+         "test_int_corners_give_floats_and_fraction_corners_fractions",),
+    ),
+    Mutant(
         "LocalUnitary norm drops the imaginary part of b",
         _QUANTUM,
         " + b.real * b.real + b.imag * b.imag\n",
@@ -153,14 +179,14 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "PayoffOperator finiteness check removed",
         _QUANTUM,
-        "        if not all(map(math.isfinite, values)):\n",
+        "        if not (isfinite(v0) and isfinite(v1) and isfinite(v2) and isfinite(v3)):\n",
         "        if False:\n",
         ("tests/test_quantum_core.py::TestPayoffOperators",),
     ),
     Mutant(
         "trace_payoffs residue check skipped",
         _QUANTUM,
-        '    _check_imaginary_residue(max(abs(value_a.imag), abs(value_b.imag)), "trace", pa, pb)\n',
+        '    if residue > IMAG_PART_TOL:\n        _check_imaginary_residue(residue, "trace", pa, pb)\n',
         "",
         ("tests/test_quantum_core.py::TestTracePayoffs",),
     ),
@@ -360,8 +386,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "the a2 sweep's kinds check removed",
         _CLI,
-        '            if found[:2] != [("corner", 1, 1), ("corner", 0, 0)] or others != ["interior"]:\n',
-        "            if False:\n",
+        "            if not (\n                len(points) == 3\n",
+        "            if False and (\n                len(points) == 3\n",
         ("tests/test_cli.py::TestSweepCommand",),
     ),
     Mutant(
