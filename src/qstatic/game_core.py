@@ -117,9 +117,9 @@ class GamePayoffs:
         self.__post_init__(alpha, beta, gamma)
 
     def __post_init__(self, alpha: float, beta: float, gamma: float) -> None:
-        # The checks below in one test: ordered levels have the range
-        # alpha - gamma. Each level is tested on its own too, because an int or
-        # Fraction beyond float range can have a finite range.
+        # The range rule and the ordering as one test, in their order; the
+        # range of ordered levels is alpha - gamma. Each level is tested on
+        # its own too: ints or Fractions beyond float range can lie close.
         isfinite = math.isfinite
         if not (
             isfinite(alpha) and isfinite(beta) and isfinite(gamma)

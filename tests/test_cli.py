@@ -904,18 +904,17 @@ class TestSweepCommand:
         # and (0,0) and one interior point, in that order, are an internal error.
         enumerate_nash = cli.enumerate_bilinear_nash
         forged = []
-        monkeypatch.setattr(
-            cli,
-            "enumerate_bilinear_nash",
-            lambda *surfaces: forged.append(found(*enumerate_nash(*surfaces))) or forged[-1],
-        )
+
+        def forge(*surfaces):
+            forged.append(found(*enumerate_nash(*surfaces)))
+            return forged[-1]
+
+        monkeypatch.setattr(cli, "enumerate_bilinear_nash", forge)
         assert main(["sweep", "--config", bos_config, "--steps", "3"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         listed = [(n.kind.value, n.p_star, n.q_star) for n in forged[0]]
-        assert captured.err == (
-            f"internal error: a2 = 0.0: not the family's points: {listed}\n"
-        )
+        assert captured.err == f"internal error: a2 = 0.0: not the family's points: {listed}\n"
 
     def test_p_sweep_tabulates_payoff_slice(self, capsys, bos_config):
         doc = run_json(
