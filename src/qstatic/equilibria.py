@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
 
@@ -112,9 +112,11 @@ class NashPoint:
 class EntangledFamilyState:
     """The |OO>/|TT> superposition family, parametrized by the squared
     modulus a2 of the |OO> amplitude. Phases never affect payoffs, so only
-    moduli are stored; the canonical representative has real amplitudes."""
+    moduli are stored; the canonical representative has real amplitudes,
+    built on its first read and kept."""
 
     a2: float
+    _vector: StateVector = field(init=False, repr=False, compare=False)
 
     def __init__(self, a2: float) -> None:
         self.__post_init__(a2)
@@ -123,15 +125,23 @@ class EntangledFamilyState:
         _check_unit_interval("a2", a2)
         _set(self, "a2", a2)
 
+    def __getattr__(self, name: str) -> StateVector:
+        # Called only for a slot not yet written: the vector on its first read.
+        if name != "_vector":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        vector = StateVector.oo_tt(math.sqrt(self.a2), math.sqrt(self.b2))
+        _set(self, "_vector", vector)
+        return vector
+
     @property
     def b2(self) -> float:
         return 1 - self.a2
 
     def state_vector(self) -> StateVector:
-        return StateVector.oo_tt(math.sqrt(self.a2), math.sqrt(self.b2))
+        return self._vector
 
     def density_matrix(self) -> DensityMatrix:
-        return self.state_vector().density_matrix()
+        return self._vector.density_matrix()
 
 
 def classical_mixed_equilibria(
@@ -448,19 +458,14 @@ def _unique_solution(
     # both halves at (0, 0) moves basis index k to k ^ 3, and with it entry
     # (m, n) to (m ^ 3, n ^ 3). Entry (m ^ 3, n ^ 3) has the negated gap of
     # (m, n), so rows 0 and 1 hold every gap.
-    amps = vector.amplitudes
-    conj = [a.conjugate() for a in amps]
+    a0, a1, a2, a3 = vector.amplitudes
+    c0, c1, c2, c3 = a0.conjugate(), a1.conjugate(), a2.conjugate(), a3.conjugate()
     density_gap = max(
-        [abs(amps[m] * conj[n] - amps[m ^ 3] * conj[n ^ 3]) for m in (0, 1) for n in (0, 1, 2, 3)]
+        abs(a0 * c0 - a3 * c3), abs(a0 * c1 - a3 * c2), abs(a0 * c2 - a3 * c1), abs(a0 * c3 - a3 * c0),
+        abs(a1 * c0 - a2 * c3), abs(a1 * c1 - a2 * c2), abs(a1 * c2 - a2 * c1), abs(a1 * c3 - a2 * c0),
     )
-    diff_a, diff_b = keep_a - flip_a, keep_b - flip_b
     merged = density_gap <= MERGE_TOL
     return UniqueSolutionReport(
-        merged=merged,
-        corner_keep=corner_keep,
-        corner_flip=corner_flip,
-        payoff_difference_a=diff_a,
-        payoff_difference_b=diff_b,
-        solution_payoffs=(keep_a, keep_b) if merged else None,
-        final_state=vector if merged else None,
+        merged, corner_keep, corner_flip, keep_a - flip_a, keep_b - flip_b,
+        (keep_a, keep_b) if merged else None, vector if merged else None,
     )

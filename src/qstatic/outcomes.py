@@ -102,14 +102,21 @@ class StateVector:
         return cls.oo_tt(math.sqrt(0.5), math.sqrt(0.5))
 
     def density_matrix(self) -> DensityMatrix:
-        """The projector |psi><psi| as a numpy-backed ``DensityMatrix``."""
+        """The projector |psi><psi| as a ``DensityMatrix``: entry (m, n) is
+        a_m conj(a_n), formed in Python, so the diagonal's real parts are
+        ``probabilities`` bit for bit and its imaginary parts are 0."""
         # Imported here so that numpy stays off the import path of this module;
         # the absolute form finds the loaded module faster than a from-import.
         import qstatic.quantum_core as qc
 
-        amps = qc.np.array(self.amplitudes)
-        # The product np.outer takes, without its Python wrapper.
-        return qc.DensityMatrix(amps[:, None] * amps.conj())
+        a0, a1, a2, a3 = self.amplitudes
+        c0, c1, c2, c3 = a0.conjugate(), a1.conjugate(), a2.conjugate(), a3.conjugate()
+        return qc.DensityMatrix((
+            (a0 * c0, a0 * c1, a0 * c2, a0 * c3),
+            (a1 * c0, a1 * c1, a1 * c2, a1 * c3),
+            (a2 * c0, a2 * c1, a2 * c2, a2 * c3),
+            (a3 * c0, a3 * c1, a3 * c2, a3 * c3),
+        ))
 
 
 def _corner_means(payoffs: Sequence[float], probabilities: Sequence[float]) -> list[float]:

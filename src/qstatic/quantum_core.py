@@ -1,10 +1,10 @@
 """Quantum strategy space over the joint basis (|OO>, |OT>, |TO>, |TT>).
 
-Numpy-backed 4x4 density matrices for the two players' joint choice, local
-SU(2) manipulation, the identity/flip mixing map on densities, diagonal
-payoff observables, and trace payoffs: the independent routes the
-acceptance criteria check the production payoffs of ``qstatic.outcomes``
-against. The joint state vector and the payoff surfaces come from
+4x4 density matrices for the two players' joint choice (numpy arrays built
+when read), local SU(2) manipulation, the identity/flip mixing map on
+densities, diagonal payoff observables, and trace payoffs: the independent
+routes the acceptance criteria check the production payoffs of
+``qstatic.outcomes`` against. The joint state vector and the payoff surfaces come from
 ``outcomes`` and are importable from here too. The first tensor slot belongs
 to the row player. Payoff evaluation is phase-insensitive throughout: only
 squared moduli (the density diagonal) ever enter a payoff.
@@ -129,38 +129,72 @@ def _certified_above_floor(
 
 @dataclass(frozen=True, slots=True, init=False, eq=False)
 class DensityMatrix:
-    """4x4 Hermitian, unit-trace, positive-semidefinite joint strategy state."""
+    """4x4 Hermitian, unit-trace, positive-semidefinite joint strategy state.
+
+    The checks read the entries as Python numbers. The matrix is kept as
+    given, and the diagonal's parts as floats for the payoff routes;
+    ``entries``, a read-only array, is built on its first read and kept.
+    """
 
     entries: np.ndarray
-    #: The diagonal entries as the checks unpack them; only they enter a payoff.
-    _diagonal: tuple[complex, ...] = field(init=False, repr=False, compare=False)
+    #: The checked matrix as given: 4 row tuples of ``complex``, or a private array.
+    _rows: tuple[tuple[complex, ...], ...] | np.ndarray = field(
+        init=False, repr=False, compare=False
+    )
+    #: The diagonal's real and imaginary parts; only they enter a payoff.
+    _real: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
+    _imag: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
 
     def __init__(self, entries: np.ndarray) -> None:
         self.__post_init__(entries)
 
     def __post_init__(self, entries: np.ndarray) -> None:
-        m = np.array(entries, dtype=complex)
-        if m.shape != (4, 4):
-            raise ConstraintViolation(
-                f"a joint density matrix must be 4x4, got shape {m.shape}"
+        rows = entries
+        # Numpy's conversion gives 4 row tuples of complex numbers back value
+        # for value, so they are read as they are; anything else goes through
+        # it, which also words a wrong shape.
+        exact = (
+            type(rows) is tuple and len(rows) == 4
+            and type(rows[0]) is type(rows[1]) is type(rows[2]) is type(rows[3]) is tuple
+            and len(rows[0]) == len(rows[1]) == len(rows[2]) == len(rows[3]) == 4
+        )
+        if exact:
+            ((v00, v01, v02, v03), (v10, v11, v12, v13),
+             (v20, v21, v22, v23), (v30, v31, v32, v33)) = rows
+            exact = (
+                type(v00) is type(v01) is type(v02) is type(v03) is type(v10) is type(v11)
+                is type(v12) is type(v13) is type(v20) is type(v21) is type(v22) is type(v23)
+                is type(v30) is type(v31) is type(v32) is type(v33) is complex
             )
-        # Sixteen Python complex numbers test faster than small numpy arrays.
-        (v00, v01, v02, v03, v10, v11, v12, v13,
-         v20, v21, v22, v23, v30, v31, v32, v33) = m.ravel().tolist()
+        if not exact:
+            rows = np.array(entries, dtype=complex)
+            if rows.shape != (4, 4):
+                raise ConstraintViolation(
+                    f"a joint density matrix must be 4x4, got shape {rows.shape}"
+                )
+            (v00, v01, v02, v03, v10, v11, v12, v13,
+             v20, v21, v22, v23, v30, v31, v32, v33) = rows.ravel().tolist()
         # |m[i, j] - conj(m[j, i])| for j >= i covers every entry of m - m^H.
+        # The diagonal goes first; the pair terms are all 0 where every entry
+        # off the diagonal is 0, and NaN is true, so it still reaches them.
+        off_diagonal = v01 or v02 or v03 or v10 or v12 or v13 or v20 or v21 or v23 or v30 or v31 or v32
         tol = HERMITIAN_TOL
         if not (
             abs(v00 - v00.conjugate()) <= tol
-            and abs(v01 - v10.conjugate()) <= tol
-            and abs(v02 - v20.conjugate()) <= tol
-            and abs(v03 - v30.conjugate()) <= tol
             and abs(v11 - v11.conjugate()) <= tol
-            and abs(v12 - v21.conjugate()) <= tol
-            and abs(v13 - v31.conjugate()) <= tol
             and abs(v22 - v22.conjugate()) <= tol
-            and abs(v23 - v32.conjugate()) <= tol
             and abs(v33 - v33.conjugate()) <= tol
+            and (
+                not off_diagonal
+                or abs(v01 - v10.conjugate()) <= tol
+                and abs(v02 - v20.conjugate()) <= tol
+                and abs(v03 - v30.conjugate()) <= tol
+                and abs(v12 - v21.conjugate()) <= tol
+                and abs(v13 - v31.conjugate()) <= tol
+                and abs(v23 - v32.conjugate()) <= tol
+            )
         ):
+            m = np.array(rows, dtype=complex)
             # A non-finite conjugate pair makes the gap NaN: say so, not warn.
             with np.errstate(invalid="ignore"):
                 hermitian_gap = float(np.abs(m - m.conj().T).max())
@@ -173,14 +207,14 @@ class DensityMatrix:
             raise ConstraintViolation(
                 f"density matrix trace deviates from 1 by {trace_gap:.3e}"
             )
-        if v01 or v02 or v03 or v10 or v12 or v13 or v20 or v21 or v23 or v30 or v31 or v32:
+        if off_diagonal:
             # The lower triangle is the half eigvalsh reads. Positive pivots put
             # every eigenvalue above the floor, so the floor stands in for the
             # smallest; LAPACK decides the rest.
             if _certified_above_floor(v00, v10, v11, v20, v21, v22, v30, v31, v32, v33):
                 smallest = EIGENVALUE_FLOOR
             else:
-                smallest = float(np.linalg.eigvalsh(m)[0])
+                smallest = float(np.linalg.eigvalsh(np.array(rows, dtype=complex))[0])
         else:
             # A diagonal matrix's eigenvalues are its diagonal; eigvalsh reads
             # only the real parts and returns this same value.
@@ -189,13 +223,22 @@ class DensityMatrix:
             raise ConstraintViolation(
                 f"density matrix has a negative eigenvalue ({smallest:.3e})"
             )
+        _set(self, "_rows", rows)
+        _set(self, "_real", (v00.real, v11.real, v22.real, v33.real))
+        _set(self, "_imag", (v00.imag, v11.imag, v22.imag, v33.imag))
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # Called only for a slot not yet written: ``entries`` on its first read.
+        if name != "entries":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        m = np.array(self._rows, dtype=complex)
         m.setflags(write=False)
         _set(self, "entries", m)
-        _set(self, "_diagonal", (v00, v11, v22, v33))
+        return m
 
     def diagonal_probabilities(self) -> np.ndarray:
         """Real diagonal; these are the joint measurement probabilities."""
-        return np.array([d.real for d in self._diagonal])
+        return np.array(self._real)
 
     def fidelity(self, psi: StateVector) -> float:
         """Overlap <psi| rho |psi>, real for a valid density matrix."""
@@ -236,7 +279,11 @@ class LocalUnitary:
 
 @dataclass(frozen=True, slots=True, init=False, eq=False)
 class PayoffOperator:
-    """Observable diagonal in the canonical basis; entries are payoffs."""
+    """Observable diagonal in the canonical basis; entries are payoffs.
+
+    The checked payoffs are kept as floats; ``diagonal``, a read-only array,
+    is built on its first read and kept.
+    """
 
     diagonal: np.ndarray
     _values: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
@@ -245,20 +292,34 @@ class PayoffOperator:
         self.__post_init__(diagonal)
 
     def __post_init__(self, diagonal: np.ndarray) -> None:
-        # One copy, so the caller's array can change without changing this one.
-        d = np.array(diagonal, dtype=float)
-        if d.shape != (4,):
-            raise ConstraintViolation(
-                f"a payoff operator needs 4 diagonal entries, got shape {d.shape}"
-            )
+        values = diagonal
+        # Numpy's conversion gives a 4-tuple of floats back value for value,
+        # so it is read as it is; anything else goes through that conversion.
+        if not (
+            type(values) is tuple and len(values) == 4
+            and type(values[0]) is type(values[1]) is type(values[2]) is type(values[3]) is float
+        ):
+            d = np.array(diagonal, dtype=float)
+            if d.shape != (4,):
+                raise ConstraintViolation(
+                    f"a payoff operator needs 4 diagonal entries, got shape {d.shape}"
+                )
+            values = tuple(d.tolist())
         # Python floats test faster than numpy's isfinite; the payoff routes read them too.
-        values = v0, v1, v2, v3 = tuple(d.tolist())
+        v0, v1, v2, v3 = values
         isfinite = math.isfinite
         if not (isfinite(v0) and isfinite(v1) and isfinite(v2) and isfinite(v3)):
             raise ConstraintViolation("payoff operator entries must be finite")
+        _set(self, "_values", values)
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # Called only for a slot not yet written: ``diagonal`` on its first read.
+        if name != "diagonal":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        d = np.array(self._values, dtype=float)
         d.setflags(write=False)
         _set(self, "diagonal", d)
-        _set(self, "_values", values)
+        return d
 
 
 def apply_local_unitaries(
@@ -340,17 +401,24 @@ def trace_payoffs(
 ) -> tuple[float, float]:
     """Mean values tr(P rho) for both diagonal payoff operators; only the
     diagonal of rho contributes."""
-    # Four Python complex numbers sum faster than a numpy dot on them.
-    d0, d1, d2, d3 = rho._diagonal
+    # Four Python floats sum faster than a numpy dot on them. The real part
+    # of a complex product is the product of the real parts where the
+    # imaginary part is 0, so the imaginary parts enter only the residue.
+    d0, d1, d2, d3 = rho._real
     x0, x1, x2, x3 = pa._values
     y0, y1, y2, y3 = pb._values
     value_a = (x0 * d0 + x1 * d1) + (x2 * d2 + x3 * d3)
     value_b = (y0 * d0 + y1 * d1) + (y2 * d2 + y3 * d3)
-    residue = max(abs(value_a.imag), abs(value_b.imag))
-    # The residue check's own first test, so a valid density makes no call.
-    if residue > IMAG_PART_TOL:
-        _check_imaginary_residue(residue, "trace", pa, pb)
-    return value_a.real, value_b.real
+    i0, i1, i2, i3 = rho._imag
+    if i0 or i1 or i2 or i3:
+        residue = max(
+            abs((x0 * i0 + x1 * i1) + (x2 * i2 + x3 * i3)),
+            abs((y0 * i0 + y1 * i1) + (y2 * i2 + y3 * i3)),
+        )
+        # The residue check's own first test, so a valid density makes no call.
+        if residue > IMAG_PART_TOL:
+            _check_imaginary_residue(residue, "trace", pa, pb)
+    return value_a, value_b
 
 
 def bilinear_payoff_coefficients(
@@ -362,11 +430,10 @@ def bilinear_payoff_coefficients(
     The diagonal's imaginary part must leave every corner payoff real within
     IMAG_PART_TOL of the payoff scale.
     """
-    diagonal = rho_in._diagonal
     payoffs_a, payoffs_b = pa._values, pb._values
-    imaginary = [d.imag for d in diagonal]
+    imaginary = rho_in._imag
     # With every imaginary part exactly zero every residue is exactly zero.
     if any(imaginary):
         residues = _corner_means(payoffs_a, imaginary) + _corner_means(payoffs_b, imaginary)
         _check_imaginary_residue(max(map(abs, residues)), "corner", pa, pb)
-    return payoff_surfaces([d.real for d in diagonal], payoffs_a, payoffs_b)
+    return payoff_surfaces(rho_in._real, payoffs_a, payoffs_b)

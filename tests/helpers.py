@@ -49,11 +49,13 @@ def random_density(rng: np.random.Generator) -> DensityMatrix:
 
 def forged_density(entries) -> DensityMatrix:
     """A ``DensityMatrix`` that skips validation, to exercise the defensive
-    checks downstream: its entries and the diagonal it keeps."""
+    checks downstream: its entries and the diagonal parts it keeps."""
     rho = object.__new__(DensityMatrix)
     m = np.array(entries, dtype=complex)
-    object.__setattr__(rho, "entries", m)
-    object.__setattr__(rho, "_diagonal", tuple(m.diagonal().tolist()))
+    diagonal = m.diagonal().tolist()
+    object.__setattr__(rho, "_rows", m)
+    object.__setattr__(rho, "_real", tuple(d.real for d in diagonal))
+    object.__setattr__(rho, "_imag", tuple(d.imag for d in diagonal))
     return rho
 
 

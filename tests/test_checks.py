@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 from qstatic.errors import ConstraintViolation
 from qstatic.game_core import BilinearPayoff, GamePayoffs
 from qstatic.outcomes import STATE_NORM_TOL, StateVector
-from qstatic.quantum_core import PayoffOperator
+from qstatic.quantum_core import DensityMatrix, PayoffOperator
+
+from helpers import reference_density_check
 
 # ---------------------------------------------------------------------------
 # the check sequences, one function per type; each returns the accepted fields
@@ -55,6 +57,15 @@ def payoff_operator_checks(diagonal):
     if not all(map(math.isfinite, values)):
         raise ConstraintViolation("payoff operator entries must be finite")
     return d.tolist(), values
+
+
+def density_matrix_checks(entries):
+    """The checks on numpy's conversion of the entries; the accepted fields
+    are the matrix and its diagonal's real and imaginary parts."""
+    with np.errstate(invalid="ignore"):
+        m = reference_density_check(entries)
+    diagonal = m.diagonal()
+    return m.tobytes(), tuple(diagonal.real.tolist()), tuple(diagonal.imag.tolist())
 
 
 def state_vector_checks(amplitudes):
@@ -151,6 +162,78 @@ def amplitude_lists(draw):
     return amps
 
 
+#: Entries numpy's conversion reads its own way: bools, strings numeric and
+#: not, Fractions, ints, complex numbers and values that are not finite.
+converted = st.one_of(
+    st.sampled_from([True, False, 0, 1, "0", "0.25", " 0.5", "1+0j", "nan", "-inf",
+                     Fraction(1, 4), math.nan, math.inf, -math.inf, -0.0, 0.25j]),
+    st.sampled_from(["abc", "0x1p-2", "1_0"]),
+    st.floats(-1, 1),
+    st.complex_numbers(max_magnitude=1),
+)
+
+
+def _spelled(draw, x):
+    """The real number x as a complex, a float, a Fraction, a string, or an
+    int or a bool where it is one."""
+    forms = [complex(x), float(x), Fraction(x), str(float(x))]
+    if x == int(x):
+        forms += [int(x), bool(x)] if x in (0, 1) else [int(x)]
+    return draw(st.sampled_from(forms))
+
+
+#: Valid diagonals, and an off-diagonal pair each of them can carry.
+_DIAGONALS = [(0.25, 0.25, 0.25, 0.25), (0.5, 0.5, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0),
+              (0.125, 0.375, 0.25, 0.25)]
+
+
+@st.composite
+def density_inputs(draw):
+    """A valid density, diagonal or with one Hermitian pair, every entry
+    spelled as one of the types numpy converts, up to two entries replaced,
+    and the whole held as 4 row tuples or lists, 16 values, or a wrong
+    number of rows or columns. Half the draws are 4 row tuples of complex."""
+    d = draw(st.sampled_from(_DIAGONALS))
+    rows = [[d[i] if i == j else 0.0 for j in range(4)] for i in range(4)]
+    if draw(st.booleans()):
+        rows[0][1], rows[1][0] = draw(st.sampled_from([(0.125, 0.125), (0.125j, -0.125j)]))
+    exact = draw(st.booleans())
+    rows = [[complex(x) if exact or type(x) is complex else _spelled(draw, x) for x in row]
+            for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        rows[draw(st.integers(0, 3))][draw(st.integers(0, 3))] = draw(
+            st.complex_numbers(allow_nan=True, allow_infinity=True) if exact else converted
+        )
+    form = draw(st.sampled_from(["tuples"] * 4 + ["lists", "tuple of lists", "flat", "3 rows",
+                                                  "5 columns", "ragged"]))
+    if form == "lists":
+        return rows
+    if form == "tuple of lists":
+        return tuple(rows)
+    if form == "flat":
+        return tuple(x for row in rows for x in row)
+    if form == "3 rows":
+        return tuple(map(tuple, rows[:3]))
+    if form == "5 columns":
+        return tuple(tuple(row) + (0j,) for row in rows)
+    if form == "ragged":
+        return tuple(tuple(row[:3]) if i == 2 else tuple(row) for i, row in enumerate(rows))
+    return tuple(map(tuple, rows))
+
+
+@st.composite
+def payoff_inputs(draw):
+    """Four floats as a tuple, half the time; otherwise 3 to 5 converted
+    entries or numbers as a tuple, a list or a column."""
+    if draw(st.booleans()):
+        return draw(st.tuples(*[st.floats() | st.sampled_from(SPECIAL)] * 4))
+    values = draw(st.lists(converted | numbers, min_size=3, max_size=5))
+    form = draw(st.sampled_from(["tuple", "list", "column"]))
+    if form == "column":
+        return tuple((x,) for x in values)
+    return tuple(values) if form == "tuple" else values
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -182,6 +265,24 @@ class TestAcceptTestsMatchTheCheckSequences:
 
         assert verdict(build, diagonal) == verdict(payoff_operator_checks, diagonal)
 
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(diagonal=payoff_inputs())
+    def test_payoff_operator_reads_as_numpy_converts(self, diagonal):
+        def build(d):
+            v = PayoffOperator(d)
+            return v.diagonal.tolist(), v._values
+
+        assert verdict(build, diagonal) == verdict(payoff_operator_checks, diagonal)
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(entries=density_inputs())
+    def test_density_matrix_reads_as_numpy_converts(self, entries):
+        def build(e):
+            v = DensityMatrix(e)
+            return v.entries.tobytes(), v._real, v._imag
+
+        assert verdict(build, entries) == verdict(density_matrix_checks, entries)
+
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(amplitudes=amplitude_lists())
     def test_state_vector(self, amplitudes):
@@ -209,8 +310,24 @@ class TestAcceptTestsMatchTheCheckSequences:
         def states_seen(amplitudes):
             note(verdict(state_vector_checks, amplitudes))
 
+        @settings(derandomize=True, max_examples=500, deadline=None)
+        @given(entries=density_inputs())
+        def densities_seen(entries):
+            outcome = verdict(density_matrix_checks, entries)
+            note(outcome)
+            seen.add(f"density {outcome[0]}")
+
+        @settings(derandomize=True, max_examples=500, deadline=None)
+        @given(diagonal=payoff_inputs())
+        def payoffs_seen(diagonal):
+            outcome = verdict(payoff_operator_checks, diagonal)
+            note(outcome)
+            seen.add(f"payoff operator {outcome[0]}")
+
         levels_seen()
         states_seen()
+        densities_seen()
+        payoffs_seen()
         for start in [
             "accepted",
             "the levels alpha, beta, gamma must be finite",
@@ -220,5 +337,16 @@ class TestAcceptTestsMatchTheCheckSequences:
             "integer division result too large for a float",
             "a joint state needs exactly 4 amplitudes",
             "state vector is not normalized",
+            "density accepted",
+            "payoff operator accepted",
+            "a joint density matrix must be 4x4, got shape (16,)",
+            "a joint density matrix must be 4x4, got shape (3, 4)",
+            "setting an array element with a sequence",
+            "complex() arg is a malformed string",
+            "density matrix is not Hermitian",
+            "density matrix trace deviates from 1",
+            "a payoff operator needs 4 diagonal entries",
+            "payoff operator entries must be finite",
+            "could not convert string to float",
         ]:
             assert any(text.startswith(start) for text in seen), start

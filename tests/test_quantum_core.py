@@ -18,7 +18,15 @@ from helpers import (
     reference_density_check,
     reference_trace_payoffs,
 )
-from qstatic.equilibria import EntangledFamilyState, EquilibriumKind, NashPoint
+import qstatic.quantum_core as qc
+from qstatic.equilibria import (
+    EntangledFamilyState,
+    EquilibriumKind,
+    NashPoint,
+    enumerate_bilinear_nash,
+    rank_equilibria,
+    unique_solution,
+)
 from qstatic.errors import ConstraintViolation, InternalConsistencyError
 from qstatic.outcomes import _corner_means, _flipped
 from qstatic.game_core import (
@@ -118,6 +126,27 @@ class TestStateVector:
         assert [x.hex() for x in psi.probabilities] == [x.hex() for x in want]
         probs = projection_probabilities(psi)
         assert [x.hex() for x in probs.tolist()] == [x.hex() for x in want]
+
+    def test_projector_diagonal_is_the_probabilities_bit_for_bit(self):
+        # Payoffs read only the diagonal, so it must be the state's own
+        # outcome probabilities, with no imaginary residue to check.
+        rng = np.random.default_rng(1)
+        states = [random_state(rng) for _ in range(1333)]
+        moved_real = moved_imag = 0
+        for psi in states:
+            diagonal = psi.density_matrix().entries.diagonal()
+            real = [x.hex() for x in diagonal.real.tolist()]
+            moved_real += real != [x.hex() for x in psi.probabilities]
+            moved_imag += bool(diagonal.imag.any())
+        assert (moved_real, moved_imag) == (0, 0)
+
+    def test_projector_entries_are_the_outer_product(self):
+        rng = np.random.default_rng(2)
+        for _ in range(500):
+            psi = random_state(rng)
+            amps = np.array(psi.amplitudes)
+            got = psi.density_matrix().entries
+            np.testing.assert_allclose(got, np.outer(amps, amps.conj()), rtol=0, atol=4e-16)
 
 
 #: Diagonal entries on either side of the eigenvalue floor.
@@ -625,7 +654,8 @@ class TestOnePassConstruction:
         value, twin = cls(*args), cls(*args)
         if cls not in (StateVector, DensityMatrix, PayoffOperator):
             assert value == twin and hash(value) == hash(twin)
-            assert hash(value) == hash(dataclasses.astuple(value))
+            compared = [getattr(value, f.name) for f in dataclasses.fields(value) if f.compare]
+            assert hash(value) == hash(tuple(compared))
         else:
             # Array-backed and state types compare by identity, as before.
             assert value != twin and value == value
@@ -650,7 +680,8 @@ class TestOnePassConstruction:
     def test_replaced_density_keeps_its_own_diagonal(self):
         rho = random_density(np.random.default_rng(5))
         swapped = dataclasses.replace(rho, entries=rho.entries[::-1, ::-1])
-        assert swapped._diagonal == tuple(rho._diagonal[::-1])
+        assert swapped._real == rho._real[::-1]
+        assert swapped._imag == rho._imag[::-1]
 
     def test_densities_mixed_in_alternation_match_a_fresh_gather(self):
         # Mixing two densities in turn must give, bit for bit, what a fresh
@@ -667,10 +698,80 @@ class TestOnePassConstruction:
         rng = np.random.default_rng(43)
         for _ in range(200):
             rho = random_density(rng)
-            assert rho._diagonal == tuple(rho.entries.diagonal().tolist())
+            diagonal = rho.entries.diagonal().tolist()
+            assert rho._real == tuple(d.real for d in diagonal)
+            assert rho._imag == tuple(d.imag for d in diagonal)
             want = np.real(np.diagonal(rho.entries)).copy()
             got = rho.diagonal_probabilities()
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+#: The numpy functions that build an array from Python values.
+_ARRAY_CONSTRUCTORS = (
+    "array", "asarray", "asanyarray", "ascontiguousarray", "empty", "zeros", "ones",
+    "full", "eye", "diag", "outer", "stack", "fromiter", "frombuffer",
+)
+
+
+class TestNumpyOnlyWhereAnArrayIsRead:
+    """The equilibrium path holds Python values; ``DensityMatrix.entries`` and
+    ``PayoffOperator.diagonal`` are built when read."""
+
+    def test_equilibrium_path_builds_no_array(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        states = [random_state(rng) for _ in range(20)]
+        states += [EntangledFamilyState(a2) for a2 in (0.5, 0.3, 1, 0.0, *rng.uniform(size=10).tolist())]
+        games = [GamePayoffs(3.0, 2.0, 1.0)]
+        games += [GamePayoffs(*sorted(rng.uniform(0.1, 10.0, size=3).tolist(), reverse=True)) for _ in range(5)]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a numpy array was built on the equilibrium path")
+
+        for name in _ARRAY_CONSTRUCTORS:
+            monkeypatch.setattr(qc.np, name, refused)
+        for params in games:
+            pa, pb = payoff_operators(params)
+            for state in states:
+                rho = state.density_matrix()
+                trace_payoffs(pa, pb, rho)
+                points = enumerate_bilinear_nash(*bilinear_payoff_coefficients(rho, pa, pb))
+                assert rank_equilibria(points).ordered
+                if isinstance(state, EntangledFamilyState):
+                    unique_solution(params, state)
+
+    def test_arrays_built_on_read_are_read_only_and_kept(self):
+        rng = np.random.default_rng(8)
+        densities = [
+            random_state(rng).density_matrix(),
+            EntangledFamilyState(0.3).density_matrix(),
+            random_density(rng),
+            DensityMatrix(np.eye(4) / 4),
+        ]
+        for rho in densities:
+            entries = rho.entries
+            assert rho.entries is entries
+            assert not entries.flags.writeable
+            with pytest.raises(ValueError):
+                entries[0, 0] = 0.0
+            assert entries.tobytes() == np.array(rho._rows, dtype=complex).tobytes()
+            diagonal = entries.diagonal()
+            assert [x.hex() for x in diagonal.real.tolist()] == [x.hex() for x in rho._real]
+            assert [x.hex() for x in diagonal.imag.tolist()] == [x.hex() for x in rho._imag]
+        for op in (*payoff_operators(GamePayoffs(3.0, 2.0, 1.0)), PayoffOperator([1, 2, 3, -0.0])):
+            diagonal = op.diagonal
+            assert op.diagonal is diagonal
+            assert not diagonal.flags.writeable
+            assert [x.hex() for x in diagonal.tolist()] == [x.hex() for x in op._values]
+
+    def test_family_state_builds_its_vector_once(self, monkeypatch):
+        calls = []
+        check = StateVector.__post_init__
+        monkeypatch.setattr(StateVector, "__post_init__", lambda self, *a: calls.append(check(self, *a)))
+        family = EntangledFamilyState(0.5)
+        family.density_matrix()
+        report = unique_solution(BOS, family)
+        assert len(calls) == 1
+        assert report.final_state is family.state_vector() is family.state_vector()
 
 
 class TestPayoffOperators:
@@ -791,6 +892,13 @@ class TestTracePayoffs:
         pa, pb = payoff_operators(BOS)
         with pytest.raises(InternalConsistencyError):
             trace_payoffs(pa, pb, rho)
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_flags_a_residue_at_each_diagonal_position(self, k):
+        # An imaginary part on any one diagonal entry alone still fires.
+        rho = forged_density(np.diag([0.25 + (1e-6j if i == k else 0.0) for i in range(4)]))
+        with pytest.raises(InternalConsistencyError, match="^trace payoff"):
+            trace_payoffs(*payoff_operators(BOS), rho)
 
     def test_within_four_ulp_of_the_complex_dot(self):
         # Pairwise Python sums against numpy's complex dot, on densities and

@@ -59,15 +59,18 @@ _CERTIFICATE_TESTS = ("tests/test_quantum_core.py::TestPositivityCertificate",)
 _HERMITIAN_TEST = """\
         if not (
             abs(v00 - v00.conjugate()) <= tol
-            and abs(v01 - v10.conjugate()) <= tol
-            and abs(v02 - v20.conjugate()) <= tol
-            and abs(v03 - v30.conjugate()) <= tol
             and abs(v11 - v11.conjugate()) <= tol
-            and abs(v12 - v21.conjugate()) <= tol
-            and abs(v13 - v31.conjugate()) <= tol
             and abs(v22 - v22.conjugate()) <= tol
-            and abs(v23 - v32.conjugate()) <= tol
             and abs(v33 - v33.conjugate()) <= tol
+            and (
+                not off_diagonal
+                or abs(v01 - v10.conjugate()) <= tol
+                and abs(v02 - v20.conjugate()) <= tol
+                and abs(v03 - v30.conjugate()) <= tol
+                and abs(v12 - v21.conjugate()) <= tol
+                and abs(v13 - v31.conjugate()) <= tol
+                and abs(v23 - v32.conjugate()) <= tol
+            )
         ):
 """
 
@@ -98,9 +101,24 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "off-diagonal test always false",
         _QUANTUM,
-        "        if v01 or v02 or v03 or v10 or v12 or v13 or v20 or v21 or v23 or v30 or v31 or v32:\n",
+        "        if off_diagonal:\n",
         "        if False:\n",
         _DENSITY_TESTS,
+    ),
+    Mutant(
+        "the Hermitian pair terms skipped even when an entry off the diagonal is nonzero",
+        _QUANTUM,
+        "                not off_diagonal\n",
+        "                True\n",
+        _DENSITY_TESTS,
+    ),
+    Mutant(
+        "the density array built on first read left writable",
+        _QUANTUM,
+        "        m.setflags(write=False)\n",
+        "",
+        ("tests/test_quantum_core.py::TestNumpyOnlyWhereAnArrayIsRead::"
+         "test_arrays_built_on_read_are_read_only_and_kept",),
     ),
     Mutant(
         "the positivity certificate without its margin above the floor",
@@ -112,7 +130,7 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "a failed positivity certificate rejects at once, without eigvalsh",
         _QUANTUM,
-        "                smallest = float(np.linalg.eigvalsh(m)[0])\n",
+        "                smallest = float(np.linalg.eigvalsh(np.array(rows, dtype=complex))[0])\n",
         "                smallest = -math.inf\n",
         _CERTIFICATE_TESTS,
     ),
@@ -186,9 +204,16 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "trace_payoffs residue check skipped",
         _QUANTUM,
-        '    if residue > IMAG_PART_TOL:\n        _check_imaginary_residue(residue, "trace", pa, pb)\n',
+        '        if residue > IMAG_PART_TOL:\n            _check_imaginary_residue(residue, "trace", pa, pb)\n',
         "",
         ("tests/test_quantum_core.py::TestTracePayoffs",),
+    ),
+    Mutant(
+        "the trace residue skipped although the last imaginary part is nonzero",
+        _QUANTUM,
+        "    if i0 or i1 or i2 or i3:\n",
+        "    if i0 or i1 or i2:\n",
+        ("tests/test_quantum_core.py::TestTracePayoffs::test_flags_a_residue_at_each_diagonal_position",),
     ),
     Mutant(
         "trace_payoffs pairs the row payoffs of TO and TT with the wrong outcomes",
@@ -207,8 +232,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "trace_payoffs reads the kept diagonal out of order",
         _QUANTUM,
-        "    d0, d1, d2, d3 = rho._diagonal\n",
-        "    d0, d2, d1, d3 = rho._diagonal\n",
+        "    d0, d1, d2, d3 = rho._real\n",
+        "    d0, d2, d1, d3 = rho._real\n",
         ("tests/test_quantum_core.py::TestTracePayoffs",),
     ),
     Mutant(
@@ -356,8 +381,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "the merge test reads the amplitudes' moduli, not their phases",
         _EQUILIBRIA,
-        "    amps = vector.amplitudes\n",
-        "    amps = [abs(a) for a in vector.amplitudes]\n",
+        "    a0, a1, a2, a3 = vector.amplitudes\n",
+        "    a0, a1, a2, a3 = [abs(a) for a in vector.amplitudes]\n",
         ("tests/test_equilibria.py::TestUniqueSolution",),
     ),
     Mutant(
