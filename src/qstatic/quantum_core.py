@@ -401,9 +401,9 @@ def trace_payoffs(
 ) -> tuple[float, float]:
     """Mean values tr(P rho) for both diagonal payoff operators; only the
     diagonal of rho contributes."""
-    # Four Python floats sum faster than a numpy dot on them. The real part
-    # of a complex product is the product of the real parts where the
-    # imaginary part is 0, so the imaginary parts enter only the residue.
+    # Four Python floats sum faster than a numpy dot on them. A payoff times
+    # a diagonal entry has the real part payoff * entry.real (up to the sign
+    # of a zero), so the imaginary parts enter only the residue.
     d0, d1, d2, d3 = rho._real
     x0, x1, x2, x3 = pa._values
     y0, y1, y2, y3 = pb._values
