@@ -182,7 +182,8 @@ def _spelled(draw, x):
     return draw(st.sampled_from(forms))
 
 
-#: Valid diagonals, and an off-diagonal pair each of them can carry.
+#: Unit-trace diagonals; a pair of modulus 0.125 at (0, 1) and (1, 0) leaves
+#: each of them positive but the third, which it gives a negative eigenvalue.
 _DIAGONALS = [(0.25, 0.25, 0.25, 0.25), (0.5, 0.5, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0),
               (0.125, 0.375, 0.25, 0.25)]
 
@@ -192,7 +193,7 @@ def density_inputs(draw):
     """A valid density, diagonal or with one Hermitian pair, every entry
     spelled as one of the types numpy converts, up to two entries replaced,
     and the whole held as 4 row tuples or lists, 16 values, or a wrong
-    number of rows or columns. Half the draws are 4 row tuples of complex."""
+    number of rows or columns. In half the draws every entry is complex."""
     d = draw(st.sampled_from(_DIAGONALS))
     rows = [[d[i] if i == j else 0.0 for j in range(4)] for i in range(4)]
     if draw(st.booleans()):
