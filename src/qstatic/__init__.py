@@ -36,7 +36,7 @@ from .game_core import (
     expected_payoffs,
     pure_nash,
 )
-from .outcomes import BASIS_LABELS, MixingChoice, StateVector, payoff_surfaces
+from .outcomes import BASIS_LABELS, StateVector, payoff_surfaces
 
 #: Names imported from their module on first access, so that ``import
 #: qstatic`` loads neither numpy (``quantum_core``, the density oracle) nor
@@ -84,7 +84,6 @@ __all__ = [
     "InternalConsistencyError",
     "LocalUnitary",
     "MixProbabilities",
-    "MixingChoice",
     "NashPoint",
     "PairwiseGap",
     "PayoffOperator",

@@ -23,25 +23,27 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .equilibria import (
+    EntangledFamilyState,
     EquilibriumKind,
     EquilibriumRanking,
     NashPoint,
     UniqueSolutionReport,
-    _unique_solution,
     enumerate_bilinear_nash,
     rank_equilibria,
+    state_unique_solution,
 )
 from .errors import ConstraintViolation, InternalConsistencyError
 from .game_core import (
     Bimatrix,
     EliminationStep,
     GamePayoffs,
-    _check_unit_interval,
+    MixProbabilities,
     bos_bimatrix,
+    check_unit_interval,
     eliminate_strictly_dominated,
     pure_nash,
 )
-from .outcomes import BASIS_LABELS, MixingChoice, StateVector, payoff_surfaces
+from .outcomes import BASIS_LABELS, StateVector, payoff_surfaces
 from .report_schema import SCHEMA_VERSION
 
 __all__ = ["ConfigError", "LoadedConfig", "load_config", "main"]
@@ -141,8 +143,7 @@ def _load_state(path: str, raw: Any) -> tuple[StateVector, str, str | None]:
         if set(raw) != {"a2"}:
             raise _fail(path, "initial_state", "object form needs exactly the key a2")
         a2 = _as_number(path, "initial_state.a2", raw["a2"])
-        _check_unit_interval("a2", a2)
-        return StateVector.oo_tt(math.sqrt(a2), math.sqrt(1 - a2)), "family", None
+        return EntangledFamilyState(a2).state_vector(), "family", None
     if isinstance(raw, list):
         if len(raw) != 4:
             raise _fail(path, "initial_state", "amplitude form needs 4 [re, im] pairs")
@@ -464,7 +465,7 @@ def cmd_quantum(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
             "equilibria computed by generic bilinear enumeration"
         )
     elif {(1, 1), (0, 0)} <= {(n.p_star, n.q_star) for n in points if n.kind.value == "corner"}:
-        unique = _unique_solution(surfaces, cfg.state)
+        unique = state_unique_solution(surfaces, cfg.state)
     else:
         notices.append("no unique-solution verdict: (1,1) and (0,0) are not both equilibria")
 
@@ -487,7 +488,7 @@ def cmd_simulate(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
 
     payoffs = _outcome_payoffs(cfg)
     try:
-        mix = MixingChoice(args.p, args.q)
+        mix = MixProbabilities(args.p, args.q)
         config = SimulationConfig(args.rounds, args.seed, mix, cfg.state, cfg.game)
     except ConstraintViolation as exc:
         raise ConfigError(f"simulate: {exc}") from exc
@@ -527,7 +528,7 @@ def cmd_sweep(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
         name = "q" if args.param == "p" else "p"
         fixed = {name: getattr(args, name)}
         try:
-            _check_unit_interval(name, fixed[name])
+            check_unit_interval(name, fixed[name])
         except ConstraintViolation as exc:
             raise ConfigError(f"sweep: {exc}") from exc
     values = _unit_grid(args.steps)

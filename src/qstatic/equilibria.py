@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import ConstraintViolation
-from .game_core import BilinearPayoff, GamePayoffs, _bos_table, _check_unit_interval
+from .game_core import BilinearPayoff, GamePayoffs, check_unit_interval
 from .outcomes import StateVector, payoff_surfaces
 
 if TYPE_CHECKING:
@@ -37,6 +37,7 @@ __all__ = [
     "entangled_equilibria",
     "enumerate_bilinear_nash",
     "rank_equilibria",
+    "state_unique_solution",
     "unique_solution",
 ]
 
@@ -122,7 +123,7 @@ class EntangledFamilyState:
         self.__post_init__(a2)
 
     def __post_init__(self, a2: float) -> None:
-        _check_unit_interval("a2", a2)
+        check_unit_interval("a2", a2)
         _set(self, "a2", a2)
 
     def __getattr__(self, name: str) -> StateVector:
@@ -439,10 +440,12 @@ def unique_solution(
     decide the merge of any other state with these moduli.
     """
     vector = state.state_vector()
-    return _unique_solution(payoff_surfaces(vector.probabilities, *_bos_table(params)), vector)
+    return state_unique_solution(
+        payoff_surfaces(vector.probabilities, *params.outcome_payoffs), vector
+    )
 
 
-def _unique_solution(
+def state_unique_solution(
     surfaces: tuple[BilinearPayoff, BilinearPayoff], vector: StateVector
 ) -> UniqueSolutionReport:
     """The unique-solution test for the initial state ``vector``, whose payoff

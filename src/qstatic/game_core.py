@@ -22,6 +22,7 @@ __all__ = [
     "EliminationStep",
     "EliminationResult",
     "bos_bimatrix",
+    "check_unit_interval",
     "eliminate_strictly_dominated",
     "pure_nash",
     "expected_payoffs",
@@ -134,8 +135,19 @@ class GamePayoffs:
         _set(self, "beta", beta)
         _set(self, "gamma", gamma)
 
+    @property
+    def outcome_payoffs(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Both players' payoffs at the joint outcomes (OO, OT, TO, TT), in
+        the levels' own number type.
 
-def _check_unit_interval(name: str, value: float) -> None:
+        Row player earns alpha at (O,O) and beta at (T,T); the column player
+        the reverse; both earn gamma off the diagonal.
+        """
+        a, b, g = self.alpha, self.beta, self.gamma
+        return (a, g, g, b), (b, g, g, a)
+
+
+def check_unit_interval(name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
         raise ConstraintViolation(f"{name} must lie in [0, 1], got {value}")
 
@@ -145,7 +157,7 @@ class MixProbabilities:
     """Independent mixing probabilities: p for the row player's strategy 0,
     q for the column player's strategy 0. In the quantum scheme the same pair
     is each player's probability of keeping their half of the joint state
-    (``quantum_core.MixingChoice``)."""
+    (``quantum_core.mixed_final_density``)."""
 
     p: float
     q: float
@@ -155,8 +167,8 @@ class MixProbabilities:
 
     def __post_init__(self, p: float, q: float) -> None:
         if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
-            _check_unit_interval("p", p)
-            _check_unit_interval("q", q)
+            check_unit_interval("p", p)
+            check_unit_interval("q", q)
         _set(self, "p", p)
         _set(self, "q", q)
 
@@ -214,19 +226,9 @@ class BilinearPayoff:
         return (1 - p) * (self.at_01 - self.at_00) + p * (self.at_11 - self.at_10)
 
 
-def _bos_table(params: GamePayoffs) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Both players' payoffs at the joint outcomes (OO, OT, TO, TT).
-
-    Row player earns alpha at (O,O) and beta at (T,T); the column player
-    the reverse; both earn gamma off the diagonal.
-    """
-    a, b, g = params.alpha, params.beta, params.gamma
-    return (a, g, g, b), (b, g, g, a)
-
-
 def bos_bimatrix(params: GamePayoffs) -> Bimatrix:
     """Bimatrix of the coordination game with strategy 0 = O and 1 = T."""
-    row, col = _bos_table(params)
+    row, col = params.outcome_payoffs
     return Bimatrix((row[:2], row[2:]), (col[:2], col[2:]))
 
 

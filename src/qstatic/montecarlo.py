@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import ConstraintViolation
-from .game_core import Bimatrix
-from .outcomes import MixingChoice, StateVector, _flipped
+from .game_core import Bimatrix, MixProbabilities
+from .outcomes import StateVector, flipped
 
 __all__ = ["SimulationConfig", "SimulationReport", "simulate"]
 
@@ -23,7 +23,7 @@ __all__ = ["SimulationConfig", "SimulationReport", "simulate"]
 class SimulationConfig:
     rounds: int
     seed: int
-    mix: MixingChoice
+    mix: MixProbabilities
     initial: StateVector
     payoffs: Bimatrix
 
@@ -164,8 +164,8 @@ def simulate(config: SimulationConfig) -> SimulationReport:
     """
     p, q = config.mix.p, config.mix.q
     d = config.initial.probabilities
-    row = [p * x + (1.0 - p) * y for x, y in zip(d, _flipped(d, True, False))]
-    mixed = [q * x + (1.0 - q) * y for x, y in zip(row, _flipped(row, False, True))]
+    row = [p * x + (1.0 - p) * y for x, y in zip(d, flipped(d, True, False))]
+    mixed = [q * x + (1.0 - q) * y for x, y in zip(row, flipped(row, False, True))]
     # Fixed-order sums: the seeded draw depends on the last bit, and sum()
     # compensates from Python 3.12 on.
     total = ((mixed[0] + mixed[1]) + mixed[2]) + mixed[3]

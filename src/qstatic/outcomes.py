@@ -15,12 +15,19 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import ConstraintViolation
-from .game_core import BilinearPayoff, MixProbabilities
+from .game_core import BilinearPayoff
 
 if TYPE_CHECKING:
     from .quantum_core import DensityMatrix
 
-__all__ = ["BASIS_LABELS", "STATE_NORM_TOL", "StateVector", "MixingChoice", "payoff_surfaces"]
+__all__ = [
+    "BASIS_LABELS",
+    "STATE_NORM_TOL",
+    "StateVector",
+    "corner_means",
+    "flipped",
+    "payoff_surfaces",
+]
 
 #: Writes a field of a frozen value from its ``__post_init__``.
 _set = object.__setattr__
@@ -32,20 +39,15 @@ BASIS_LABELS = ("OO", "OT", "TO", "TT")
 # NaN anywhere in the input fails the check instead of slipping past it.
 STATE_NORM_TOL = 1e-12
 
-#: Each player keeps their part of the state with the given probability
-#: (p for the row player, q for the column player) and flips it otherwise:
-#: the classical mixing probabilities, read as keep probabilities.
-MixingChoice = MixProbabilities
 
-
-def _flipped(values: Sequence[Any], row_flips: bool, col_flips: bool) -> tuple:
+def flipped(values: Sequence[Any], row_flips: bool, col_flips: bool) -> tuple:
     """Values over the joint basis after the chosen players flip their halves.
 
     A flip swaps one player's symbol: basis index k = 2 r + c becomes k ^ s,
     with s = 2 for a row flip, 1 for a column flip and 3 for both. This is
     the only definition of "flip": the outcome probabilities here and the
     density conjugation in ``quantum_core`` both permute through it, and
-    ``_corner_means`` writes out its four permutations.
+    ``corner_means`` writes out its four permutations.
     """
     s = 2 * int(row_flips) + int(col_flips)
     return tuple(values[k ^ s] for k in range(4))
@@ -119,10 +121,10 @@ class StateVector:
         ))
 
 
-def _corner_means(payoffs: Sequence[float], probabilities: Sequence[float]) -> list[float]:
+def corner_means(payoffs: Sequence[float], probabilities: Sequence[float]) -> list[float]:
     """Mean payoffs at the corners (1,1), (1,0), (0,1) and (0,0) of the keep
     probabilities. Nobody flips at the first; the column player, the row
-    player and both flip at the others. That is ``_flipped`` with s = 0, 1,
+    player and both flip at the others. That is ``flipped`` with s = 0, 1,
     2, 3, so payoff k meets probability k ^ s; the four dot products are
     written out in that order. Pairwise sums give a mirrored payoff vector
     (outcome k ^ 3) equal bits at the mirror corner."""
@@ -155,9 +157,9 @@ def payoff_surfaces(
     base_a, base_b = min(payoffs_a), min(payoffs_b)
     x0, x1, x2, x3 = payoffs_a
     surface_a = BilinearPayoff(
-        *_corner_means((x0 - base_a, x1 - base_a, x2 - base_a, x3 - base_a), probabilities), base_a
+        *corner_means((x0 - base_a, x1 - base_a, x2 - base_a, x3 - base_a), probabilities), base_a
     )
     x0, x1, x2, x3 = payoffs_b
     return surface_a, BilinearPayoff(
-        *_corner_means((x0 - base_b, x1 - base_b, x2 - base_b, x3 - base_b), probabilities), base_b
+        *corner_means((x0 - base_b, x1 - base_b, x2 - base_b, x3 - base_b), probabilities), base_b
     )

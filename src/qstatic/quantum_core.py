@@ -4,10 +4,10 @@
 when read), local SU(2) manipulation, the identity/flip mixing map on
 densities, diagonal payoff observables, and trace payoffs: the independent
 routes the acceptance criteria check the production payoffs of
-``qstatic.outcomes`` against. The joint state vector and the payoff surfaces come from
-``outcomes`` and are importable from here too. The first tensor slot belongs
-to the row player. Payoff evaluation is phase-insensitive throughout: only
-squared moduli (the density diagonal) ever enter a payoff.
+``qstatic.outcomes`` against; the joint state vector and the payoff surfaces
+are defined there. The first tensor slot belongs to the row player. Payoff
+evaluation is phase-insensitive throughout: only squared moduli (the density
+diagonal) ever enter a payoff.
 """
 
 from __future__ import annotations
@@ -18,40 +18,32 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstraintViolation, InternalConsistencyError
-from .game_core import BilinearPayoff, GamePayoffs, _bos_table
-from .outcomes import (
-    BASIS_LABELS,
-    STATE_NORM_TOL,
-    MixingChoice,
-    StateVector,
-    _corner_means,
-    _flipped,
-    payoff_surfaces,
-)
+from .game_core import BilinearPayoff, GamePayoffs, MixProbabilities
+from .outcomes import STATE_NORM_TOL, StateVector, corner_means, flipped, payoff_surfaces
 
 __all__ = [
-    "BASIS_LABELS",
-    "STATE_NORM_TOL",
     "HERMITIAN_TOL",
     "TRACE_TOL",
     "EIGENVALUE_FLOOR",
     "IMAG_PART_TOL",
-    "StateVector",
     "DensityMatrix",
     "LocalUnitary",
     "PayoffOperator",
-    "MixingChoice",
     "apply_local_unitaries",
     "projection_probabilities",
     "mixed_final_density",
     "payoff_operators",
-    "payoff_surfaces",
     "trace_payoffs",
     "bilinear_payoff_coefficients",
 ]
 
 #: Writes a field of a frozen value from its ``__post_init__``.
 _set = object.__setattr__
+
+#: Another name for ``MixProbabilities``, kept only because the benchmark
+#: calls ``qc.MixingChoice`` in ``bench/workloads.py`` and ``bench/tracer.py``
+#: reports it as ``quantum_core.MixingChoice``. Not exported.
+MixingChoice = MixProbabilities
 
 # The validators test ``not gap <= TOL`` rather than ``gap > TOL`` so that a
 # NaN anywhere in the input fails the check instead of slipping past it.
@@ -70,11 +62,11 @@ def _flip_index(row_flips: bool, col_flips: bool) -> np.ndarray:
     """Flat index map of conjugation by (flip^row ⊗ flip^col) on a 4x4 matrix.
 
     A flip swaps one player's symbol in both the ket and the bra index
-    (``outcomes._flipped``), so entry (m, n) of the conjugated matrix is entry
+    (``outcomes.flipped``), so entry (m, n) of the conjugated matrix is entry
     (m ^ s, n ^ s) of the original: gathering the flattened matrix with this
     map is the conjugation, exactly.
     """
-    k = np.array(_flipped(range(4), row_flips, col_flips))
+    k = np.array(flipped(range(4), row_flips, col_flips))
     return (4 * k[:, None] + k[None, :]).ravel()
 
 
@@ -351,7 +343,7 @@ def projection_probabilities(psi: StateVector) -> np.ndarray:
     return np.array(psi.probabilities)
 
 
-def mixed_final_density(rho_in: DensityMatrix, mix: MixingChoice) -> DensityMatrix:
+def mixed_final_density(rho_in: DensityMatrix, mix: MixProbabilities) -> DensityMatrix:
     """Both players independently keep or flip their half of the joint state.
 
     Returns the convex combination of the four conjugations of ``rho_in``
@@ -376,7 +368,7 @@ def payoff_operators(params: GamePayoffs) -> tuple[PayoffOperator, PayoffOperato
     Row player: (alpha, gamma, gamma, beta); column player: (beta, gamma,
     gamma, alpha), in the canonical basis order.
     """
-    row, col = _bos_table(params)
+    row, col = params.outcome_payoffs
     return PayoffOperator(row), PayoffOperator(col)
 
 
@@ -434,6 +426,6 @@ def bilinear_payoff_coefficients(
     imaginary = rho_in._imag
     # With every imaginary part exactly zero every residue is exactly zero.
     if any(imaginary):
-        residues = _corner_means(payoffs_a, imaginary) + _corner_means(payoffs_b, imaginary)
+        residues = corner_means(payoffs_a, imaginary) + corner_means(payoffs_b, imaginary)
         _check_imaginary_residue(max(map(abs, residues)), "corner", pa, pb)
     return payoff_surfaces(rho_in._real, payoffs_a, payoffs_b)

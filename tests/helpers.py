@@ -9,7 +9,7 @@ import numpy as np
 
 from qstatic.errors import ConstraintViolation
 from qstatic.game_core import BilinearPayoff
-from qstatic.outcomes import _corner_means, payoff_surfaces
+from qstatic.outcomes import corner_means, payoff_surfaces
 from qstatic.quantum_core import (
     EIGENVALUE_FLOOR,
     HERMITIAN_TOL,
@@ -213,6 +213,6 @@ def reference_bilinear_payoff_coefficients(
     payoffs_a, payoffs_b = pa.diagonal.tolist(), pb.diagonal.tolist()
     imaginary = [d.imag for d in diagonal]
     if any(imaginary):
-        residues = _corner_means(payoffs_a, imaginary) + _corner_means(payoffs_b, imaginary)
+        residues = corner_means(payoffs_a, imaginary) + corner_means(payoffs_b, imaginary)
         _check_imaginary_residue(max(map(abs, residues)), "corner", pa, pb)
     return payoff_surfaces([d.real for d in diagonal], payoffs_a, payoffs_b)

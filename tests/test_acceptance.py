@@ -24,10 +24,9 @@ from qstatic.game_core import (
     expected_payoffs,
 )
 from qstatic.montecarlo import SimulationConfig, simulate
+from qstatic.outcomes import StateVector
 from qstatic.quantum_core import (
     LocalUnitary,
-    MixingChoice,
-    StateVector,
     apply_local_unitaries,
     bilinear_payoff_coefficients,
     mixed_final_density,
@@ -100,7 +99,7 @@ def test_criterion_2_factorizable_routes_agree_on_grid():
             probs = projection_probabilities(apply_local_unitaries(ua, ub, psi_in))
             vector_route = (float(probs @ pa.diagonal), float(probs @ pb.diagonal))
             density_route = trace_payoffs(
-                pa, pb, mixed_final_density(rho_in, MixingChoice(p, q))
+                pa, pb, mixed_final_density(rho_in, MixProbabilities(p, q))
             )
             # Worst pairwise gap along each coordinate is max minus min.
             vals_a = (classical[0], affine[0], vector_route[0], density_route[0])
@@ -169,7 +168,7 @@ def test_criterion_4_unique_solution_at_maximal_entanglement():
             f"final-state fidelity {fidelity} below 1 - 1e-12",
         )
         rho_corners = mixed_final_density(
-            balanced.density_matrix(), MixingChoice(1.0, 1.0)
+            balanced.density_matrix(), MixProbabilities(1.0, 1.0)
         )
         _check(
             failures,
@@ -229,7 +228,7 @@ def test_criterion_6_monte_carlo_validation():
     config = SimulationConfig(
         rounds=10**6,
         seed=20240817,
-        mix=MixingChoice(0.5, 0.5),
+        mix=MixProbabilities(0.5, 0.5),
         initial=EntangledFamilyState(0.5).state_vector(),
         payoffs=bos_bimatrix(BOS),
     )
@@ -263,7 +262,7 @@ def test_criterion_7_density_map_safety_and_phase_invariance():
     worst_eigen = np.inf
     for _ in range(1000):
         rho = random_density(rng)
-        mix = MixingChoice(*rng.uniform(size=2))
+        mix = MixProbabilities(*rng.uniform(size=2))
         out = mixed_final_density(rho, mix).entries
         worst_hermitian = max(worst_hermitian, float(np.max(np.abs(out - out.conj().T))))
         worst_trace = max(worst_trace, abs(complex(np.trace(out)) - 1.0))
@@ -272,7 +271,7 @@ def test_criterion_7_density_map_safety_and_phase_invariance():
     worst_payoff_shift = 0.0
     for _ in range(200):
         a2 = float(rng.uniform())
-        mix = MixingChoice(*rng.uniform(size=2))
+        mix = MixProbabilities(*rng.uniform(size=2))
         base = StateVector.oo_tt(np.sqrt(a2), np.sqrt(1.0 - a2))
         phased = StateVector.oo_tt(
             np.sqrt(a2) * np.exp(1j * rng.uniform(0.0, 2 * np.pi)),

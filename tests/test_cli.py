@@ -29,11 +29,10 @@ from qstatic.equilibria import (
     entangled_equilibria,
 )
 from qstatic.errors import InternalConsistencyError
-from qstatic.game_core import GamePayoffs, _bos_table, bos_bimatrix
+from qstatic.game_core import GamePayoffs, MixProbabilities, bos_bimatrix
 from qstatic.outcomes import StateVector
 from qstatic.quantum_core import (
     DensityMatrix,
-    MixingChoice,
     mixed_final_density,
     payoff_operators,
     trace_payoffs,
@@ -419,7 +418,7 @@ class TestClassicalCommand:
         # The exact run finds two corners and an interior point; a float run
         # that found other kinds gets no exact columns, so no row is paired
         # with another point's fractions.
-        game = (cli.CLASSICAL_PROBABILITIES, *_bos_table(GamePayoffs(3.0, 2.0, 1.0)))
+        game = (cli.CLASSICAL_PROBABILITIES, *GamePayoffs(3.0, 2.0, 1.0).outcome_payoffs)
         corner = NashPoint(1.0, 1.0, 3.0, 2.0, EquilibriumKind.CORNER)
         family = NashPoint(0.5, 1.0, 2.0, 1.5, EquilibriumKind.DEGENERATE_FAMILY)
         assert cli._exact_equilibria([corner, corner, family], *game) is None
@@ -1259,7 +1258,7 @@ def test_sweep_and_simulate_read_the_surface_at_any_scale(tmp_path, scale):
     rho_in = cfg.state.density_matrix()
 
     def check(p, q, pay_a, pay_b):
-        oracle = trace_payoffs(pa, pb, mixed_final_density(rho_in, MixingChoice(p, q)))
+        oracle = trace_payoffs(pa, pb, mixed_final_density(rho_in, MixProbabilities(p, q)))
         assert abs(pay_a - oracle[0]) <= 1e-12 * scale
         assert abs(pay_b - oracle[1]) <= 1e-12 * scale
 

@@ -20,21 +20,17 @@ from qstatic.equilibria import (
     EntangledFamilyState,
     EquilibriumKind,
     NashPoint,
-    _unique_solution,
     classical_mixed_equilibria,
     entangled_equilibria,
     enumerate_bilinear_nash,
     rank_equilibria,
+    state_unique_solution,
     unique_solution,
 )
 from qstatic.errors import ConstraintViolation
-from qstatic.game_core import BilinearPayoff, GamePayoffs, _bos_table
-from qstatic.outcomes import payoff_surfaces
-from qstatic.quantum_core import (
-    StateVector,
-    bilinear_payoff_coefficients,
-    payoff_operators,
-)
+from qstatic.game_core import BilinearPayoff, GamePayoffs
+from qstatic.outcomes import StateVector, payoff_surfaces
+from qstatic.quantum_core import bilinear_payoff_coefficients, payoff_operators
 
 BOS = GamePayoffs(3, 2, 1)
 
@@ -96,7 +92,7 @@ class TestFactorizableClosedForms:
         # Factorizable play is the |OO> member of the family: its surfaces,
         # solved by the enumerator, give the classical closed forms exactly.
         classical = classical_mixed_equilibria(BOS)
-        surfaces = payoff_surfaces(StateVector.basis("OO").probabilities, *_bos_table(BOS))
+        surfaces = payoff_surfaces(StateVector.basis("OO").probabilities, *BOS.outcome_payoffs)
         quantum = enumerate_bilinear_nash(*surfaces)
         assert len(quantum) == len(classical)
         for c, f in zip(classical, quantum):
@@ -569,7 +565,7 @@ class TestEnumerator:
         # kinds in the same order; at these levels the spread is far above
         # the float round-off of the levels.
         exact = GamePayoffs(*(Fraction(v) for v in sorted(levels, reverse=True)))
-        surfaces = payoff_surfaces((a2, 0, 0, 1 - a2), *_bos_table(exact))
+        surfaces = payoff_surfaces((a2, 0, 0, 1 - a2), *exact.outcome_payoffs)
         enumerated = enumerate_bilinear_nash(*surfaces)
         closed = entangled_equilibria(exact, EntangledFamilyState(a2))
 
@@ -580,7 +576,7 @@ class TestEnumerator:
         assert all(type(x) is Fraction for n in enumerated for x in fields([n])[0][1:])
         params = GamePayoffs(*(float(v) for v in (exact.alpha, exact.beta, exact.gamma)))
         probabilities = EntangledFamilyState(float(a2)).state_vector().probabilities
-        floats = enumerate_bilinear_nash(*payoff_surfaces(probabilities, *_bos_table(params)))
+        floats = enumerate_bilinear_nash(*payoff_surfaces(probabilities, *params.outcome_payoffs))
         assert [n.kind for n in floats] == [n.kind for n in enumerated]
 
     def test_candidate_rounded_off_an_edge_stays_on_it(self):
@@ -588,7 +584,7 @@ class TestEnumerator:
         # indifferent along q = 1 and the mutual-indifference point is
         # (2/5, 1). In floats q* rounds to 1 + 2^-52; it is the same point.
         params = GamePayoffs(3.0, -1.0, -9.0)
-        points = enumerate_bilinear_nash(*payoff_surfaces((0, 0, 0.4, 0.6), *_bos_table(params)))
+        points = enumerate_bilinear_nash(*payoff_surfaces((0, 0, 0.4, 0.6), *params.outcome_payoffs))
         assert [(n.kind, n.q_star) for n in points] == [
             (EquilibriumKind.CORNER, 1.0),
             (EquilibriumKind.CORNER, 0.0),
@@ -615,7 +611,7 @@ class TestEnumerator:
         total = sum(weights)
         exact = GamePayoffs(*(Fraction(v) for v in sorted(levels, reverse=True)))
         probabilities = [Fraction(w, total) for w in weights]
-        bp_a, bp_b = payoff_surfaces(probabilities, *_bos_table(exact))
+        bp_a, bp_b = payoff_surfaces(probabilities, *exact.outcome_payoffs)
         enumerated = enumerate_bilinear_nash(bp_a, bp_b)
         assert enumerated
         for n in enumerated:
@@ -626,7 +622,7 @@ class TestEnumerator:
             assert n.payoff_b >= max(bp_b.value(p, 0), bp_b.value(p, 1))
         params = GamePayoffs(*(float(v) for v in (exact.alpha, exact.beta, exact.gamma)))
         floats = enumerate_bilinear_nash(
-            *payoff_surfaces([float(d) for d in probabilities], *_bos_table(params))
+            *payoff_surfaces([float(d) for d in probabilities], *params.outcome_payoffs)
         )
         assert [n.kind for n in floats] == [n.kind for n in enumerated]
         for got, want in zip(floats, enumerated):
@@ -663,7 +659,7 @@ class TestRanking:
         amps = [math.sqrt(w / total) * complex(math.cos(t), math.sin(t))
                 for w, t in zip(weights, phases)]
         state = StateVector(np.array(amps) / np.linalg.norm(amps))
-        bp_a, bp_b = payoff_surfaces(state.probabilities, *_bos_table(params))
+        bp_a, bp_b = payoff_surfaces(state.probabilities, *params.outcome_payoffs)
         assert bp_a.at_11.hex() == bp_b.at_00.hex()
         assert bp_a.at_00.hex() == bp_b.at_11.hex()
         ordered = rank_equilibria(enumerate_bilinear_nash(bp_a, bp_b)).ordered
@@ -800,8 +796,8 @@ class TestUniqueSolution:
         assume(phase in (0.0, math.pi, -math.pi) or abs(math.sin(phase)) > 1e-9)
         r = math.sqrt(0.5)
         state = StateVector.oo_tt(r, r * cmath.exp(1j * phase))
-        surfaces = payoff_surfaces(state.probabilities, *_bos_table(BOS))
-        report = _unique_solution(surfaces, state)
+        surfaces = payoff_surfaces(state.probabilities, *BOS.outcome_payoffs)
+        report = state_unique_solution(surfaces, state)
         assert report.merged is (phase in (0.0, math.pi, -math.pi))
         assert report.payoff_difference_a == report.payoff_difference_b == 0.0
         if report.merged:

@@ -114,6 +114,17 @@ class TestOutcomePayoffs:
     def test_levels_give_their_coordination_table(self):
         assert bos(3, 2, 1).outcome_payoffs == ((3.0, 1.0, 1.0, 2.0), (2.0, 1.0, 1.0, 3.0))
 
+    def test_levels_and_their_bimatrix_give_one_table(self):
+        params = GamePayoffs(3.0, 2.0, 1.0)
+        assert params.outcome_payoffs == bos_bimatrix(params).outcome_payoffs
+
+    def test_levels_keep_their_number_type(self):
+        levels = GamePayoffs(Fraction(5, 2), Fraction(1, 3), Fraction(-1, 7))
+        row, col = levels.outcome_payoffs
+        assert row == (Fraction(5, 2), Fraction(-1, 7), Fraction(-1, 7), Fraction(1, 3))
+        assert col == (Fraction(1, 3), Fraction(-1, 7), Fraction(-1, 7), Fraction(5, 2))
+        assert all(type(x) is Fraction for x in row + col)
+
     @pytest.mark.parametrize("shape", [(1, 2), (2, 3), (3, 3)])
     def test_only_a_2x2_game_has_them(self, shape):
         with pytest.raises(ConstraintViolation, match=re.escape(f"2x2 game, got shape {shape}")):

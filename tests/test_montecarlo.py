@@ -12,15 +12,10 @@ from scipy import stats
 
 from qstatic.equilibria import EntangledFamilyState
 from qstatic.errors import ConstraintViolation
-from qstatic.game_core import Bimatrix, GamePayoffs, bos_bimatrix
+from qstatic.game_core import Bimatrix, GamePayoffs, MixProbabilities, bos_bimatrix
 from qstatic.montecarlo import SimulationConfig, _binomial, simulate
-from qstatic.quantum_core import (
-    MixingChoice,
-    StateVector,
-    mixed_final_density,
-    payoff_operators,
-    trace_payoffs,
-)
+from qstatic.outcomes import StateVector
+from qstatic.quantum_core import mixed_final_density, payoff_operators, trace_payoffs
 
 LEVELS = GamePayoffs(3, 2, 1)
 BOS = bos_bimatrix(LEVELS)
@@ -30,7 +25,7 @@ def config(initial, p, q, rounds, seed):
     return SimulationConfig(
         rounds=rounds,
         seed=seed,
-        mix=MixingChoice(p, q),
+        mix=MixProbabilities(p, q),
         initial=initial,
         payoffs=BOS,
     )
@@ -65,7 +60,7 @@ class TestValidation:
         Bimatrix([[1, 0, 2]] * 3, [[0, 1, 2]] * 3), Bimatrix([[1, 0]], [[0, 1]]), LEVELS
     ])
     def test_rejects_payoffs_other_than_a_2x2_bimatrix(self, payoffs):
-        mix, state = MixingChoice(1.0, 1.0), StateVector.basis("OO")
+        mix, state = MixProbabilities(1.0, 1.0), StateVector.basis("OO")
         with pytest.raises(ConstraintViolation, match="payoffs must be a 2x2 Bimatrix"):
             SimulationConfig(10, 1, mix, state, payoffs)
 
@@ -88,7 +83,7 @@ class TestDeterministicCases:
         # 3 * 0.1 rounds up, and its quotient by 3 is not 0.1; the mean is
         # clamped to the counted payoffs, so one outcome gives its own.
         cfg = SimulationConfig(
-            3, 0, MixingChoice(1.0, 1.0), StateVector.basis("OO"),
+            3, 0, MixProbabilities(1.0, 1.0), StateVector.basis("OO"),
             bos_bimatrix(GamePayoffs(0.3, 0.1, 0)),
         )
         report = simulate(cfg)
@@ -101,7 +96,7 @@ class TestDeterministicCases:
         # The Prisoner's Dilemma: OT and TO pay differently, so the outcome
         # order (OO, OT, TO, TT) of the tables shows in the means.
         game = Bimatrix([[3, 0], [5, 1]], [[3, 5], [0, 1]])
-        report = simulate(SimulationConfig(7, 0, MixingChoice(p, q), StateVector.basis("OO"), game))
+        report = simulate(SimulationConfig(7, 0, MixProbabilities(p, q), StateVector.basis("OO"), game))
         assert report.counts == tuple(7 if k == outcome else 0 for k in range(4))
         row, col = divmod(outcome, 2)
         assert (report.mean_payoff_a, report.mean_payoff_b) == (
@@ -124,7 +119,7 @@ class TestPayoffScale:
     @pytest.mark.parametrize("k", [-1000, 1000, 1023])
     def test_levels_times_a_power_of_two_scale_the_statistics_exactly(self, k):
         state = EntangledFamilyState(0.3).state_vector()
-        mix, payoffs = MixingChoice(0.4, 0.7), bos_bimatrix(GamePayoffs(1.5, 1, -0.25))
+        mix, payoffs = MixProbabilities(0.4, 0.7), bos_bimatrix(GamePayoffs(1.5, 1, -0.25))
         unit = SimulationConfig(2**63 - 1, 5, mix, state, payoffs)
         levels = (math.ldexp(x, k) for x in (1.5, 1, -0.25))
         scaled = dataclasses.replace(unit, payoffs=bos_bimatrix(GamePayoffs(*levels)))
@@ -137,7 +132,7 @@ class TestPayoffScale:
         # Every round lands on OO, where A earns alpha and B earns beta; the
         # unit follows the counted payoff, not the largest level.
         payoffs = bos_bimatrix(GamePayoffs(1e300, 1e-299, 1e-300))
-        cfg = SimulationConfig(1024, 0, MixingChoice(1.0, 1.0), StateVector.basis("OO"), payoffs)
+        cfg = SimulationConfig(1024, 0, MixProbabilities(1.0, 1.0), StateVector.basis("OO"), payoffs)
         report = simulate(cfg)
         assert (report.mean_payoff_a, report.mean_payoff_b) == (1e300, 1e-299)
         assert (report.std_error_a, report.std_error_b) == (0.0, 0.0)
@@ -160,7 +155,7 @@ def test_outcome_probabilities_match_the_density_oracle(seed, zeros, p, q):
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
     amps[list(zeros)] = 0.0
     psi = StateVector(tuple(amps / np.linalg.norm(amps)))
-    mix = MixingChoice(p, q)
+    mix = MixProbabilities(p, q)
     probs = simulate(config(psi, p, q, 1, seed)).outcome_probabilities
     want = mixed_final_density(psi.density_matrix(), mix).diagonal_probabilities()
     assert np.abs(np.array(probs) - want).max() <= 1e-15

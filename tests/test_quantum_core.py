@@ -28,7 +28,6 @@ from qstatic.equilibria import (
     unique_solution,
 )
 from qstatic.errors import ConstraintViolation, InternalConsistencyError
-from qstatic.outcomes import _corner_means, _flipped
 from qstatic.game_core import (
     BilinearPayoff,
     GamePayoffs,
@@ -36,21 +35,18 @@ from qstatic.game_core import (
     bos_bimatrix,
     expected_payoffs,
 )
+from qstatic.outcomes import BASIS_LABELS, StateVector, corner_means, flipped, payoff_surfaces
 from qstatic.quantum_core import (
-    BASIS_LABELS,
     EIGENVALUE_FLOOR,
     HERMITIAN_TOL,
     TRACE_TOL,
     DensityMatrix,
     LocalUnitary,
-    MixingChoice,
     PayoffOperator,
-    StateVector,
     apply_local_unitaries,
     bilinear_payoff_coefficients,
     mixed_final_density,
     payoff_operators,
-    payoff_surfaces,
     projection_probabilities,
     trace_payoffs,
 )
@@ -404,7 +400,7 @@ class TestPositivityCertificate:
         entries += [random_state(rng).density_matrix().entries for _ in range(50)]
         entries += [random_density(rng).entries for _ in range(50)]
         mixed = [
-            mixed_final_density(DensityMatrix(m), MixingChoice(*rng.uniform(size=2))).entries
+            mixed_final_density(DensityMatrix(m), MixProbabilities(*rng.uniform(size=2))).entries
             for m in entries
         ]
 
@@ -528,27 +524,27 @@ class TestProjectionProbabilities:
 class TestMixedFinalDensity:
     def test_pure_oo_input_gives_product_diagonal(self):
         rho = StateVector.basis("OO").density_matrix()
-        out = mixed_final_density(rho, MixingChoice(0.3, 0.8))
+        out = mixed_final_density(rho, MixProbabilities(0.3, 0.8))
         expected = np.diag([0.3 * 0.8, 0.3 * 0.2, 0.7 * 0.8, 0.7 * 0.2])
         np.testing.assert_allclose(out.entries, expected, atol=1e-15)
 
     def test_keep_keep_is_identity(self):
         rng = np.random.default_rng(9)
         rho = random_density(rng)
-        out = mixed_final_density(rho, MixingChoice(1.0, 1.0))
+        out = mixed_final_density(rho, MixProbabilities(1.0, 1.0))
         np.testing.assert_array_equal(out.entries, rho.entries)
 
     def test_corners_gather_the_conjugated_density_exactly(self):
         rho = random_density(np.random.default_rng(17))
         for p, q in ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)):
             # At a corner each player either keeps (p or q = 1) or flips.
-            k = list(_flipped(range(4), p == 0.0, q == 0.0))
-            out = mixed_final_density(rho, MixingChoice(p, q)).entries
+            k = list(flipped(range(4), p == 0.0, q == 0.0))
+            out = mixed_final_density(rho, MixProbabilities(p, q)).entries
             np.testing.assert_array_equal(out, rho.entries[np.ix_(k, k)])
 
     def test_balanced_superposition_survives_double_flip(self):
         rho = StateVector.bell().density_matrix()
-        out = mixed_final_density(rho, MixingChoice(0.0, 0.0))
+        out = mixed_final_density(rho, MixProbabilities(0.0, 0.0))
         # Independent oracle: conjugation by the joint flip permutes index
         # k -> 3 - k, so entry (m, n) moves to (3 - m, 3 - n).
         oracle = rho.entries[::-1, ::-1]
@@ -563,14 +559,14 @@ class TestMixedFinalDensity:
             want = mixing_map_oracle(rho.entries, p, q)
             # The draw must tell the players apart, or a p/q slip would pass.
             assert np.max(np.abs(want - mixing_map_oracle(rho.entries, q, p))) > 1e-6
-            got = mixed_final_density(rho, MixingChoice(p, q)).entries
+            got = mixed_final_density(rho, MixProbabilities(p, q)).entries
             assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_invariants_preserved_for_random_inputs(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):
             rho = random_density(rng)
-            mix = MixingChoice(*rng.uniform(size=2))
+            mix = MixProbabilities(*rng.uniform(size=2))
             out = mixed_final_density(rho, mix).entries
             assert np.max(np.abs(out - out.conj().T)) <= 1e-12
             assert abs(np.trace(out) - 1.0) <= 1e-12
@@ -578,7 +574,7 @@ class TestMixedFinalDensity:
 
     def test_rejects_mixing_outside_unit_square(self):
         with pytest.raises(ConstraintViolation):
-            MixingChoice(-0.2, 0.5)
+            MixProbabilities(-0.2, 0.5)
 
 
 #: Each value type built on the grid and equilibrium paths: its class, the
@@ -690,8 +686,8 @@ class TestOnePassConstruction:
         first, second = random_density(rng), random_density(rng)
         for p, q in rng.uniform(size=(20, 2)):
             for rho in (first, second, first):
-                got = mixed_final_density(rho, MixingChoice(p, q)).entries
-                fresh = mixed_final_density(DensityMatrix(rho.entries), MixingChoice(p, q)).entries
+                got = mixed_final_density(rho, MixProbabilities(p, q)).entries
+                fresh = mixed_final_density(DensityMatrix(rho.entries), MixProbabilities(p, q)).entries
                 assert got.tobytes() == fresh.tobytes()
 
     def test_kept_diagonal_is_the_entries_diagonal(self):
@@ -827,17 +823,17 @@ _CORNER_FLIP_CHOICES = tuple((p == 0, q == 0) for p, q in ((1, 1), (1, 0), (0, 1
 
 
 def _pairwise_flipped_dots(payoffs, probabilities):
-    """Each corner's payoff dot the ``_flipped`` probabilities, summed pairwise."""
+    """Each corner's payoff dot the ``flipped`` probabilities, summed pairwise."""
     x = payoffs
     out = []
     for row_flips, col_flips in _CORNER_FLIP_CHOICES:
-        d = _flipped(probabilities, row_flips, col_flips)
+        d = flipped(probabilities, row_flips, col_flips)
         out.append((x[0] * d[0] + x[1] * d[1]) + (x[2] * d[2] + x[3] * d[3]))
     return out
 
 
 class TestCornerMeans:
-    # _corner_means writes the four corner permutations out by hand; these
+    # corner_means writes the four corner permutations out by hand; these
     # hold its indices to the one flip rule.
 
     @PROPERTY
@@ -846,7 +842,7 @@ class TestCornerMeans:
         probabilities=st.lists(st.floats(0, 1), min_size=4, max_size=4),
     )
     def test_equals_flipped_dot_products_bit_for_bit(self, payoffs, probabilities):
-        got = _corner_means(payoffs, probabilities)
+        got = corner_means(payoffs, probabilities)
         assert [x.hex() for x in got] == [
             x.hex() for x in _pairwise_flipped_dots(payoffs, probabilities)
         ]
@@ -857,7 +853,7 @@ class TestCornerMeans:
         probabilities=st.lists(st.fractions(0, 1, max_denominator=1000), min_size=4, max_size=4),
     )
     def test_equals_flipped_dot_products_exactly(self, payoffs, probabilities):
-        got = _corner_means(payoffs, probabilities)
+        got = corner_means(payoffs, probabilities)
         assert got == _pairwise_flipped_dots(payoffs, probabilities)
         assert all(type(x) is Fraction for x in got)
 
@@ -865,7 +861,7 @@ class TestCornerMeans:
         # Powers of ten as payoffs read each probability's position off the
         # digits, so a wrong index in any corner shows.
         probabilities = (1, 2, 3, 4)
-        assert _corner_means((1000, 100, 10, 1), probabilities) == [1234, 2143, 3412, 4321]
+        assert corner_means((1000, 100, 10, 1), probabilities) == [1234, 2143, 3412, 4321]
 
 
 class TestTracePayoffs:
@@ -907,7 +903,7 @@ class TestTracePayoffs:
         for _ in range(3000):
             rho = random_density(rng)
             if rng.uniform() < 0.5:
-                rho = mixed_final_density(rho, MixingChoice(*rng.uniform(size=2)))
+                rho = mixed_final_density(rho, MixProbabilities(*rng.uniform(size=2)))
             pa, pb = (PayoffOperator(rng.normal(size=4) * 10.0 ** rng.uniform(-3, 9)) for _ in "ab")
             got = trace_payoffs(pa, pb, rho)
             want = reference_trace_payoffs(pa, pb, rho)
@@ -939,7 +935,7 @@ class TestClassicalEquivalence:
                 )
                 vector_route = (float(probs @ pa.diagonal), float(probs @ pb.diagonal))
                 density_route = trace_payoffs(
-                    pa, pb, mixed_final_density(rho_in, MixingChoice(p, q))
+                    pa, pb, mixed_final_density(rho_in, MixProbabilities(p, q))
                 )
                 for route in (vector_route, density_route):
                     assert route[0] == pytest.approx(classical[0], abs=1e-12)
@@ -952,7 +948,7 @@ class TestPhaseInvariance:
         pa, pb = payoff_operators(BOS)
         for _ in range(100):
             a2 = rng.uniform()
-            mix = MixingChoice(*rng.uniform(size=2))
+            mix = MixProbabilities(*rng.uniform(size=2))
             base = StateVector.oo_tt(np.sqrt(a2), np.sqrt(1 - a2))
             phased = StateVector.oo_tt(
                 np.sqrt(a2) * np.exp(1j * rng.uniform(0, 2 * np.pi)),
@@ -1013,7 +1009,7 @@ class TestBilinearCoefficients:
             bp_a, bp_b = bilinear_payoff_coefficients(rho, pa, pb)
             for p, q in ((1, 1), (1, 0), (0, 1), (0, 0)):
                 want = trace_payoffs(
-                    pa, pb, mixed_final_density(rho, MixingChoice(p, q))
+                    pa, pb, mixed_final_density(rho, MixProbabilities(p, q))
                 )
                 assert bp_a.value(p, q) == pytest.approx(want[0], abs=1e-12)
                 assert bp_b.value(p, q) == pytest.approx(want[1], abs=1e-12)
@@ -1025,6 +1021,6 @@ class TestBilinearCoefficients:
             rho = random_density(rng)
             bp_a, bp_b = bilinear_payoff_coefficients(rho, pa, pb)
             p, q = rng.uniform(size=2)
-            want = trace_payoffs(pa, pb, mixed_final_density(rho, MixingChoice(p, q)))
+            want = trace_payoffs(pa, pb, mixed_final_density(rho, MixProbabilities(p, q)))
             assert bp_a.value(p, q) == pytest.approx(want[0], abs=1e-12)
             assert bp_b.value(p, q) == pytest.approx(want[1], abs=1e-12)

@@ -237,14 +237,14 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_quantum_core.py::TestTracePayoffs",),
     ),
     Mutant(
-        "_flipped swaps the row and column bits",
+        "flipped swaps the row and column bits",
         _OUTCOMES,
         "    s = 2 * int(row_flips) + int(col_flips)\n",
         "    s = int(row_flips) + 2 * int(col_flips)\n",
         ("tests/test_quantum_core.py::TestMixedFinalDensity",),
     ),
     Mutant(
-        "_corner_means lists the corners (1,0) and (0,1) in each other's place",
+        "corner_means lists the corners (1,0) and (0,1) in each other's place",
         _OUTCOMES,
         "        (x0 * d1 + x1 * d0) + (x2 * d3 + x3 * d2),\n"
         "        (x0 * d2 + x1 * d3) + (x2 * d0 + x3 * d1),\n",
