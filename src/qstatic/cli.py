@@ -385,8 +385,6 @@ def cmd_classical(cfg: LoadedConfig, args: argparse.Namespace) -> dict:
         outcomes = (CLASSICAL_PROBABILITIES, *cfg.game.outcome_payoffs)
         points: Sequence[NashPoint] = enumerate_bilinear_nash(*payoff_surfaces(*outcomes))
         exact = _exact_equilibria(points, *outcomes)
-        if cfg.params is None:
-            notices.append("mixed equilibria computed by generic bilinear enumeration")
     else:
         points = ()
         notices.append(

@@ -457,7 +457,8 @@ class TestClassicalCommand:
         assert len(doc["mixed_equilibria"]) == 1
         row = doc["mixed_equilibria"][0]
         assert (row["p"], row["q"]) == (0.5, 0.5)
-        assert any("enumeration" in notice for notice in doc["notices"])
+        # A levels config runs the same enumerator, so neither form has a notice.
+        assert doc["notices"] == []
 
     def test_large_common_offset_keeps_mixed_equilibria(self, tmp_path, capsys):
         big = 10**13
@@ -1380,8 +1381,8 @@ def _corpus_levels(rng: random.Random) -> dict:
 def test_levels_and_their_bimatrix_give_one_payload(tmp_path_factory, seed):
     """A levels config and the config of its table ``bos_bimatrix(params)``,
     in any state form of the corpus (near-family states one time in four),
-    give the same payload, bit for bit, on quantum in both modes, simulate
-    and the p and q sweeps; only the ``game`` echo differs."""
+    give the same payload, bit for bit, on classical, quantum in both modes,
+    simulate and the p and q sweeps; only the ``game`` echo differs."""
     rng = random.Random(seed)
     levels = _corpus_levels(rng)
     state = _corpus._near_family(rng)[0] if rng.random() < 0.25 else _corpus._state(rng)
@@ -1394,6 +1395,7 @@ def test_levels_and_their_bimatrix_give_one_payload(tmp_path_factory, seed):
     mix = [repr(round(rng.random(), 3)) for _ in range(2)]
     steps = str(rng.randint(2, 41))
     commands = (
+        ["classical"],
         ["quantum", "--mode", "entangled"],
         ["quantum", "--mode", "factorizable"],
         ["simulate", "--rounds", str(rng.randint(1, 10**5)), "--seed", str(rng.randint(0, 999)),
