@@ -171,24 +171,30 @@ class DensityMatrix:
         # off the diagonal is 0, and NaN is true, so it still reaches them.
         off_diagonal = v01 or v02 or v03 or v10 or v12 or v13 or v20 or v21 or v23 or v30 or v31 or v32
         tol = HERMITIAN_TOL
-        if not (
-            abs(v00 - v00.conjugate()) <= tol
-            and abs(v11 - v11.conjugate()) <= tol
-            and abs(v22 - v22.conjugate()) <= tol
-            and abs(v33 - v33.conjugate()) <= tol
-            and (
-                not off_diagonal
-                or abs(v01 - v10.conjugate()) <= tol
-                and abs(v02 - v20.conjugate()) <= tol
-                and abs(v03 - v30.conjugate()) <= tol
-                and abs(v12 - v21.conjugate()) <= tol
-                and abs(v13 - v31.conjugate()) <= tol
-                and abs(v23 - v32.conjugate()) <= tol
+        try:
+            hermitian = (
+                abs(v00 - v00.conjugate()) <= tol
+                and abs(v11 - v11.conjugate()) <= tol
+                and abs(v22 - v22.conjugate()) <= tol
+                and abs(v33 - v33.conjugate()) <= tol
+                and (
+                    not off_diagonal
+                    or abs(v01 - v10.conjugate()) <= tol
+                    and abs(v02 - v20.conjugate()) <= tol
+                    and abs(v03 - v30.conjugate()) <= tol
+                    and abs(v12 - v21.conjugate()) <= tol
+                    and abs(v13 - v31.conjugate()) <= tol
+                    and abs(v23 - v32.conjugate()) <= tol
+                )
             )
-        ):
+        except OverflowError:
+            # abs() raises for a finite gap whose modulus passes the float range.
+            hermitian = False
+        if not hermitian:
             m = np.array(rows, dtype=complex)
-            # A non-finite conjugate pair makes the gap NaN: say so, not warn.
-            with np.errstate(invalid="ignore"):
+            # A non-finite conjugate pair makes the gap NaN, and a finite one
+            # may overflow to inf: say so, not warn.
+            with np.errstate(invalid="ignore", over="ignore"):
                 hermitian_gap = float(np.abs(m - m.conj().T).max())
             raise ConstraintViolation(
                 f"density matrix is not Hermitian (max asymmetry {hermitian_gap:.3e})"

@@ -165,15 +165,21 @@ _OFF_DIAGONAL = tuple(k for k in range(16) if k % 5)
 def reference_density_check(entries) -> np.ndarray:
     """``DensityMatrix`` validation through index tables: returns the checked
     complex matrix or raises ``ConstraintViolation`` with the same message.
-    A non-finite conjugate pair warns in numpy on the rejection path."""
+    A non-finite conjugate pair warns in numpy on the rejection path; a
+    finite pair whose gap overflows reads as an infinite gap, without one."""
     m = np.array(entries, dtype=complex)
     if m.shape != (4, 4):
         raise ConstraintViolation(
             f"a joint density matrix must be 4x4, got shape {m.shape}"
         )
     v = m.ravel().tolist()
-    if not all(abs(v[i] - v[j].conjugate()) <= HERMITIAN_TOL for i, j in _UPPER_PAIRS):
-        hermitian_gap = float(np.abs(m - m.conj().T).max())
+    try:
+        hermitian = all(abs(v[i] - v[j].conjugate()) <= HERMITIAN_TOL for i, j in _UPPER_PAIRS)
+    except OverflowError:  # abs() of a finite gap whose modulus passes the float range
+        hermitian = False
+    if not hermitian:
+        with np.errstate(over="ignore"):
+            hermitian_gap = float(np.abs(m - m.conj().T).max())
         raise ConstraintViolation(
             f"density matrix is not Hermitian (max asymmetry {hermitian_gap:.3e})"
         )

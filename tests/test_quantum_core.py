@@ -189,6 +189,18 @@ class TestDensityMatrix:
             with pytest.raises(ConstraintViolation, match="not Hermitian"):
                 DensityMatrix(m)
 
+    @pytest.mark.parametrize("entry", [1.5e308 + 1.5e308j, -1.7e308 + 1e308j])
+    @pytest.mark.parametrize("check", [DensityMatrix, reference_density_check])
+    def test_overflowing_conjugate_gap_rejected_without_a_warning(self, check, entry):
+        # The gap to the zero mirror is finite, but abs() of it passes the
+        # float range and raises OverflowError; it is past any tolerance.
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConstraintViolation, match=r"not Hermitian \(max asymmetry inf\)"):
+                check(m)
+
     @pytest.mark.parametrize("i, j", [(i, j) for i in range(4) for j in range(4)])
     def test_rejects_an_asymmetry_at_every_position(self, i, j):
         # Off the diagonal one entry without its mirror; on it an imaginary

@@ -57,21 +57,21 @@ _CERTIFICATE_TESTS = ("tests/test_quantum_core.py::TestPositivityCertificate",)
 
 #: The ten comparisons of ``DensityMatrix``'s Hermitian test.
 _HERMITIAN_TEST = """\
-        if not (
-            abs(v00 - v00.conjugate()) <= tol
-            and abs(v11 - v11.conjugate()) <= tol
-            and abs(v22 - v22.conjugate()) <= tol
-            and abs(v33 - v33.conjugate()) <= tol
-            and (
-                not off_diagonal
-                or abs(v01 - v10.conjugate()) <= tol
-                and abs(v02 - v20.conjugate()) <= tol
-                and abs(v03 - v30.conjugate()) <= tol
-                and abs(v12 - v21.conjugate()) <= tol
-                and abs(v13 - v31.conjugate()) <= tol
-                and abs(v23 - v32.conjugate()) <= tol
+            hermitian = (
+                abs(v00 - v00.conjugate()) <= tol
+                and abs(v11 - v11.conjugate()) <= tol
+                and abs(v22 - v22.conjugate()) <= tol
+                and abs(v33 - v33.conjugate()) <= tol
+                and (
+                    not off_diagonal
+                    or abs(v01 - v10.conjugate()) <= tol
+                    and abs(v02 - v20.conjugate()) <= tol
+                    and abs(v03 - v30.conjugate()) <= tol
+                    and abs(v12 - v21.conjugate()) <= tol
+                    and abs(v13 - v31.conjugate()) <= tol
+                    and abs(v23 - v32.conjugate()) <= tol
+                )
             )
-        ):
 """
 
 MUTANTS: tuple[Mutant, ...] = (
@@ -79,7 +79,7 @@ MUTANTS: tuple[Mutant, ...] = (
         "Hermitian test written as gap > tol, which lets NaN through",
         _QUANTUM,
         _HERMITIAN_TEST,
-        _HERMITIAN_TEST.replace("if not (", "if (")
+        _HERMITIAN_TEST.replace("hermitian = (", "hermitian = not (")
         .replace("<= tol", "> tol")
         .replace("and abs", "or abs"),
         _DENSITY_TESTS,
@@ -87,7 +87,7 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "Hermitian test drops the diagonal pair (2, 2)",
         _QUANTUM,
-        "            and abs(v22 - v22.conjugate()) <= tol\n",
+        "                and abs(v22 - v22.conjugate()) <= tol\n",
         "",
         _DENSITY_TESTS,
     ),
@@ -99,6 +99,14 @@ MUTANTS: tuple[Mutant, ...] = (
         _DENSITY_TESTS,
     ),
     Mutant(
+        "an overflowing Hermitian gap lets its OverflowError escape",
+        _QUANTUM,
+        "        except OverflowError:\n",
+        "        except ZeroDivisionError:\n",
+        ("tests/test_quantum_core.py::TestDensityMatrix::"
+         "test_overflowing_conjugate_gap_rejected_without_a_warning",),
+    ),
+    Mutant(
         "off-diagonal test always false",
         _QUANTUM,
         "        if off_diagonal:\n",
@@ -108,8 +116,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "the Hermitian pair terms skipped even when an entry off the diagonal is nonzero",
         _QUANTUM,
-        "                not off_diagonal\n",
-        "                True\n",
+        "                    not off_diagonal\n",
+        "                    True\n",
         _DENSITY_TESTS,
     ),
     Mutant(
