@@ -13,12 +13,10 @@ consistency failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -36,6 +34,7 @@ from .errors import ConstraintViolation, InternalConsistencyError
 from .game_core import (
     Bimatrix,
     EliminationStep,
+    FrozenValue,
     GamePayoffs,
     MixProbabilities,
     bos_bimatrix,
@@ -65,16 +64,37 @@ class ConfigError(Exception):
     """Configuration problem; message is anchored to file and field."""
 
 
-@dataclass(frozen=True)
-class LoadedConfig:
-    path: str
-    params: GamePayoffs | None
-    game: Bimatrix
-    labels_a: tuple[str, ...]
-    labels_b: tuple[str, ...]
-    state: StateVector
-    state_form: str
-    preset_name: str | None
+#: Writes a field of a frozen value from its ``__init__``.
+_set = object.__setattr__
+
+
+class LoadedConfig(FrozenValue):
+    """A checked config file: the game (``params`` for the levels form, else
+    None), the strategy labels, the initial state and how it was given."""
+
+    _fields = __slots__ = (
+        "path", "params", "game", "labels_a", "labels_b", "state", "state_form", "preset_name"
+    )
+
+    def __init__(
+        self,
+        path: str,
+        params: GamePayoffs | None,
+        game: Bimatrix,
+        labels_a: tuple[str, ...],
+        labels_b: tuple[str, ...],
+        state: StateVector,
+        state_form: str,
+        preset_name: str | None,
+    ) -> None:
+        _set(self, "path", path)
+        _set(self, "params", params)
+        _set(self, "game", game)
+        _set(self, "labels_a", labels_a)
+        _set(self, "labels_b", labels_b)
+        _set(self, "state", state)
+        _set(self, "state_form", state_form)
+        _set(self, "preset_name", preset_name)
 
 
 def _fail(path: str, where: str, message: str) -> ConfigError:
@@ -299,7 +319,7 @@ def _amp_pairs(state: StateVector) -> list[list[float]]:
 
 def _game_json(cfg: LoadedConfig) -> dict:
     if cfg.params is not None:
-        return asdict(cfg.params)
+        return {"alpha": cfg.params.alpha, "beta": cfg.params.beta, "gamma": cfg.params.gamma}
     return {
         "payoff_a": [list(row) for row in cfg.game.payoff_a],
         "payoff_b": [list(row) for row in cfg.game.payoff_b],
@@ -347,7 +367,11 @@ def _ranking_json(
     ranking: EquilibriumRanking, original: Sequence[NashPoint]
 ) -> dict:
     order = [list(original).index(point) for point in ranking.ordered]
-    return {"order": order, "gaps": [asdict(gap) for gap in ranking.gaps]}
+    gaps = [
+        {"better": g.better, "worse": g.worse, "delta_a": g.delta_a, "delta_b": g.delta_b}
+        for g in ranking.gaps
+    ]
+    return {"order": order, "gaps": gaps}
 
 
 def _corner_json(point: NashPoint | None) -> dict | None:
@@ -820,6 +844,8 @@ def render(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(_round_floats(payload), indent=2) + "\n"
     if fmt == "csv":
+        import csv
+
         header, rows = _rectangle(payload)
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")

@@ -13,12 +13,12 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import ConstraintViolation
-from .game_core import BilinearPayoff, GamePayoffs, check_unit_interval
+from .game_core import BilinearPayoff, FrozenValue, GamePayoffs, check_unit_interval
 from .outcomes import StateVector, payoff_surfaces
 
 if TYPE_CHECKING:
@@ -72,6 +72,9 @@ class EquilibriumKind(enum.Enum):
 _CORNER, _FAMILY = EquilibriumKind.CORNER, EquilibriumKind.DEGENERATE_FAMILY
 
 
+# The one dataclass of the package: the benchmark's tests call
+# ``dataclasses.replace`` on it. It can become a ``FrozenValue`` once they
+# build their points with ``NashPoint(...)`` (ROADMAP.md item 18).
 @dataclass(frozen=True, slots=True, init=False)
 class NashPoint:
     """A mixing profile no player can improve on unilaterally.
@@ -109,15 +112,14 @@ class NashPoint:
         return min(self.payoff_a, self.payoff_b)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class EntangledFamilyState:
+class EntangledFamilyState(FrozenValue):
     """The |OO>/|TT> superposition family, parametrized by the squared
     modulus a2 of the |OO> amplitude. Phases never affect payoffs, so only
     moduli are stored; the canonical representative has real amplitudes,
     built on its first read and kept."""
 
-    a2: float
-    _vector: StateVector = field(init=False, repr=False, compare=False)
+    _fields = ("a2",)
+    __slots__ = ("a2", "_vector")
 
     def __init__(self, a2: float) -> None:
         self.__post_init__(a2)
@@ -351,21 +353,27 @@ def _rescaled(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class PairwiseGap:
+class PairwiseGap(FrozenValue):
     """Payoff differences between two ranked equilibria (better minus worse,
     by rank position)."""
 
-    better: int
-    worse: int
-    delta_a: float
-    delta_b: float
+    _fields = __slots__ = ("better", "worse", "delta_a", "delta_b")
+
+    def __init__(self, better: int, worse: int, delta_a: float, delta_b: float) -> None:
+        _set(self, "better", better)
+        _set(self, "worse", worse)
+        _set(self, "delta_a", delta_a)
+        _set(self, "delta_b", delta_b)
 
 
-@dataclass(frozen=True, slots=True)
-class EquilibriumRanking:
-    ordered: tuple[NashPoint, ...]
-    gaps: tuple[PairwiseGap, ...]
+class EquilibriumRanking(FrozenValue):
+    """Equilibria best-first, and the gap of every pair of them."""
+
+    _fields = __slots__ = ("ordered", "gaps")
+
+    def __init__(self, ordered: tuple[NashPoint, ...], gaps: tuple[PairwiseGap, ...]) -> None:
+        _set(self, "ordered", ordered)
+        _set(self, "gaps", gaps)
 
 
 def rank_equilibria(points: Iterable[NashPoint]) -> EquilibriumRanking:
@@ -395,8 +403,7 @@ def _rank_key(n: NashPoint) -> tuple[float, float, float, float]:
     return (a, b, n.p_star, n.q_star) if a <= b else (b, a, n.p_star, n.q_star)
 
 
-@dataclass(frozen=True, slots=True)
-class UniqueSolutionReport:
+class UniqueSolutionReport(FrozenValue):
     """Whether the two corner equilibria collapse into one joint solution.
 
     They merge when the two corner final densities are the same matrix,
@@ -406,13 +413,28 @@ class UniqueSolutionReport:
     player prefers a different corner and the preference fields say which.
     """
 
-    merged: bool
-    corner_keep: NashPoint
-    corner_flip: NashPoint
-    payoff_difference_a: float
-    payoff_difference_b: float
-    solution_payoffs: tuple[float, float] | None
-    final_state: StateVector | None
+    _fields = __slots__ = (
+        "merged", "corner_keep", "corner_flip", "payoff_difference_a", "payoff_difference_b",
+        "solution_payoffs", "final_state",
+    )
+
+    def __init__(
+        self,
+        merged: bool,
+        corner_keep: NashPoint,
+        corner_flip: NashPoint,
+        payoff_difference_a: float,
+        payoff_difference_b: float,
+        solution_payoffs: tuple[float, float] | None,
+        final_state: StateVector | None,
+    ) -> None:
+        _set(self, "merged", merged)
+        _set(self, "corner_keep", corner_keep)
+        _set(self, "corner_flip", corner_flip)
+        _set(self, "payoff_difference_a", payoff_difference_a)
+        _set(self, "payoff_difference_b", payoff_difference_b)
+        _set(self, "solution_payoffs", solution_payoffs)
+        _set(self, "final_state", final_state)
 
     @property
     def preferred_by_a(self) -> NashPoint | None:

@@ -9,12 +9,12 @@ injected on the classical side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Iterable
 
 from .errors import ConstraintViolation
 
 __all__ = [
+    "FrozenValue",
     "Bimatrix",
     "GamePayoffs",
     "MixProbabilities",
@@ -28,26 +28,76 @@ __all__ = [
     "expected_payoffs",
 ]
 
-#: Writes a field of a frozen value from its ``__post_init__``.
+#: Writes a field of a frozen value from its ``__init__`` or ``__post_init__``.
 _set = object.__setattr__
 
 
-@dataclass(frozen=True, eq=False)
-class Bimatrix:
+def _field_values(value: FrozenValue) -> tuple:
+    return tuple([getattr(value, name) for name in value._fields])
+
+
+class FrozenValue:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields, in order, in ``_fields``, and every
+    attribute it stores in ``__slots__``, so no instance has a ``__dict__``.
+    Its ``__init__`` writes each slot once through ``object.__setattr__``;
+    a validated type's ``__init__`` hands its arguments to ``__post_init__``,
+    which checks them and writes the slots. Equality (same class, equal
+    field tuples), hash and repr read the fields, as a frozen dataclass's
+    generated methods do; a type that compares by identity sets ``__eq__``
+    and ``__hash__`` back to ``object``'s. Copies and pickles rebuild a
+    value from its fields, through its checks.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _field_values(self) == _field_values(other)
+
+    def __hash__(self) -> int:
+        return hash(_field_values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), _field_values(self)
+
+
+class Bimatrix(FrozenValue):
     """Payoff tables of a finite two-player game.
 
     ``payoff_a[i][j]`` is the row player's payoff when the row player picks
     strategy ``i`` and the column player picks ``j``; ``payoff_b`` likewise.
     Both tables share one shape and all entries are finite, and so is the
     range of each table: payoffs are measured from a table's smallest entry.
-    Tables are copied into tuples of float rows at construction.
+    Tables are copied into tuples of float rows at construction. Two tables
+    are equal only if they are the same object.
     """
 
-    payoff_a: tuple[tuple[float, ...], ...]
-    payoff_b: tuple[tuple[float, ...], ...]
+    _fields = __slots__ = ("payoff_a", "payoff_b")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self) -> None:
-        a, b = _float_table(self.payoff_a), _float_table(self.payoff_b)
+    def __init__(
+        self, payoff_a: Iterable[Iterable[float]], payoff_b: Iterable[Iterable[float]]
+    ) -> None:
+        self.__post_init__(payoff_a, payoff_b)
+
+    def __post_init__(
+        self, payoff_a: Iterable[Iterable[float]], payoff_b: Iterable[Iterable[float]]
+    ) -> None:
+        a, b = _float_table(payoff_a), _float_table(payoff_b)
         shape_a, shape_b = _table_shape(a), _table_shape(b)
         if len(shape_a) != 2 or shape_a != shape_b:
             raise ConstraintViolation(
@@ -99,8 +149,7 @@ def _table_shape(rows: tuple[tuple[float, ...], ...]) -> tuple[int, ...]:
     return (len(rows), *widths) if len(widths) == 1 else (len(rows),)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class GamePayoffs:
+class GamePayoffs(FrozenValue):
     """The three payoff levels of the asymmetric coordination game.
 
     ``alpha`` is what a player earns at their preferred joint outcome,
@@ -110,9 +159,7 @@ class GamePayoffs:
     also refuse a scale whose products of levels overflow a float.
     """
 
-    alpha: float
-    beta: float
-    gamma: float
+    _fields = __slots__ = ("alpha", "beta", "gamma")
 
     def __init__(self, alpha: float, beta: float, gamma: float) -> None:
         self.__post_init__(alpha, beta, gamma)
@@ -152,15 +199,13 @@ def check_unit_interval(name: str, value: float) -> None:
         raise ConstraintViolation(f"{name} must lie in [0, 1], got {value}")
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class MixProbabilities:
+class MixProbabilities(FrozenValue):
     """Independent mixing probabilities: p for the row player's strategy 0,
     q for the column player's strategy 0. In the quantum scheme the same pair
     is each player's probability of keeping their half of the joint state
     (``quantum_core.mixed_final_density``)."""
 
-    p: float
-    q: float
+    _fields = __slots__ = ("p", "q")
 
     def __init__(self, p: float, q: float) -> None:
         self.__post_init__(p, q)
@@ -173,8 +218,7 @@ class MixProbabilities:
         _set(self, "q", q)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class BilinearPayoff:
+class BilinearPayoff(FrozenValue):
     """One player's expected payoff as a bilinear surface over the unit square.
 
     It is held by its values at the four corners, which fix a bilinear
@@ -185,11 +229,7 @@ class BilinearPayoff:
     interpolates, so each corner comes back bit for bit.
     """
 
-    at_11: float
-    at_10: float
-    at_01: float
-    at_00: float
-    base: float = 0
+    _fields = __slots__ = ("at_11", "at_10", "at_01", "at_00", "base")
 
     def __init__(
         self, at_11: float, at_10: float, at_01: float, at_00: float, base: float = 0
@@ -232,21 +272,32 @@ def bos_bimatrix(params: GamePayoffs) -> Bimatrix:
     return Bimatrix((row[:2], row[2:]), (col[:2], col[2:]))
 
 
-@dataclass(frozen=True)
-class EliminationStep:
+class EliminationStep(FrozenValue):
     """One removal: `player` 0 (row) or 1 (column) dropped strategy `removed`
     because `dominated_by` was strictly better against every survivor."""
 
-    player: int
-    removed: int
-    dominated_by: int
+    _fields = __slots__ = ("player", "removed", "dominated_by")
+
+    def __init__(self, player: int, removed: int, dominated_by: int) -> None:
+        _set(self, "player", player)
+        _set(self, "removed", removed)
+        _set(self, "dominated_by", dominated_by)
 
 
-@dataclass(frozen=True)
-class EliminationResult:
-    survivors_a: tuple[int, ...]
-    survivors_b: tuple[int, ...]
-    steps: tuple[EliminationStep, ...]
+class EliminationResult(FrozenValue):
+    """Each player's surviving strategies, ascending, and the removals in order."""
+
+    _fields = __slots__ = ("survivors_a", "survivors_b", "steps")
+
+    def __init__(
+        self,
+        survivors_a: tuple[int, ...],
+        survivors_b: tuple[int, ...],
+        steps: tuple[EliminationStep, ...],
+    ) -> None:
+        _set(self, "survivors_a", survivors_a)
+        _set(self, "survivors_b", survivors_b)
+        _set(self, "steps", steps)
 
 
 def eliminate_strictly_dominated(game: Bimatrix) -> EliminationResult:

@@ -9,39 +9,51 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import ConstraintViolation
-from .game_core import Bimatrix, MixProbabilities
+from .game_core import Bimatrix, FrozenValue, MixProbabilities
 from .outcomes import StateVector, flipped
 
 __all__ = ["SimulationConfig", "SimulationReport", "simulate"]
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
-    rounds: int
-    seed: int
-    mix: MixProbabilities
-    initial: StateVector
-    payoffs: Bimatrix
+#: Writes a field of a frozen value from its ``__init__`` or ``__post_init__``.
+_set = object.__setattr__
 
-    def __post_init__(self) -> None:
+
+class SimulationConfig(FrozenValue):
+    """``rounds`` plays of the 2x2 game ``payoffs`` from the state ``initial``,
+    each player keeping with the probabilities ``mix``, drawn from ``seed``."""
+
+    _fields = __slots__ = ("rounds", "seed", "mix", "initial", "payoffs")
+
+    def __init__(
+        self, rounds: int, seed: int, mix: MixProbabilities, initial: StateVector, payoffs: Bimatrix
+    ) -> None:
+        self.__post_init__(rounds, seed, mix, initial, payoffs)
+
+    def __post_init__(
+        self, rounds: int, seed: int, mix: MixProbabilities, initial: StateVector, payoffs: Bimatrix
+    ) -> None:
         # The report's rounds and counts stay signed 64-bit integers, which
         # JSON and CSV readers that parse integers as int64 read exactly.
-        if not isinstance(self.rounds, int) or not 1 <= self.rounds <= 2**63 - 1:
+        if not isinstance(rounds, int) or not 1 <= rounds <= 2**63 - 1:
             raise ConstraintViolation(
-                f"rounds must be an integer from 1 to 2**63 - 1, got {self.rounds}"
+                f"rounds must be an integer from 1 to 2**63 - 1, got {rounds}"
             )
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise ConstraintViolation(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if not (isinstance(self.payoffs, Bimatrix) and self.payoffs.is_2x2):
-            raise ConstraintViolation(f"payoffs must be a 2x2 Bimatrix, got {self.payoffs!r}")
+        if not isinstance(seed, int) or not 0 <= seed < 2**64:
+            raise ConstraintViolation(f"seed must be a 64-bit unsigned integer, got {seed}")
+        if not (isinstance(payoffs, Bimatrix) and payoffs.is_2x2):
+            raise ConstraintViolation(f"payoffs must be a 2x2 Bimatrix, got {payoffs!r}")
+        _set(self, "rounds", rounds)
+        _set(self, "seed", seed)
+        _set(self, "mix", mix)
+        _set(self, "initial", initial)
+        _set(self, "payoffs", payoffs)
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(FrozenValue):
     """Outcome probabilities and tallies per basis state, plus empirical
     payoff statistics.
 
@@ -49,12 +61,26 @@ class SimulationReport:
     by sqrt(rounds); zero when every round lands on one outcome.
     """
 
-    outcome_probabilities: tuple[float, float, float, float]
-    counts: tuple[int, int, int, int]
-    mean_payoff_a: float
-    mean_payoff_b: float
-    std_error_a: float
-    std_error_b: float
+    _fields = __slots__ = (
+        "outcome_probabilities", "counts", "mean_payoff_a", "mean_payoff_b",
+        "std_error_a", "std_error_b",
+    )
+
+    def __init__(
+        self,
+        outcome_probabilities: tuple[float, float, float, float],
+        counts: tuple[int, int, int, int],
+        mean_payoff_a: float,
+        mean_payoff_b: float,
+        std_error_a: float,
+        std_error_b: float,
+    ) -> None:
+        _set(self, "outcome_probabilities", outcome_probabilities)
+        _set(self, "counts", counts)
+        _set(self, "mean_payoff_a", mean_payoff_a)
+        _set(self, "mean_payoff_b", mean_payoff_b)
+        _set(self, "std_error_a", std_error_a)
+        _set(self, "std_error_b", std_error_b)
 
 
 def _stirling_error(k: int) -> float:

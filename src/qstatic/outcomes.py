@@ -11,11 +11,10 @@ oracle. The first tensor slot belongs to the row player.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import ConstraintViolation
-from .game_core import BilinearPayoff
+from .game_core import BilinearPayoff, FrozenValue
 
 if TYPE_CHECKING:
     from .quantum_core import DensityMatrix
@@ -53,13 +52,15 @@ def flipped(values: Sequence[Any], row_flips: bool, col_flips: bool) -> tuple:
     return tuple(values[k ^ s] for k in range(4))
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
-class StateVector:
-    """Normalized joint strategy state: 4 complex amplitudes over BASIS_LABELS."""
+class StateVector(FrozenValue):
+    """Normalized joint strategy state: 4 complex amplitudes over BASIS_LABELS,
+    and ``probabilities``, the outcome probabilities |a_k|^2 in the joint
+    basis as the norm check sums them. Two states are equal only if they are
+    the same object."""
 
-    amplitudes: tuple[complex, complex, complex, complex]
-    #: Outcome probabilities |a_k|^2 in the joint basis, as the norm check sums them.
-    probabilities: tuple[float, float, float, float] = field(init=False, repr=False)
+    _fields = ("amplitudes",)
+    __slots__ = ("amplitudes", "probabilities")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, amplitudes: Sequence[complex]) -> None:
         self.__post_init__(amplitudes)

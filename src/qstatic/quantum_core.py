@@ -13,12 +13,11 @@ diagonal) ever enter a payoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConstraintViolation, InternalConsistencyError
-from .game_core import BilinearPayoff, GamePayoffs, MixProbabilities
+from .game_core import BilinearPayoff, FrozenValue, GamePayoffs, MixProbabilities
 from .outcomes import STATE_NORM_TOL, StateVector, corner_means, flipped, payoff_surfaces
 
 __all__ = [
@@ -119,23 +118,20 @@ def _certified_above_floor(
     return c33 - (l3.real * c32.real + l3.imag * c32.imag) > 0
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
-class DensityMatrix:
+class DensityMatrix(FrozenValue):
     """4x4 Hermitian, unit-trace, positive-semidefinite joint strategy state.
 
     The checks read the entries as Python numbers. The matrix is kept as
-    given, and the diagonal's parts as floats for the payoff routes;
-    ``entries``, a read-only array, is built on its first read and kept.
+    given in ``_rows`` (4 row tuples of ``complex``, or a private array), and
+    the diagonal's real and imaginary parts, the only entries that enter a
+    payoff, as the float tuples ``_real`` and ``_imag``; ``entries``, a
+    read-only array, is built on its first read and kept. Two densities are
+    equal only if they are the same object.
     """
 
-    entries: np.ndarray
-    #: The checked matrix as given: 4 row tuples of ``complex``, or a private array.
-    _rows: tuple[tuple[complex, ...], ...] | np.ndarray = field(
-        init=False, repr=False, compare=False
-    )
-    #: The diagonal's real and imaginary parts; only they enter a payoff.
-    _real: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
-    _imag: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
+    _fields = ("entries",)
+    __slots__ = ("entries", "_rows", "_real", "_imag")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, entries: np.ndarray) -> None:
         self.__post_init__(entries)
@@ -244,12 +240,10 @@ class DensityMatrix:
         return float(np.real(amps.conj() @ self.entries @ amps))
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class LocalUnitary:
+class LocalUnitary(FrozenValue):
     """Single-player SU(2) tactic [[a, b], [-conj(b), conj(a)]]."""
 
-    a: complex
-    b: complex
+    _fields = __slots__ = ("a", "b")
 
     def __init__(self, a: complex, b: complex) -> None:
         self.__post_init__(a, b)
@@ -275,16 +269,17 @@ class LocalUnitary:
         )
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
-class PayoffOperator:
+class PayoffOperator(FrozenValue):
     """Observable diagonal in the canonical basis; entries are payoffs.
 
-    The checked payoffs are kept as floats; ``diagonal``, a read-only array,
-    is built on its first read and kept.
+    The checked payoffs are kept as the float tuple ``_values``;
+    ``diagonal``, a read-only array, is built on its first read and kept.
+    Two operators are equal only if they are the same object.
     """
 
-    diagonal: np.ndarray
-    _values: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
+    _fields = ("diagonal",)
+    __slots__ = ("diagonal", "_values")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, diagonal: np.ndarray) -> None:
         self.__post_init__(diagonal)

@@ -1127,7 +1127,8 @@ class TestNumpyFreeImportPath:
         ["sweep", "--param", "q", "--p", "0.8"],
     )
 
-    def test_classical_quantum_and_sweep_load_no_numpy(self, tmp_path):
+    def every_run(self, tmp_path) -> tuple[list[list[str]], list[int]]:
+        """Every command and format on every config, and each run's exit code."""
         argvs, expected = [], []
         for name, doc in self.CONFIGS.items():
             path = write_config(tmp_path, doc, f"{name}.json")
@@ -1138,6 +1139,10 @@ class TestNumpyFreeImportPath:
                     # runs only classical.
                     refused = name == "bimatrix3" or name == "bimatrix2" and "a2" in command
                     expected.append(2 if refused and command[0] != "classical" else 0)
+        return argvs, expected
+
+    def test_classical_quantum_and_sweep_load_no_numpy(self, tmp_path):
+        argvs, expected = self.every_run(tmp_path)
         result = json.loads(run_python(_RUN_MAIN, json.dumps(argvs)).stdout)
         assert result["codes"] == expected
         assert result["numpy"] is False
@@ -1181,6 +1186,29 @@ class TestNumpyFreeImportPath:
             for fmt in ("table", "json", "csv")
         ]
         assert json.loads(run_python(code, json.dumps(argvs)).stdout) == [0] * len(argvs)
+
+    def test_nash_point_is_the_only_dataclass_after_every_command(self, tmp_path):
+        argvs, expected = self.every_run(tmp_path)
+        path = write_config(tmp_path, self.CONFIGS["amplitudes"], "simulated.json")
+        for fmt in ("table", "json", "csv"):
+            argvs.append(["simulate", "--config", path, "--rounds", "1000", "--format", fmt])
+            expected.append(0)
+        code = _RUN_MAIN.replace(
+            '    "montecarlo": "qstatic.montecarlo" in sys.modules,\n',
+            '    "dataclasses": sorted({\n'
+            '        f"{value.__module__}.{value.__qualname__}"\n'
+            '        for name, module in list(sys.modules.items()) if name.startswith("qstatic")\n'
+            '        for value in vars(module).values()\n'
+            '        if isinstance(value, type) and hasattr(value, "__dataclass_fields__")\n'
+            '    }),\n',
+        )
+        result = json.loads(run_python(code, json.dumps(argvs)).stdout)
+        assert result["codes"] == expected
+        assert result["dataclasses"] == ["qstatic.equilibria.NashPoint"]
+
+    def test_import_cli_loads_no_csv(self):
+        code = "import sys, qstatic.cli\nprint('csv' in sys.modules)"
+        assert run_python(code).stdout.split() == ["False"]
 
     def test_import_qstatic_loads_no_numpy(self):
         code = (

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 from fractions import Fraction
 
@@ -8,11 +10,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import brute_force_pure_nash, brute_force_survivors, coefficients
-from qstatic.equilibria import classical_mixed_equilibria
+from qstatic.cli import LoadedConfig
+from qstatic.equilibria import (
+    EntangledFamilyState,
+    EquilibriumKind,
+    EquilibriumRanking,
+    NashPoint,
+    PairwiseGap,
+    UniqueSolutionReport,
+    classical_mixed_equilibria,
+    unique_solution,
+)
 from qstatic.errors import ConstraintViolation
 from qstatic.game_core import (
     BilinearPayoff,
     Bimatrix,
+    EliminationResult,
+    EliminationStep,
+    FrozenValue,
     GamePayoffs,
     MixProbabilities,
     bos_bimatrix,
@@ -20,7 +35,9 @@ from qstatic.game_core import (
     expected_payoffs,
     pure_nash,
 )
+from qstatic.montecarlo import SimulationConfig, SimulationReport
 from qstatic.outcomes import StateVector, payoff_surfaces
+from qstatic.quantum_core import DensityMatrix, LocalUnitary, PayoffOperator
 
 #: The outcome probabilities of |OO>, whose surfaces are the classical game's.
 OO = StateVector.basis("OO").probabilities
@@ -376,3 +393,99 @@ class TestBilinearPayoff:
         q = 0.37
         numeric = (bp.value(0.5 + eps, q) - bp.value(0.5 - eps, q)) / (2 * eps)
         assert bp.slope_p(q) == pytest.approx(numeric, abs=1e-6)
+
+
+def _frozen_values() -> list[tuple[FrozenValue, FrozenValue | None]]:
+    """One value of every ``FrozenValue`` type, each with a value of its type
+    that differs from it in the last field only, or None for a type that
+    compares by identity."""
+    game, state, mix = bos(3, 2, 1), StateVector.basis("OT"), MixProbabilities(0.25, 0.5)
+    point = NashPoint(1.0, 1.0, 3.0, 2.0, EquilibriumKind.CORNER)
+    step, gap = EliminationStep(0, 1, 0), PairwiseGap(0, 1, 0.5, -0.5)
+    report = unique_solution(GamePayoffs(3, 2, 1), EntangledFamilyState(0.5))
+    loaded = ("a.json", GamePayoffs(3, 2, 1), game, ("O", "T"), ("O", "T"), state, "preset")
+    tallies = ((0.5, 0.5, 0.0, 0.0), (6, 4, 0, 0), 2.2, 1.8)
+    return [
+        (game, None),
+        (GamePayoffs(3, 2, 1), GamePayoffs(3, 2, 0)),
+        (mix, MixProbabilities(0.25, 0.75)),
+        (BilinearPayoff(3.0, 1.0, 0.5, 0.0), BilinearPayoff(3.0, 1.0, 0.5, 0.0, 1.0)),
+        (step, EliminationStep(0, 1, 2)),
+        (EliminationResult((0,), (0, 1), (step,)), EliminationResult((0,), (0, 1), ())),
+        (state, None),
+        (EntangledFamilyState(0.3), EntangledFamilyState(0.4)),
+        (gap, PairwiseGap(0, 1, 0.5, 0.5)),
+        (EquilibriumRanking((point,), (gap,)), EquilibriumRanking((point,), ())),
+        (report, UniqueSolutionReport(*[getattr(report, n) for n in report._fields[:-1]], None)),
+        (LoadedConfig(*loaded, "OT"), LoadedConfig(*loaded, None)),
+        (SimulationConfig(10, 1, mix, state, game), SimulationConfig(10, 1, mix, state, bos())),
+        (SimulationReport(*tallies, 0.1, 0.2), SimulationReport(*tallies, 0.1, 0.3)),
+        (DensityMatrix(np.diag([0.5, 0.5, 0.0, 0.0])), None),
+        (LocalUnitary(0.6, 0.8), LocalUnitary(0.6, -0.8)),
+        (PayoffOperator([3.0, 1.0, 1.0, 2.0]), None),
+    ]
+
+
+_FROZEN_VALUES = _frozen_values()
+_FROZEN_IDS = [type(value).__name__ for value, _ in _FROZEN_VALUES]
+
+
+def _subclasses(cls: type) -> set[type]:
+    return {c for sub in cls.__subclasses__() for c in (sub, *_subclasses(sub))}
+
+
+class TestFrozenValue:
+    """Every value type but ``NashPoint`` is a ``FrozenValue``: slotted and
+    frozen, with the equality, hash and repr over its fields that its
+    dataclass had, and copies and pickles that go through its checks."""
+
+    def test_every_value_type_is_covered_and_none_is_a_dataclass(self):
+        assert {type(value) for value, _ in _FROZEN_VALUES} == _subclasses(FrozenValue)
+        assert not any(hasattr(cls, "__dataclass_fields__") for cls in _subclasses(FrozenValue))
+
+    @pytest.mark.parametrize("value, other", _FROZEN_VALUES, ids=_FROZEN_IDS)
+    def test_no_field_can_be_written_or_deleted(self, value, other):
+        for name in dict.fromkeys(value._fields + type(value).__slots__ + ("extra",)):
+            kept = getattr(value, name, None)
+            with pytest.raises(AttributeError):
+                setattr(value, name, object())
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+            assert getattr(value, name, None) is kept
+        assert not hasattr(value, "__dict__")
+
+    @pytest.mark.parametrize("value, other", _FROZEN_VALUES, ids=_FROZEN_IDS)
+    def test_equality_hash_and_repr_read_the_fields_in_order(self, value, other):
+        fields = tuple(getattr(value, name) for name in value._fields)
+        twin = type(value)(*fields)
+        if other is None:
+            assert value != twin and value == value
+            assert hash(value) == object.__hash__(value)
+        else:
+            assert value == twin and not value != twin and hash(value) == hash(fields)
+            assert value != other and not value == other
+        assert value.__eq__(fields) is NotImplemented
+        shown = ", ".join(f"{name}={getattr(value, name)!r}" for name in value._fields)
+        assert repr(value) == f"{type(value).__name__}({shown})"
+
+    @pytest.mark.parametrize("value, other", _FROZEN_VALUES, ids=_FROZEN_IDS)
+    def test_copies_and_pickles_rebuild_the_value(self, value, other):
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value) and twin is not value
+            assert repr(twin) == repr(value)
+
+    def test_reprs_are_the_dataclass_reprs(self):
+        game = Bimatrix([[3, 1], [1, 2]], [[2, 1], [1, 3]])
+        assert repr(game) == "Bimatrix(payoff_a=((3.0, 1.0), (1.0, 2.0)), payoff_b=((2.0, 1.0), (1.0, 3.0)))"
+        assert repr(eliminate_strictly_dominated(Bimatrix([[3, 0], [5, 1]], [[3, 5], [0, 1]]))) == (
+            "EliminationResult(survivors_a=(1,), survivors_b=(1,), steps=("
+            "EliminationStep(player=0, removed=0, dominated_by=1), "
+            "EliminationStep(player=1, removed=0, dominated_by=1)))"
+        )
+        wide = Bimatrix([[1, 0, 2]], [[0, 1, 2]])
+        with pytest.raises(ConstraintViolation) as refused:
+            SimulationConfig(10, 1, MixProbabilities(1, 1), StateVector.basis("OO"), wide)
+        assert str(refused.value) == (
+            "payoffs must be a 2x2 Bimatrix, got "
+            "Bimatrix(payoff_a=((1.0, 0.0, 2.0),), payoff_b=((0.0, 1.0, 2.0),))"
+        )

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import tracemalloc
@@ -122,7 +121,7 @@ class TestPayoffScale:
         mix, payoffs = MixProbabilities(0.4, 0.7), bos_bimatrix(GamePayoffs(1.5, 1, -0.25))
         unit = SimulationConfig(2**63 - 1, 5, mix, state, payoffs)
         levels = (math.ldexp(x, k) for x in (1.5, 1, -0.25))
-        scaled = dataclasses.replace(unit, payoffs=bos_bimatrix(GamePayoffs(*levels)))
+        scaled = SimulationConfig(2**63 - 1, 5, mix, state, bos_bimatrix(GamePayoffs(*levels)))
         want, got = simulate(unit), simulate(scaled)
         assert got.counts == want.counts
         for stat in ("mean_payoff_a", "mean_payoff_b", "std_error_a", "std_error_b"):

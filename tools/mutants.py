@@ -54,6 +54,7 @@ _CHECKS_TESTS = "tests/test_checks.py::TestAcceptTestsMatchTheCheckSequences"
 _SAMPLER_TESTS = ("tests/test_montecarlo.py::TestBinomialSampler",)
 _DENSITY_TESTS = ("tests/test_quantum_core.py::TestDensityMatrix",)
 _CERTIFICATE_TESTS = ("tests/test_quantum_core.py::TestPositivityCertificate",)
+_FROZEN_VALUE_TESTS = "tests/test_game_core.py::TestFrozenValue"
 
 #: The ten comparisons of ``DensityMatrix``'s Hermitian test.
 _HERMITIAN_TEST = """\
@@ -465,7 +466,7 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "SimulationConfig takes payoffs without its 2x2 Bimatrix check",
         _MONTECARLO,
-        "        if not (isinstance(self.payoffs, Bimatrix) and self.payoffs.is_2x2):\n",
+        "        if not (isinstance(payoffs, Bimatrix) and payoffs.is_2x2):\n",
         "        if False:\n",
         ("tests/test_montecarlo.py::TestValidation",),
     ),
@@ -491,6 +492,20 @@ MUTANTS: tuple[Mutant, ...] = (
         "    near = Fraction(x) if abs(x) >= 2**53 else",
         ("tests/test_cli.py::TestClassicalCommand::"
          "test_entries_from_two_to_the_53_read_as_their_shortest_decimal",),
+    ),
+    Mutant(
+        "a frozen value's __setattr__ writes the field",
+        _GAME_CORE,
+        '        raise AttributeError(f"cannot assign to field {name!r}")\n',
+        "        object.__setattr__(self, name, value)\n",
+        (_FROZEN_VALUE_TESTS,),
+    ),
+    Mutant(
+        "a frozen value's __eq__ skips the last field",
+        _GAME_CORE,
+        "        return _field_values(self) == _field_values(other)\n",
+        "        return _field_values(self)[:-1] == _field_values(other)[:-1]\n",
+        (_FROZEN_VALUE_TESTS,),
     ),
 )
 
