@@ -89,9 +89,14 @@ class StateVector(FrozenValue):
     @classmethod
     def basis(cls, which: int | str) -> StateVector:
         """Basis state by index 0..3 or by label such as "TO"."""
-        index = BASIS_LABELS.index(which) if isinstance(which, str) else which
-        if not 0 <= index <= 3:
-            raise ConstraintViolation(f"basis index must be 0..3, got {which!r}")
+        if isinstance(which, str) and which in BASIS_LABELS:
+            index = BASIS_LABELS.index(which)
+        elif isinstance(which, int) and 0 <= which <= 3:
+            index = which
+        else:
+            raise ConstraintViolation(
+                f"which must be a basis index 0..3 or a label in {BASIS_LABELS}, got {which!r}"
+            )
         return cls([1.0 if k == index else 0.0 for k in range(4)])
 
     @classmethod

@@ -90,6 +90,15 @@ class TestStateVector:
             assert state.amplitudes[k] == 1
             assert np.count_nonzero(state.amplitudes) == 1
 
+    def test_basis_states_by_index(self):
+        for k in range(4):
+            assert StateVector.basis(k).amplitudes == StateVector.basis(BASIS_LABELS[k]).amplitudes
+
+    @pytest.mark.parametrize("which", ["XX", "oo", "", 4, -1, 1.5, 1.0, None])
+    def test_basis_refuses_an_unknown_label_or_a_non_integer_index(self, which):
+        with pytest.raises(ConstraintViolation, match=r"^which must be a basis index 0\.\.3 or a label"):
+            StateVector.basis(which)
+
     def test_rejects_denormalized(self):
         with pytest.raises(ConstraintViolation):
             StateVector(np.array([1.0, 1.0, 0.0, 0.0]))
