@@ -230,8 +230,18 @@ def load_config(path: str) -> LoadedConfig:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
+
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+        # json keeps the last of a repeated key; a config must not repeat one.
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            keys = [key for key, _ in pairs]
+            repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+            raise ConfigError(f"{path}: key {repeated!r} appears twice in one JSON object")
+        return doc
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"

@@ -168,6 +168,22 @@ class TestConfigLoading:
         )
         assert main(["classical", "--config", path]) == 2
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"payoffs": {"alpha": 9, "beta": 2, "gamma": 1, "alpha": 7}}', "alpha"),
+        ('{"payoffs": {"alpha": 3, "beta": 2, "gamma": 1}, "payoffs": {"alpha": 3}}', "payoffs"),
+        ('{"payoffs": {"alpha": 3, "beta": 2, "gamma": 1}, "labels": {"a": ["x", "y"], "a": ["x", "y"]}}',
+         "a"),
+        ('{"payoffs": {"alpha": 3, "beta": 2, "gamma": 1}, "initial_state": {"a2": 0.5, "a2": 0.5}}',
+         "a2"),
+    ])
+    def test_repeated_key_rejected_by_name(self, tmp_path, capsys, text, key):
+        path = tmp_path / "game.json"
+        path.write_text(text)
+        assert main(["classical", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: key {key!r} appears twice in one JSON object\n"
+        )
+
     def test_unknown_preset_rejected(self, tmp_path):
         path = write_config(
             tmp_path,
