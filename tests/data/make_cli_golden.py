@@ -114,6 +114,8 @@ CONFIGS = {
             "payoff_b": [[2, 1, 0], [1, 2, 0], [3, 2, 1]],
         }
     },
+    # A key given twice: json would keep the last alpha, 7; the config is refused.
+    "duplicate_key": '{"payoffs": {"alpha": 9, "beta": 2, "gamma": 1, "alpha": 7}}\n',
 }
 
 FORMATS = ("table", "json", "csv")
@@ -176,6 +178,7 @@ RUNS = [
     (["quantum", "--mode", "factorizable"], "prisoners_dilemma", ("table", "json")),
     (["simulate", *SIMULATE], "prisoners_dilemma", ("table", "json")),
     (["sweep", *SWEEP_P], "prisoners_dilemma", ("table", "csv")),
+    (["classical"], "duplicate_key", ("json",)),
 ]
 
 
@@ -198,6 +201,7 @@ def build() -> list[dict]:
 if __name__ == "__main__":
     (DATA / "golden").mkdir(exist_ok=True)
     for name, doc in CONFIGS.items():
-        (DATA / "golden" / f"{name}.json").write_text(json.dumps(doc, indent=2) + "\n")
+        text = doc if isinstance(doc, str) else json.dumps(doc, indent=2) + "\n"
+        (DATA / "golden" / f"{name}.json").write_text(text)
     os.chdir(DATA)
     (DATA / "cli_golden.json").write_text(json.dumps(build(), indent=1) + "\n")
