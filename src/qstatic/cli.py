@@ -41,6 +41,7 @@ from .game_core import (
     check_unit_interval,
     eliminate_strictly_dominated,
     pure_nash,
+    slot_setters,
 )
 from .outcomes import BASIS_LABELS, StateVector, payoff_surfaces
 from .report_schema import SCHEMA_VERSION
@@ -64,10 +65,6 @@ class ConfigError(Exception):
     """Configuration problem; message is anchored to file and field."""
 
 
-#: Writes a field of a frozen value from its ``__init__``.
-_set = object.__setattr__
-
-
 class LoadedConfig(FrozenValue):
     """A checked config file: the game (``params`` for the levels form, else
     None), the strategy labels, the initial state and how it was given."""
@@ -87,14 +84,20 @@ class LoadedConfig(FrozenValue):
         state_form: str,
         preset_name: str | None,
     ) -> None:
-        _set(self, "path", path)
-        _set(self, "params", params)
-        _set(self, "game", game)
-        _set(self, "labels_a", labels_a)
-        _set(self, "labels_b", labels_b)
-        _set(self, "state", state)
-        _set(self, "state_form", state_form)
-        _set(self, "preset_name", preset_name)
+        _set_path(self, path)
+        _set_params(self, params)
+        _set_game(self, game)
+        _set_labels_a(self, labels_a)
+        _set_labels_b(self, labels_b)
+        _set_state(self, state)
+        _set_state_form(self, state_form)
+        _set_preset_name(self, preset_name)
+
+
+(
+    _set_path, _set_params, _set_game, _set_labels_a, _set_labels_b, _set_state,
+    _set_state_form, _set_preset_name,
+) = slot_setters(LoadedConfig)
 
 
 def _fail(path: str, where: str, message: str) -> ConfigError:

@@ -12,14 +12,10 @@ import random
 from itertools import accumulate
 
 from .errors import ConstraintViolation
-from .game_core import Bimatrix, FrozenValue, MixProbabilities
+from .game_core import Bimatrix, FrozenValue, MixProbabilities, slot_setters
 from .outcomes import StateVector, flipped
 
 __all__ = ["SimulationConfig", "SimulationReport", "simulate"]
-
-
-#: Writes a field of a frozen value from its ``__init__`` or ``__post_init__``.
-_set = object.__setattr__
 
 
 class SimulationConfig(FrozenValue):
@@ -46,11 +42,14 @@ class SimulationConfig(FrozenValue):
             raise ConstraintViolation(f"seed must be a 64-bit unsigned integer, got {seed}")
         if not (isinstance(payoffs, Bimatrix) and payoffs.is_2x2):
             raise ConstraintViolation(f"payoffs must be a 2x2 Bimatrix, got {payoffs!r}")
-        _set(self, "rounds", rounds)
-        _set(self, "seed", seed)
-        _set(self, "mix", mix)
-        _set(self, "initial", initial)
-        _set(self, "payoffs", payoffs)
+        _set_rounds(self, rounds)
+        _set_seed(self, seed)
+        _set_mix(self, mix)
+        _set_initial(self, initial)
+        _set_payoffs(self, payoffs)
+
+
+_set_rounds, _set_seed, _set_mix, _set_initial, _set_payoffs = slot_setters(SimulationConfig)
 
 
 class SimulationReport(FrozenValue):
@@ -75,12 +74,18 @@ class SimulationReport(FrozenValue):
         std_error_a: float,
         std_error_b: float,
     ) -> None:
-        _set(self, "outcome_probabilities", outcome_probabilities)
-        _set(self, "counts", counts)
-        _set(self, "mean_payoff_a", mean_payoff_a)
-        _set(self, "mean_payoff_b", mean_payoff_b)
-        _set(self, "std_error_a", std_error_a)
-        _set(self, "std_error_b", std_error_b)
+        _set_outcome_probabilities(self, outcome_probabilities)
+        _set_counts(self, counts)
+        _set_mean_payoff_a(self, mean_payoff_a)
+        _set_mean_payoff_b(self, mean_payoff_b)
+        _set_std_error_a(self, std_error_a)
+        _set_std_error_b(self, std_error_b)
+
+
+(
+    _set_outcome_probabilities, _set_counts, _set_mean_payoff_a, _set_mean_payoff_b,
+    _set_std_error_a, _set_std_error_b,
+) = slot_setters(SimulationReport)
 
 
 def _stirling_error(k: int) -> float:

@@ -14,7 +14,7 @@ import math
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import ConstraintViolation
-from .game_core import BilinearPayoff, FrozenValue
+from .game_core import BilinearPayoff, FrozenValue, slot_setters
 
 if TYPE_CHECKING:
     from .quantum_core import DensityMatrix
@@ -27,9 +27,6 @@ __all__ = [
     "flipped",
     "payoff_surfaces",
 ]
-
-#: Writes a field of a frozen value from its ``__post_init__``.
-_set = object.__setattr__
 
 #: Canonical ordering of the joint basis; row player's symbol first.
 BASIS_LABELS = ("OO", "OT", "TO", "TT")
@@ -83,8 +80,8 @@ class StateVector(FrozenValue):
             raise ConstraintViolation(
                 f"state vector is not normalized: sum of squared moduli = {norm_sq!r}"
             )
-        _set(self, "amplitudes", amps)
-        _set(self, "probabilities", probabilities)
+        _set_amplitudes(self, amps)
+        _set_probabilities(self, probabilities)
 
     @classmethod
     def basis(cls, which: int | str) -> StateVector:
@@ -125,6 +122,9 @@ class StateVector(FrozenValue):
             (a2 * c0, a2 * c1, a2 * c2, a2 * c3),
             (a3 * c0, a3 * c1, a3 * c2, a3 * c3),
         ))
+
+
+_set_amplitudes, _set_probabilities = slot_setters(StateVector)
 
 
 def corner_means(payoffs: Sequence[float], probabilities: Sequence[float]) -> list[float]:

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import ConstraintViolation, InternalConsistencyError
-from .game_core import BilinearPayoff, FrozenValue, GamePayoffs, MixProbabilities
+from .game_core import BilinearPayoff, FrozenValue, GamePayoffs, MixProbabilities, slot_setters
 from .outcomes import STATE_NORM_TOL, StateVector, corner_means, flipped, payoff_surfaces
 
 __all__ = [
@@ -35,9 +35,6 @@ __all__ = [
     "trace_payoffs",
     "bilinear_payoff_coefficients",
 ]
-
-#: Writes a field of a frozen value from its ``__post_init__``.
-_set = object.__setattr__
 
 #: Another name for ``MixProbabilities``, kept only because the benchmark
 #: calls ``qc.MixingChoice`` in ``bench/workloads.py`` and ``bench/tracer.py``
@@ -217,9 +214,9 @@ class DensityMatrix(FrozenValue):
             raise ConstraintViolation(
                 f"density matrix has a negative eigenvalue ({smallest:.3e})"
             )
-        _set(self, "_rows", rows)
-        _set(self, "_real", (v00.real, v11.real, v22.real, v33.real))
-        _set(self, "_imag", (v00.imag, v11.imag, v22.imag, v33.imag))
+        _set_rows(self, rows)
+        _set_real(self, (v00.real, v11.real, v22.real, v33.real))
+        _set_imag(self, (v00.imag, v11.imag, v22.imag, v33.imag))
 
     def __getattr__(self, name: str) -> np.ndarray:
         # Called only for a slot not yet written: ``entries`` on its first read.
@@ -227,7 +224,7 @@ class DensityMatrix(FrozenValue):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         m = np.array(self._rows, dtype=complex)
         m.setflags(write=False)
-        _set(self, "entries", m)
+        _set_entries(self, m)
         return m
 
     def diagonal_probabilities(self) -> np.ndarray:
@@ -238,6 +235,9 @@ class DensityMatrix(FrozenValue):
         """Overlap <psi| rho |psi>, real for a valid density matrix."""
         amps = np.array(psi.amplitudes)
         return float(np.real(amps.conj() @ self.entries @ amps))
+
+
+_set_entries, _set_rows, _set_real, _set_imag = slot_setters(DensityMatrix)
 
 
 class LocalUnitary(FrozenValue):
@@ -255,8 +255,8 @@ class LocalUnitary(FrozenValue):
             raise ConstraintViolation(
                 f"|a|^2 + |b|^2 must be 1 for a local tactic, got {norm!r}"
             )
-        _set(self, "a", a)
-        _set(self, "b", b)
+        _set_a(self, a)
+        _set_b(self, b)
 
     @classmethod
     def identity(cls) -> LocalUnitary:
@@ -267,6 +267,9 @@ class LocalUnitary(FrozenValue):
         return np.array(
             [[self.a, self.b], [-np.conj(self.b), np.conj(self.a)]], dtype=complex
         )
+
+
+_set_a, _set_b = slot_setters(LocalUnitary)
 
 
 class PayoffOperator(FrozenValue):
@@ -303,7 +306,7 @@ class PayoffOperator(FrozenValue):
         isfinite = math.isfinite
         if not (isfinite(v0) and isfinite(v1) and isfinite(v2) and isfinite(v3)):
             raise ConstraintViolation("payoff operator entries must be finite")
-        _set(self, "_values", values)
+        _set_values(self, values)
 
     def __getattr__(self, name: str) -> np.ndarray:
         # Called only for a slot not yet written: ``diagonal`` on its first read.
@@ -311,8 +314,11 @@ class PayoffOperator(FrozenValue):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         d = np.array(self._values, dtype=float)
         d.setflags(write=False)
-        _set(self, "diagonal", d)
+        _set_diagonal(self, d)
         return d
+
+
+_set_diagonal, _set_values = slot_setters(PayoffOperator)
 
 
 def apply_local_unitaries(
