@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import brute_force_pure_nash, brute_force_survivors, coefficients
@@ -352,15 +352,20 @@ class TestBilinearPayoff:
         assert got == corners
 
     @given(entries=st.lists(st.floats(-1e300, 1e300), min_size=8, max_size=8))
+    @example(entries=[0.0] * 7 + [-0.0])
     def test_surfaces_at_oo_hold_the_table_entries(self, entries):
         # At |OO> each corner is one table entry measured from the smallest:
-        # x - base, with the other three outcomes adding exact zeros.
+        # x - base, with the other three outcomes adding zeros. Adding a zero
+        # keeps a nonzero value's bits but can flip the sign of a zero, so a
+        # zero corner is compared by value and every other value by bits.
         table_a, table_b = entries[:4], entries[4:]
         for bp, table in zip(payoff_surfaces(OO, table_a, table_b), (table_a, table_b)):
             base = min(table)
             corners = (bp.at_11, bp.at_10, bp.at_01, bp.at_00, bp.base)
             want = (*(x - base for x in table), base)
-            assert [x.hex() for x in corners] == [x.hex() for x in want]
+            assert [x.hex() if x else 0.0 for x in corners] == [
+                x.hex() if x else 0.0 for x in want
+            ]
 
     def test_from_matrix_matches_expected_payoffs(self):
         game = bos(5, 3, 1)
@@ -489,3 +494,79 @@ class TestFrozenValue:
             "payoffs must be a 2x2 Bimatrix, got "
             "Bimatrix(payoff_a=((1.0, 0.0, 2.0),), payoff_b=((0.0, 1.0, 2.0),))"
         )
+
+
+def _slot_cases() -> list:
+    """For every value type, ``NashPoint`` included: arguments that differ
+    from one another, and what each slot must read, in ``__slots__`` order."""
+    game = Bimatrix(((3.0, 1.0), (0.0, 2.0)), ((2.0, 0.5), (1.5, 3.0)))
+    state, mix = StateVector((0.5, 0.5j, -0.5, -0.5j)), MixProbabilities(0.25, 0.5)
+    keep = NashPoint(1.0, 1.0, 3.0, 2.0, EquilibriumKind.CORNER)
+    flip = NashPoint(0.0, 0.0, 2.0, 3.0, EquilibriumKind.CORNER)
+    step, gap = EliminationStep(0, 1, 0), PairwiseGap(0, 2, 0.5, -1.5)
+    rows = tuple(tuple(complex(d) if i == j else 0j for j in range(4)) for i, d in
+                 enumerate((0.1, 0.2, 0.3, 0.4)))
+    same = [
+        (Bimatrix, (game.payoff_a, game.payoff_b)),
+        (GamePayoffs, (3, 2, 1)),
+        (MixProbabilities, (0.25, 0.5)),
+        (BilinearPayoff, (4.0, 3.0, 2.0, 1.0, 0.5)),
+        (EliminationStep, (1, 0, 2)),
+        (EliminationResult, ((0,), (1, 2), (step,))),
+        (PairwiseGap, (0, 2, 0.5, -1.5)),
+        (EquilibriumRanking, ((keep,), (gap,))),
+        (UniqueSolutionReport, (True, keep, flip, 0.5, -0.5, (2.5, 2.5), state)),
+        (LoadedConfig, ("a.json", GamePayoffs(3, 2, 1), game, ("O", "T"), ("L", "R"), state,
+                        "preset", "bell")),
+        (SimulationConfig, (10, 7, mix, state, game)),
+        (SimulationReport, ((0.1, 0.2, 0.3, 0.4), (1, 2, 3, 4), 2.5, 1.5, 0.25, 0.125)),
+        (NashPoint, (0.25, 0.75, 3.0, 2.0, EquilibriumKind.INTERIOR)),
+    ]
+    return [pytest.param(cls, args, args, id=cls.__name__) for cls, args in same] + [
+        pytest.param(
+            StateVector, (state.amplitudes,), (state.amplitudes, (0.25,) * 4), id="StateVector"
+        ),
+        pytest.param(
+            EntangledFamilyState, (0.36,),
+            (0.36, StateVector.oo_tt(math.sqrt(0.36), math.sqrt(1 - 0.36))),
+            id="EntangledFamilyState",
+        ),
+        pytest.param(
+            DensityMatrix, (rows,), (np.array(rows), rows, (0.1, 0.2, 0.3, 0.4), (0.0,) * 4),
+            id="DensityMatrix",
+        ),
+        pytest.param(LocalUnitary, (0.6, 0.8j), (0.6 + 0j, 0.8j), id="LocalUnitary"),
+        pytest.param(
+            PayoffOperator, ((3.0, 1.0, 0.5, 2.0),),
+            (np.array((3.0, 1.0, 0.5, 2.0)), (3.0, 1.0, 0.5, 2.0)), id="PayoffOperator",
+        ),
+    ]
+
+
+def _readable(x):
+    """A form of a slot's value that compares by content: an array as its
+    nested list, a state (equal only to itself) as its amplitudes."""
+    if isinstance(x, np.ndarray):
+        return "array", x.tolist()
+    if isinstance(x, StateVector):
+        return "state", x.amplitudes
+    return x
+
+
+_SLOT_CASES = _slot_cases()
+
+
+class TestFieldOrder:
+    """Each constructor writes every slot with the value meant for it."""
+
+    def test_every_value_type_is_covered(self):
+        covered = {case.values[0] for case in _SLOT_CASES}
+        assert covered == _subclasses(FrozenValue) | {NashPoint}
+
+    @pytest.mark.parametrize("cls, args, slots", _SLOT_CASES)
+    def test_each_slot_reads_back_its_argument(self, cls, args, slots):
+        wants = [_readable(want) for want in slots]
+        # Distinct values, so that a slot written with another's value shows.
+        assert len({repr(want) for want in wants}) == len(wants) == len(cls.__slots__)
+        value = cls(*args)
+        assert [_readable(getattr(value, name)) for name in cls.__slots__] == wants

@@ -86,3 +86,15 @@ def test_no_relative_import_names_a_private_name(name):
 @pytest.mark.parametrize("module, attr", _workload_attributes())
 def test_every_module_attribute_the_workloads_read_resolves(module, attr):
     assert hasattr(importlib.import_module(module), attr)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
+def test_no_module_writes_through_object_setattr(path):
+    # Frozen values write each slot through its own setter (``slot_setters``).
+    found = [
+        node.lineno
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+    ]
+    assert not found, f"object.__setattr__ at lines {found}"

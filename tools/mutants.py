@@ -55,6 +55,7 @@ _SAMPLER_TESTS = ("tests/test_montecarlo.py::TestBinomialSampler",)
 _DENSITY_TESTS = ("tests/test_quantum_core.py::TestDensityMatrix",)
 _CERTIFICATE_TESTS = ("tests/test_quantum_core.py::TestPositivityCertificate",)
 _FROZEN_VALUE_TESTS = "tests/test_game_core.py::TestFrozenValue"
+_SLOT_TESTS = "tests/test_game_core.py::TestFieldOrder::test_each_slot_reads_back_its_argument"
 
 #: The ten comparisons of ``DensityMatrix``'s Hermitian test.
 _HERMITIAN_TEST = """\
@@ -506,6 +507,20 @@ MUTANTS: tuple[Mutant, ...] = (
         "        return _field_values(self) == _field_values(other)\n",
         "        return _field_values(self)[:-1] == _field_values(other)[:-1]\n",
         (_FROZEN_VALUE_TESTS,),
+    ),
+    Mutant(
+        "BilinearPayoff's at_10 and at_01 setters swapped",
+        _GAME_CORE,
+        "_set_at_11, _set_at_10, _set_at_01, _set_at_00, _set_base = slot_setters(BilinearPayoff)\n",
+        "_set_at_11, _set_at_01, _set_at_10, _set_at_00, _set_base = slot_setters(BilinearPayoff)\n",
+        (f"{_SLOT_TESTS}[BilinearPayoff]",),
+    ),
+    Mutant(
+        "NashPoint's payoff_a and payoff_b setters swapped",
+        _EQUILIBRIA,
+        "_set_p_star, _set_q_star, _set_payoff_a, _set_payoff_b, _set_kind = slot_setters(NashPoint)\n",
+        "_set_p_star, _set_q_star, _set_payoff_b, _set_payoff_a, _set_kind = slot_setters(NashPoint)\n",
+        (f"{_SLOT_TESTS}[NashPoint]",),
     ),
 )
 
